@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
+from .applier import SpanIntegrityError
 from .classify import ClassifierConfig, classify_hunks, default_rules, load_rules
 from .config import PipelineConfig, load_config, with_overrides
 from .diffing import diff_words, format_hunk, tokenize_words
@@ -215,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
                 text_path=args.out if args.format == "text" else None,
             )
             return 0
-    except (CorpusError, ValueError, OSError) as exc:
+    except (CorpusError, SpanIntegrityError, ValueError, OSError) as exc:
         return _fail(str(exc))
 
     return _fail(f"unknown command {args.command!r}")

@@ -6,11 +6,23 @@ no unchanged word between them surface as a single hunk, so a space-merge
 such as "se mana" -> "semana" arrives as one replace hunk with a two-word
 original segment.
 
-Character-level similarity uses the Gestalt (Ratcliff-Obershelp) ratio:
+Character-level similarity uses the Gestalt (Ratcliff-Obershelp) ratio
+(Ratcliff and Metzener, "Pattern Matching: The Gestalt Approach", 1988):
 recursively take the longest common contiguous block, recurse on both
 flanks, and return 2*M / (len(a) + len(b)) where M is the total matched
 character count. Ties between equally long blocks are broken toward the
-earliest start in the first string, then the second.
+earliest start in the first string, then the second, which is the order
+``difflib.SequenceMatcher(autojunk=False)`` uses, so :func:`similarity_ratio`
+returns exactly difflib's ratio.
+
+The longest block is not found by difflib's walk over every pair of equal
+characters, which makes the ratio of two long texts cost roughly the cube
+of their length. It is found from sampled seeds instead: with
+``s + q = K + 1``, every common block of length at least K contains one of
+the substrings ``a[p:p+q]`` whose start ``p`` is a multiple of ``s`` past the
+window start. Each seed's occurrences in the other window come from
+``str.find`` and are extended to maximal blocks by slice comparisons, and K
+halves until a block of length K is found.
 """
 
 from __future__ import annotations
@@ -50,21 +62,14 @@ def tokenize_words(text: str) -> list[str]:
     return text.split()
 
 
-def diff_words(
-    original: list[str],
-    corrected: list[str],
-    merge_window: int = 0,
-) -> list[ChangeHunk]:
+def diff_words(original: list[str], corrected: list[str]) -> list[ChangeHunk]:
     """Align two word sequences and return the changed regions as hunks.
 
     The alignment is the longest-common-subsequence family matching of
     :class:`difflib.SequenceMatcher` (junk heuristics disabled), which breaks
     ties by preferring the earliest match in the original sequence. Hunks are
-    non-overlapping and ordered by original span.
-
-    ``merge_window`` additionally merges hunks separated by at most that many
-    unchanged words (0 = only directly adjacent changes merge, which the
-    matcher already guarantees).
+    non-overlapping and ordered by original span. Directly adjacent changes
+    always form a single hunk.
     """
     matcher = SequenceMatcher(None, original, corrected, autojunk=False)
     hunks: list[ChangeHunk] = []
@@ -80,33 +85,7 @@ def diff_words(
                 kind=tag,  # type: ignore[arg-type]
             )
         )
-    if merge_window > 0:
-        hunks = _merge_nearby(hunks, original, corrected, merge_window)
     return hunks
-
-
-def _merge_nearby(
-    hunks: list[ChangeHunk],
-    original: list[str],
-    corrected: list[str],
-    window: int,
-) -> list[ChangeHunk]:
-    merged: list[ChangeHunk] = []
-    for hunk in hunks:
-        if merged and hunk.original_span[0] - merged[-1].original_span[1] <= window:
-            prev = merged.pop()
-            i1, i2 = prev.original_span[0], hunk.original_span[1]
-            j1, j2 = prev.corrected_span[0], hunk.corrected_span[1]
-            seg_o = " ".join(original[i1:i2])
-            seg_c = " ".join(corrected[j1:j2])
-            kind: HunkKind = "replace"
-            if not seg_o:
-                kind = "insert"
-            elif not seg_c:
-                kind = "delete"
-            hunk = ChangeHunk(seg_o, seg_c, (i1, i2), (j1, j2), kind)
-        merged.append(hunk)
-    return merged
 
 
 def reconstruct_words(original: list[str], hunks: list[ChangeHunk]) -> list[str]:
@@ -134,11 +113,125 @@ def similarity_ratio(a: str, b: str) -> float:
     """Gestalt similarity in [0, 1]; 1.0 for two empty strings.
 
     Equals ``2*M / (len(a) + len(b))`` with M the character total of the
-    recursively found longest common blocks.
+    recursively found longest common blocks. Each window takes its longest
+    block, ties going to the smallest start in ``a`` and then the smallest
+    start in ``b``; that is difflib's order, so both recursions match the
+    same blocks and the result is exactly (``==``) the float that
+    ``difflib.SequenceMatcher(None, a, b, autojunk=False).ratio()`` returns.
+
+    Seed lemma: let ``s + q = K + 1``. A common block of length at least K
+    starting at ``x`` in the ``a`` window ``[alo, ahi)`` has some
+    ``p = alo + t*s`` among ``x .. x+s-1``, and ``p + q <= x + K``, so it
+    contains the seed ``a[p:p+q]``. Extending every occurrence of every seed
+    in the ``b`` window to its maximal block therefore finds every block of
+    length at least K, tied ones included. K starts at the shorter window's
+    length and halves (or drops to the longest block found so far) until a
+    found block reaches it. A block inside a flank is also a block of the
+    enclosing window, so the flanks start K at the enclosing block's length.
+    The flanks are kept on an explicit stack.
     """
-    if not a and not b:
+    total = len(a) + len(b)
+    if not total:
         return 1.0
-    return SequenceMatcher(None, a, b, autojunk=False).ratio()
+    matches = 0
+    stack = [(0, len(a), 0, len(b), min(len(a), len(b)))]
+    while stack:
+        alo, ahi, blo, bhi, limit = stack.pop()
+        i, j, size = _longest_block(a, b, alo, ahi, blo, bhi, limit)
+        if size:
+            matches += size
+            if alo < i and blo < j:
+                stack.append((alo, i, blo, j, size))
+            if i + size < ahi and j + size < bhi:
+                stack.append((i + size, ahi, j + size, bhi, size))
+    return 2.0 * matches / total
+
+
+def _longest_block(
+    a: str, b: str, alo: int, ahi: int, blo: int, bhi: int, limit: int
+) -> tuple[int, int, int]:
+    """Longest common block ``(i, j, size)`` of ``a[alo:ahi]`` and ``b[blo:bhi]``.
+
+    The caller guarantees that no common block is longer than ``limit``.
+    Ties go to the smallest ``i``, then the smallest ``j``; ``size`` is 0
+    when the windows share no character.
+    """
+    k = cap = min(limit, ahi - alo, bhi - blo)
+    best_i, best_j, best = alo, blo, 0
+    find = b.find
+    while k:
+        q = (k + 1) // 2
+        step = k + 1 - q
+        for p in range(alo, ahi - q + 1, step):
+            seed = a[p : p + q]
+            j = find(seed, blo, bhi)
+            while j >= 0:
+                # room on the hit's diagonal; min() spelled out in this hot loop
+                before = p - alo if p - alo < j - blo else j - blo
+                after = ahi - p if ahi - p < bhi - j else bhi - j
+                if before + after >= best:  # else no block here reaches the best
+                    # most hits stop at the first character: test it before calling
+                    left = 0
+                    if before and a[p - 1] == b[j - 1]:
+                        left = _common_suffix(a, p, b, j, before)
+                    size = left + q
+                    if after > q and a[p + q] == b[j + q]:
+                        size += _common_prefix(a, p + q, b, j + q, after - q)
+                    i0, j0 = p - left, j - left
+                    if size > best or (size == best and (i0, j0) < (best_i, best_j)):
+                        best_i, best_j, best = i0, j0, size
+                # blocks from later hits are no longer and start no earlier in a
+                if best == cap and best_i <= p + q - cap:
+                    return best_i, best_j, best
+                j = find(seed, j + 1, bhi)
+        if best >= k:
+            break
+        # no block reaches k; one of length ``best`` exists but may hold no seed
+        cap = k - 1
+        k = max(k // 2, best)
+    return best_i, best_j, best
+
+
+def _common_prefix(a: str, i: int, b: str, j: int, n: int) -> int:
+    """Length of the common prefix of ``a[i:i+n]`` and ``b[j:j+n]``.
+
+    Gallops over doubling chunks, then bisects the first unequal chunk, so a
+    long run costs O(log n) slice comparisons, not n bytecode steps.
+    """
+    done, width = 0, 1
+    while width <= n - done and (
+        a[i + done : i + done + width] == b[j + done : j + done + width]
+    ):
+        done += width
+        width *= 2
+    width = min(width, n - done + 1)
+    while width > 1:
+        half = width // 2
+        if a[i + done : i + done + half] == b[j + done : j + done + half]:
+            done += half
+            width -= half
+        else:
+            width = half
+    return done
+
+
+def _common_suffix(a: str, i: int, b: str, j: int, n: int) -> int:
+    """Length of the common suffix of ``a[i-n:i]`` and ``b[j-n:j]``, as above."""
+    done, width = 0, 1
+    while width <= n - done and (
+        a[i - done - width : i - done] == b[j - done - width : j - done]
+    ):
+        done += width
+        width *= 2
+    width = min(width, n - done + 1)
+    while width > 1:
+        half = width // 2
+        if a[i - done - half : i - done] == b[j - done - half : j - done]:
+            done += half
+            width -= half
+        else:
+            width = half
+    return done
 
 
 def format_hunk(hunk: ChangeHunk) -> str:

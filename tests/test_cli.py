@@ -210,6 +210,20 @@ class TestClassifyCommand:
         assert code == 1
         assert "expected 7" in capsys.readouterr().err
 
+    def test_apply_on_stale_classified_file_is_a_clean_failure(self, tmp_path, capsys):
+        corrected = self.corrected_row(tmp_path)
+        classified = tmp_path / "classified.jsonl"
+        assert main(["classify", "--input", str(corrected), "--output", str(classified)]) == 0
+        row = json.loads(classified.read_text(encoding="utf-8"))
+        row["text"] = row["text"].replace("mui", "muy")  # text edited after classify
+        classified.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+        code = main(["apply", "--input", str(classified),
+                     "--output", str(tmp_path / "final.jsonl"), "--modernize"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stale correction")
+        assert "Traceback" not in err
+
     def test_clean_max_nonalpha_flag(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         rows = [

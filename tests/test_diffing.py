@@ -1,7 +1,11 @@
+import random
+from difflib import SequenceMatcher
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
 from histocr.diffing import (
     ChangeHunk,
     diff_words,
@@ -43,6 +47,73 @@ def brute_force_ratio(a: str, b: str) -> float:
     if total == 0:
         return 1.0
     return 2.0 * brute_force_matches(a, b) / total
+
+
+def difflib_ratio(a: str, b: str) -> float:
+    """Reference ratio: difflib's block search, junk heuristics off."""
+    if not a and not b:
+        return 1.0
+    return SequenceMatcher(None, a, b, autojunk=False).ratio()
+
+
+SPANISH_WORDS = sorted(set(tokenize_words(GOLDEN_ORIGINAL + " " + GOLDEN_CORRECTED)))
+WORD_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "delete", "replace", "swap")),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(SPANISH_WORDS),
+    ),
+    max_size=40,
+)
+
+
+@st.composite
+def spanish_pairs(draw) -> tuple[str, str]:
+    """A text of up to ~3k chars from the golden fragment's words, and an edit of it."""
+    size = draw(st.integers(min_value=0, max_value=450))
+    words = draw(st.lists(st.sampled_from(SPANISH_WORDS), min_size=size, max_size=size))
+    edited = list(words)
+    for op, pos, word in draw(WORD_EDITS):
+        if op == "insert":
+            edited.insert(pos % (len(edited) + 1), word)
+        elif not edited:
+            continue
+        elif op == "delete":
+            del edited[pos % len(edited)]
+        elif op == "replace":
+            edited[pos % len(edited)] = word
+        else:
+            k = pos % len(edited)
+            edited[k : k + 2] = edited[k : k + 2][::-1]
+    return " ".join(words), " ".join(edited)
+
+
+def _random_words(seed: int, count: int) -> str:
+    return " ".join(random.Random(seed).choices(SPANISH_WORDS, k=count))
+
+
+def _shuffled_words(text: str, seed: int) -> str:
+    words = tokenize_words(text)
+    random.Random(seed).shuffle(words)
+    return " ".join(words)
+
+
+_LONG_SPANISH = " ".join([GOLDEN_ORIGINAL] * 2)
+ADVERSARIAL_PAIRS = {
+    "alternating_shifted": ("ab" * 1500, "ba" * 1500),
+    "single_letter_run": ("a" * 1500, "a" * 1499 + "b"),
+    "two_letter_random": (
+        "".join(random.Random(3).choices("ab", k=1000)),
+        "".join(random.Random(4).choices("ab", k=1000)),
+    ),
+    "unrelated_texts": (_random_words(1, 250), _random_words(2, 250)),
+    "word_shuffled_rewrite": (_LONG_SPANISH, _shuffled_words(_LONG_SPANISH, 2)),
+    "golden_correction": (GOLDEN_ORIGINAL, GOLDEN_CORRECTED),
+    "empty_both": ("", ""),
+    "empty_first": ("", GOLDEN_ORIGINAL),
+    "empty_second": (GOLDEN_CORRECTED, ""),
+    "single_char_in_text": ("x", "taxi"),
+}
 
 
 class TestTokenizeWords:
@@ -97,15 +168,6 @@ class TestDiffWords:
         # both "a" tokens could anchor; the earliest original match wins
         hunks = diff_words(["a", "b", "a"], ["a"])
         assert hunks == [ChangeHunk("b a", "", (1, 3), (1, 1), "delete")]
-
-    def test_merge_window_joins_nearby_hunks(self):
-        original = ["uno", "x", "mismo", "y", "dos"]
-        corrected = ["uno", "z", "mismo", "w", "dos"]
-        assert len(diff_words(original, corrected)) == 2
-        merged = diff_words(original, corrected, merge_window=1)
-        assert len(merged) == 1
-        assert merged[0].original_segment == "x mismo y"
-        assert merged[0].corrected_segment == "z mismo w"
 
     def test_deterministic(self):
         a = tokenize_words("uno dos tres cuatro cinco")
@@ -168,6 +230,27 @@ class TestSimilarityRatio:
 
     def test_disjoint_alphabets_are_zero(self):
         assert similarity_ratio("aaa", "bbb") == 0.0
+
+
+class TestSimilarityRatioMatchesDifflib:
+    """Exact (``==``) agreement with difflib's ratio, well beyond the oracle's sizes."""
+
+    @given(spanish_pairs(), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_spanish_word_edits(self, pair, swap):
+        a, b = pair[::-1] if swap else pair
+        assert similarity_ratio(a, b) == difflib_ratio(a, b)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_PAIRS))
+    def test_adversarial_pairs(self, name):
+        a, b = ADVERSARIAL_PAIRS[name]
+        assert similarity_ratio(a, b) == difflib_ratio(a, b)
+
+    @given(st.text(alphabet="ab", max_size=40), st.text(alphabet="ab", max_size=40))
+    @settings(max_examples=300)
+    def test_two_letter_ties(self, a, b):
+        # a small alphabet makes many equally long blocks: the tie-break decides M
+        assert similarity_ratio(a, b) == difflib_ratio(a, b)
 
 
 class TestFormatHunk:

@@ -1,8 +1,11 @@
 import json
+from difflib import SequenceMatcher
 from pathlib import Path
 
 import pytest
 
+from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
+from histocr.client import MockBackend
 from histocr.config import PipelineConfig
 from histocr.pipeline import ARTIFACTS, run_pipeline, stage_apply, stage_classify, stage_clean, stage_correct, stage_report
 from histocr.records import (
@@ -185,6 +188,37 @@ class TestModes:
         run_pipeline(make_config(corpus, fixtures, out, modernize=True))
         final = {p.record.id: p for p in load_processed(out / "final.jsonl").records}
         assert final["p02"].text_final == "El general dijo que la villa era muy vieja y pobre."
+
+
+class TestLongRecord:
+    def test_whole_text_check_matches_difflib_at_length(self, tmp_path):
+        text = " ".join([GOLDEN_ORIGINAL] * 8)
+        output = " ".join([GOLDEN_CORRECTED] * 8)
+        assert len(text) >= 6000
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"id": "long", "year": 1845, "text": text}, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text(
+            json.dumps({"input_hash": MockBackend.hash_text(text), "output": output},
+                       ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+        # the threshold is difflib's ratio itself: a ratio one step below it
+        # would drop the record as a wholesale rewrite
+        reference = SequenceMatcher(None, text, output, autojunk=False).ratio()
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            config = make_config(corpus, fixtures, out, max_chars=12000,
+                                 hallucination_threshold=reference)
+            assert run_pipeline(config) == 0
+        for name in ARTIFACTS:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        (final,) = load_processed(outs[0] / "final.jsonl").records
+        assert final.status == STATUS_CORRECTED
+        assert final.text_llm == output
 
 
 class TestBackendConstruction:
