@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .classify import OCR_ERROR, SURFACE_FORM, ClassifiedCorrection
+from .records import write_artifact
 
 _WORD_SPAN_RE = re.compile(r"\S+")
 
@@ -110,16 +111,13 @@ def emit_lexicon(
 
 def write_lexicon(entries: list[SurfaceFormEntry], path: str | Path) -> None:
     """Tab-separated lexicon with a header row, stable ordering."""
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("original\tmodern\trule\tfrequency\taccent_only\n")
-        for entry in entries:
-            fh.write(
-                f"{entry.original}\t{entry.modern}\t{entry.rule}\t"
-                f"{entry.frequency}\t{'true' if entry.accent_only else 'false'}\n"
-            )
+    lines = ["original\tmodern\trule\tfrequency\taccent_only\n"]
+    for entry in entries:
+        lines.append(
+            f"{entry.original}\t{entry.modern}\t{entry.rule}\t"
+            f"{entry.frequency}\t{'true' if entry.accent_only else 'false'}\n"
+        )
+    write_artifact(path, lines)
 
 
 def load_lexicon(path: str | Path) -> list[SurfaceFormEntry]:

@@ -56,6 +56,8 @@ _MAX_DP_CELLS = 400
 # segments longer than any plausible word skip the substitution matcher;
 # bounds the backtracking search on degenerate hunks
 _MAX_SUBSTITUTION_LEN = 60
+# frequency promotion reaches this far below the ratio threshold
+_PROMOTION_WINDOW = 0.1
 
 
 def strip_accents(text: str) -> str:
@@ -169,7 +171,6 @@ class ClassifierConfig:
     ratio_threshold: float = 0.55
     max_corrected_words: int = 3
     promote_min_frequency: int | None = None  # None disables promotion
-    promotion_window: float = 0.1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ratio_threshold <= 1.0:
@@ -459,11 +460,11 @@ def apply_frequency_promotion(
     """Optional post-pass: frequent near-threshold hallucinations become OCR errors.
 
     Disabled unless ``promote_min_frequency`` is set; the promotion window is
-    ratios in [threshold - window, threshold). Returns the number promoted.
+    ratios in [threshold - 0.1, threshold). Returns the number promoted.
     """
     if config.promote_min_frequency is None:
         return 0
-    lo = config.ratio_threshold - config.promotion_window
+    lo = config.ratio_threshold - _PROMOTION_WINDOW
     promoted = 0
     for corr in corrections:
         if (

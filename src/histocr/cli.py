@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline
 from .applier import SpanIntegrityError
-from .classify import ClassifierConfig, classify_hunks, default_rules, load_rules
+from .classify import classify_hunks
 from .config import PipelineConfig, load_config, with_overrides
 from .diffing import diff_words, format_hunk, tokenize_words
 from .records import CorpusError
@@ -22,7 +23,9 @@ from .records import CorpusError
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("mock", "identity", "http"), default=None)
-    parser.add_argument("--fixtures", default=None, help="mock backend fixture file")
+    parser.add_argument(
+        "--fixtures", dest="mock_fixtures", default=None, help="mock backend fixture file"
+    )
     parser.add_argument("--endpoint", default=None, help="http backend URL")
     parser.add_argument("--model", default=None, help="http backend model name")
     parser.add_argument("--api-key-env", default=None, help="env var holding the API key")
@@ -35,9 +38,11 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_classify_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rules", default=None, help="rules table file (default: shipped table)")
+    parser.add_argument(
+        "--rules", dest="rules_path", default=None, help="rules table file (default: shipped table)"
+    )
     parser.add_argument("--ratio-threshold", type=float, default=None)
-    parser.add_argument("--max-words", type=int, default=None)
+    parser.add_argument("--max-words", dest="max_corrected_words", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,12 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--verbose", action="store_true")
-    parser.add_argument("--strict", action="store_true", help="non-zero exit on partial failures")
+    parser.add_argument(
+        "--strict", action="store_true", default=None, help="non-zero exit on partial failures"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="full pipeline: clean, correct, classify, apply, report")
     p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True, help="output directory for all artifacts")
+    p.add_argument(
+        "--output", dest="output_dir", required=True, help="output directory for all artifacts"
+    )
     p.add_argument("--min-tokens", type=int, default=None)
     p.add_argument("--max-nonalpha", type=float, default=None)
     p.add_argument("--modernize", action="store_true", default=None)
@@ -104,30 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {
-        "strict": True if args.strict else None,
-        "input": getattr(args, "input", None),
-        "output_dir": getattr(args, "output", None),
-        "backend": getattr(args, "backend", None),
-        "mock_fixtures": getattr(args, "fixtures", None),
-        "endpoint": getattr(args, "endpoint", None),
-        "model": getattr(args, "model", None),
-        "api_key_env": getattr(args, "api_key_env", None),
-        "concurrency": getattr(args, "concurrency", None),
-        "retry_attempts": getattr(args, "retry_attempts", None),
-        "max_chars": getattr(args, "max_chars", None),
-        "min_tokens": getattr(args, "min_tokens", None),
-        "max_nonalpha": getattr(args, "max_nonalpha", None),
-        "count_whitespace": getattr(args, "count_whitespace", None),
-        "rules_path": getattr(args, "rules", None),
-        "ratio_threshold": getattr(args, "ratio_threshold", None),
-        "max_corrected_words": getattr(args, "max_words", None),
-        "modernize": getattr(args, "modernize", None),
-    }
-    config = with_overrides(config, **overrides)
+    # flags share their destination names with the config fields they set
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
     if getattr(args, "dry_run", False):
-        config = with_overrides(config, backend="identity")
-    return config
+        overrides["backend"] = "identity"
+    return with_overrides(config, **overrides)
 
 
 def _fail(message: str) -> int:
@@ -159,24 +149,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        if args.command == "run":
-            _require_input(config.input)
-            return pipeline.run_pipeline(config)
-
-        if args.command == "clean":
-            _require_input(args.input)
-            result = pipeline.stage_clean(
-                config, args.input, args.output, removed_path=args.removed, report_path=args.report
-            )
-            for diag in result.diagnostics:
-                print(f"{args.input}: {diag}", file=sys.stderr)
-            return 2 if config.strict and result.errors else 0
-
-        if args.command == "correct":
-            _require_input(args.input)
-            pipeline.stage_correct(config, args.input, args.output)
-            return 0
-
         if args.command == "diff":
             _require_input(args.original)
             _require_input(args.corrected)
@@ -186,18 +158,33 @@ def main(argv: list[str] | None = None) -> int:
             for hunk in hunks:
                 print(format_hunk(hunk))
             if args.verbose:
-                rules = load_rules(config.rules_path) if config.rules_path else default_rules()
+                rules = pipeline.rule_table(config)
                 for corr in classify_hunks(hunks, rules, pipeline.classifier_config(config)):
                     print(f"  {corr.original!r} -> {corr.corrected!r}: {corr.label} via {corr.rule}")
             return 0
 
+        # every other command reads the file named by --input
+        _require_input(config.input)
+        if args.command == "run":
+            return pipeline.run_pipeline(config)
+
+        if args.command == "clean":
+            result = pipeline.stage_clean(
+                config, args.input, args.output, removed_path=args.removed, report_path=args.report
+            )
+            for diag in result.diagnostics:
+                print(f"{args.input}: {diag}", file=sys.stderr)
+            return 2 if config.strict and result.errors else 0
+
+        if args.command == "correct":
+            outcome_counts = pipeline.stage_correct(config, args.input, args.output)
+            return 2 if config.strict and pipeline.failed_records(outcome_counts) else 0
+
         if args.command == "classify":
-            _require_input(args.input)
             pipeline.stage_classify(config, args.input, args.output)
             return 0
 
         if args.command == "apply":
-            _require_input(args.input)
             pipeline.stage_apply(
                 config,
                 args.input,
@@ -208,7 +195,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "report":
-            _require_input(args.input)
             pipeline.stage_report(
                 config,
                 args.input,

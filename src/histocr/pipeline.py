@@ -5,13 +5,14 @@ is resumable and independently testable; model calls are slow and costly, so
 re-runs must not repeat them. Composing the stage functions by hand produces
 byte-identical artifacts to :func:`run_pipeline`.
 
-Stage artifacts (fixed names inside the output directory):
+Row schemas and file handling live in :mod:`histocr.records`. Stage
+artifacts (fixed names inside the output directory):
 
 - ``cleaned.jsonl``         surviving corpus records
 - ``removed.jsonl``         records dropped by cleaning (status ``cleaned_out``)
 - ``cleaning_report.json``  per-filter removal counts and percentages
-- ``corrected.jsonl``       records plus raw model output and outcome
-- ``classified.jsonl``      records plus labeled corrections
+- ``corrected.jsonl``       candidate records: model outcome and output
+- ``classified.jsonl``      candidate records plus labeled corrections
 - ``final.jsonl``           processed records (final text, one status each)
 - ``lexicon.tsv``           surface-form lexicon (full)
 - ``lexicon_nonaccent.tsv`` surface forms that are not accent-only
@@ -20,7 +21,6 @@ Stage artifacts (fixed names inside the output directory):
 
 from __future__ import annotations
 
-import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -56,15 +56,15 @@ from .records import (
     STATUS_CORRECTED,
     STATUS_EXCLUDED_CONTENT_POLICY,
     STATUS_EXCLUDED_LLM_FAILURE,
+    CandidateRecord,
     CorpusRecord,
     LoadResult,
     ProcessedRecord,
+    load_candidates,
     load_corpus,
     load_processed,
-    write_corpus,
-    write_processed,
-    _correction_from_dict,
-    _correction_to_dict,
+    write_json,
+    write_records,
 )
 from .reporting import build_report, write_report
 
@@ -113,25 +113,18 @@ def rule_table(config: PipelineConfig) -> RuleTable:
     return default_rules()
 
 
-def _write_json(obj: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+def failed_records(outcome_counts: dict[str, int]) -> int:
+    """Records whose correction failed: any outcome but ok or a refusal."""
+    accepted = (OUTCOME_OK, client_mod.OUTCOME_CONTENT_POLICY)
+    return sum(count for outcome, count in outcome_counts.items() if outcome not in accepted)
 
 
-def _write_work(rows: list[dict], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
-
-
-def _read_work(path: Path) -> list[dict]:
-    return [
-        json.loads(line)
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+def _load(load, path: str | Path) -> LoadResult:
+    """Run a ``records`` loader and log its line diagnostics as warnings."""
+    result = load(path)
+    for diag in result.diagnostics:
+        logger.warning("%s: %s", path, diag)
+    return result
 
 
 def stage_clean(
@@ -142,9 +135,7 @@ def stage_clean(
     report_path: str | Path | None = None,
 ) -> LoadResult:
     """Filter the corpus; write survivors, removed records and the report."""
-    result = load_corpus(input_path)
-    for diag in result.diagnostics:
-        logger.warning("%s: %s", input_path, diag)
+    result = _load(load_corpus, input_path)
     kept, removed, report = clean_corpus(
         result.records,
         min_tokens=config.min_tokens,
@@ -152,14 +143,14 @@ def stage_clean(
         count_whitespace=config.count_whitespace,
         tokenizer=TOKENIZERS[config.tokenizer],
     )
-    write_corpus(kept, output_path)
+    write_records(kept, output_path)
     if removed_path is not None:
-        write_processed(
+        write_records(
             [ProcessedRecord(record=r, status=STATUS_CLEANED_OUT) for r, _reason in removed],
             removed_path,
         )
     if report_path is not None:
-        _write_json(report.to_dict(), Path(report_path))
+        write_json(report.to_dict(), report_path)
     logger.info(
         "cleaning: %d rows in, %d kept, %d removed",
         report.total_rows,
@@ -174,15 +165,16 @@ def stage_correct(
     input_path: str | Path,
     output_path: str | Path,
     backend: CorrectionBackend | None = None,
-) -> None:
+) -> dict[str, int]:
     """Fetch corrected candidates for every cleaned record.
 
     Requests may run concurrently up to the configured limit; rows are
     re-sequenced to input order before writing. A whole-text similarity
-    check discards responses that rewrote the record wholesale.
+    check discards responses that rewrote the record wholesale. Returns the
+    number of records per outcome.
     """
     backend = backend or make_backend(config)
-    records = load_corpus(input_path).records
+    records = _load(load_corpus, input_path).records
     template = PromptTemplate.for_language("spanish")
     policy = RetryPolicy(max_attempts=config.retry_attempts, backoff_base=config.backoff_base)
 
@@ -201,7 +193,7 @@ def stage_correct(
     else:
         results = [process(r) for r in records]
 
-    rows: list[dict] = []
+    candidates: list[CandidateRecord] = []
     outcome_counts: dict[str, int] = {}
     for record, result in zip(records, results):
         outcome = result.outcome
@@ -210,13 +202,10 @@ def stage_correct(
         ):
             outcome = OUTCOME_GLOBAL_HALLUCINATION
         outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
-        row = record.to_json_dict()
-        row["llm_outcome"] = outcome
-        row["llm_detail"] = result.detail
-        row["text_llm"] = result.corrected_text
-        rows.append(row)
-    _write_work(rows, Path(output_path))
+        candidates.append(CandidateRecord(record, outcome, result.detail, result.corrected_text))
+    write_records(candidates, output_path)
     logger.info("correction outcomes: %s", dict(sorted(outcome_counts.items())))
+    return outcome_counts
 
 
 def stage_classify(
@@ -227,28 +216,26 @@ def stage_classify(
     """Diff each corrected candidate against its original and label the changes."""
     rules = rule_table(config)
     cls_config = classifier_config(config)
-    rows = _read_work(Path(input_path))
+    candidates = _load(load_candidates, input_path).records
 
     all_corrections = []
-    per_row: list[list] = []
-    for row in rows:
-        if row.get("llm_outcome") != OUTCOME_OK or row.get("text_llm") is None:
-            per_row.append([])
+    for candidate in candidates:
+        candidate.corrections = []
+        if candidate.outcome != OUTCOME_OK or candidate.text_llm is None:
             continue
-        hunks = diff_words(tokenize_words(row["text"]), tokenize_words(row["text_llm"]))
-        corrections = classify_hunks(hunks, rules, cls_config)
-        per_row.append(corrections)
-        all_corrections.extend(corrections)
+        hunks = diff_words(
+            tokenize_words(candidate.record.text), tokenize_words(candidate.text_llm)
+        )
+        candidate.corrections = classify_hunks(hunks, rules, cls_config)
+        all_corrections.extend(candidate.corrections)
 
     aggregate_frequencies(all_corrections)
     promoted = apply_frequency_promotion(all_corrections, cls_config)
     if promoted:
         logger.info("frequency promotion: %d corrections relabeled", promoted)
 
-    for row, corrections in zip(rows, per_row):
-        row["corrections"] = [_correction_to_dict(c) for c in corrections]
-    _write_work(rows, Path(output_path))
-    logger.info("classified %d corrections across %d rows", len(all_corrections), len(rows))
+    write_records(candidates, output_path)
+    logger.info("classified %d corrections across %d rows", len(all_corrections), len(candidates))
 
 
 def stage_apply(
@@ -259,45 +246,22 @@ def stage_apply(
     lexicon_nonaccent_path: str | Path | None = None,
 ) -> None:
     """Assemble final texts (OCR errors applied) and emit the lexicon."""
-    rows = _read_work(Path(input_path))
+    candidates = _load(load_candidates, input_path).records
     processed: list[ProcessedRecord] = []
     all_corrections = []
-    for row in rows:
-        record = CorpusRecord(
-            id=row["id"],
-            newspaper=row.get("newspaper") or "",
-            country=row.get("country") or "",
-            city=row.get("city"),
-            year=row.get("year"),
-            text=row["text"],
-        )
-        outcome = row.get("llm_outcome")
-        corrections = [_correction_from_dict(c) for c in row.get("corrections", [])]
+    for candidate in candidates:
+        record = candidate.record
+        corrections = candidate.corrections or []
         all_corrections.extend(corrections)
-        if outcome == OUTCOME_OK:
+        if candidate.outcome == OUTCOME_OK:
             final = apply_corrections(record.text, corrections, modernize=config.modernize)
-            processed.append(
-                ProcessedRecord(
-                    record=record,
-                    status=STATUS_CORRECTED,
-                    text_llm=row.get("text_llm"),
-                    text_final=final,
-                    corrections=corrections,
-                )
-            )
-        elif outcome == client_mod.OUTCOME_CONTENT_POLICY:
-            processed.append(
-                ProcessedRecord(record=record, status=STATUS_EXCLUDED_CONTENT_POLICY)
-            )
+            item = ProcessedRecord(record, STATUS_CORRECTED, candidate.text_llm, final, corrections)
+        elif candidate.outcome == client_mod.OUTCOME_CONTENT_POLICY:
+            item = ProcessedRecord(record, STATUS_EXCLUDED_CONTENT_POLICY)
         else:  # transport_error, over_length, global_hallucination
-            processed.append(
-                ProcessedRecord(
-                    record=record,
-                    status=STATUS_EXCLUDED_LLM_FAILURE,
-                    text_llm=row.get("text_llm"),
-                )
-            )
-    write_processed(processed, output_path)
+            item = ProcessedRecord(record, STATUS_EXCLUDED_LLM_FAILURE, candidate.text_llm)
+        processed.append(item)
+    write_records(processed, output_path)
     full, non_accent = emit_lexicon(all_corrections)
     if lexicon_path is not None:
         write_lexicon(full, lexicon_path)
@@ -318,7 +282,7 @@ def stage_report(
     text_path: str | Path | None = None,
 ) -> None:
     """Compute run statistics over the final processed corpus."""
-    processed = load_processed(input_path).records
+    processed = _load(load_processed, input_path).records
     report = build_report(processed, tokenizer_id=config.tokenizer)
     if json_path is not None:
         write_report(report, json_path, fmt="structured")
@@ -333,7 +297,6 @@ def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = Non
     when strict mode is set and some records were skipped or failed.
     """
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     load_result = stage_clean(
         config,
@@ -342,7 +305,9 @@ def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = Non
         removed_path=out / "removed.jsonl",
         report_path=out / "cleaning_report.json",
     )
-    stage_correct(config, out / "cleaned.jsonl", out / "corrected.jsonl", backend=backend)
+    outcome_counts = stage_correct(
+        config, out / "cleaned.jsonl", out / "corrected.jsonl", backend=backend
+    )
     stage_classify(config, out / "corrected.jsonl", out / "classified.jsonl")
     stage_apply(
         config,
@@ -358,14 +323,6 @@ def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = Non
         text_path=out / "report.txt",
     )
 
-    if config.strict:
-        if load_result.errors:
-            return 2
-        failures = sum(
-            1
-            for row in _read_work(out / "corrected.jsonl")
-            if row.get("llm_outcome") not in (OUTCOME_OK, client_mod.OUTCOME_CONTENT_POLICY)
-        )
-        if failures:
-            return 2
+    if config.strict and (load_result.errors or failed_records(outcome_counts)):
+        return 2
     return 0

@@ -1,16 +1,22 @@
-"""Line-delimited corpus records: loading, validation and persistence.
+"""Line-delimited records: the row schemas, loading, validation and persistence.
 
-One JSON object per line, UTF-8. Input rows carry ``id, newspaper, country,
-city, year, text``; processed rows add ``status, text_llm, text_final,
-corrections``. Field order is fixed so repeated writes of the same data are
-byte-identical.
+One JSON object per line, UTF-8, in one of three row schemas: corpus rows
+(:class:`CorpusRecord`: the input corpus, ``cleaned.jsonl``), candidate rows
+(:class:`CandidateRecord`: ``corrected.jsonl``, ``classified.jsonl``) and
+processed rows (:class:`ProcessedRecord`: ``removed.jsonl``, ``final.jsonl``).
+Field order is fixed so repeated writes of the same data are byte-identical.
+Every artifact goes through :func:`write_artifact`, which writes a temporary
+file beside the target and then renames it over the target, so a failed or
+killed write never leaves a truncated file for the next stage.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 from .classify import ClassifiedCorrection
 
@@ -71,6 +77,45 @@ class CorpusRecord:
 
 
 @dataclass
+class CandidateRecord:
+    """A corpus record with the model's outcome and candidate correction.
+
+    ``corrections`` stays ``None`` until classify has diffed the candidate
+    against the original; from then on the row carries the labeled list.
+    """
+
+    record: CorpusRecord
+    outcome: str
+    detail: str = ""
+    text_llm: str | None = None
+    corrections: list[ClassifiedCorrection] | None = None
+
+    def __post_init__(self) -> None:
+        if self.text_llm is not None and not isinstance(self.text_llm, str):
+            raise ValueError(f"'text_llm' must be a string, got {self.text_llm!r}")
+
+    def to_json_dict(self) -> dict:
+        out = self.record.to_json_dict()
+        out["llm_outcome"] = self.outcome
+        out["llm_detail"] = self.detail
+        out["text_llm"] = self.text_llm
+        if self.corrections is not None:
+            out["corrections"] = [_correction_to_dict(c) for c in self.corrections]
+        return out
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> CandidateRecord:
+        corrections = obj.get("corrections")
+        return cls(
+            record=_parse_corpus_fields(obj),
+            outcome=obj["llm_outcome"],
+            detail=obj.get("llm_detail", ""),
+            text_llm=obj.get("text_llm"),
+            corrections=None if corrections is None else [_correction_from_dict(c) for c in corrections],
+        )
+
+
+@dataclass
 class ProcessedRecord:
     """A corpus record after the pipeline, with exactly one status.
 
@@ -97,6 +142,16 @@ class ProcessedRecord:
         out["text_final"] = self.text_final
         out["corrections"] = [_correction_to_dict(c) for c in self.corrections]
         return out
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> ProcessedRecord:
+        return cls(
+            record=_parse_corpus_fields(obj),
+            status=obj["status"],
+            text_llm=obj.get("text_llm"),
+            text_final=obj.get("text_final"),
+            corrections=[_correction_from_dict(c) for c in obj.get("corrections", [])],
+        )
 
 
 def _correction_to_dict(c: ClassifiedCorrection) -> dict:
@@ -133,7 +188,7 @@ def _correction_from_dict(d: dict) -> ClassifiedCorrection:
 
 @dataclass
 class LoadResult:
-    records: list  # CorpusRecord or ProcessedRecord
+    records: list  # CorpusRecord, CandidateRecord or ProcessedRecord
     diagnostics: list[LineDiagnostic]
 
     @property
@@ -166,22 +221,18 @@ def _parse_corpus_fields(obj: dict) -> CorpusRecord:
     )
 
 
-def load_corpus(path: str | Path) -> LoadResult:
-    """Load corpus records in file order.
+def _read_rows(
+    path: str | Path, kind: str, parse: Callable[[dict], object], diagnostics: list[LineDiagnostic]
+) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, row)`` for each line that ``parse`` accepts.
 
-    Malformed lines are reported with their line number and skipped; records
-    with a year outside the target range are accepted with a warning.
-    Duplicate ids abort the load (downstream joins would be ambiguous).
+    Every other non-blank line is appended to ``diagnostics`` as an error, in
+    line order. Lines end at ``\\n`` only: JSON strings may hold U+2028 or NEL.
     """
-    path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except OSError as exc:
-        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-
-    records: list[CorpusRecord] = []
-    diagnostics: list[LineDiagnostic] = []
-    seen: dict[str, int] = {}
+        raise CorpusError(f"cannot read {kind} file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -189,10 +240,26 @@ def load_corpus(path: str | Path) -> LoadResult:
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("row is not an object")
-            record = _parse_corpus_fields(obj)
-        except (json.JSONDecodeError, ValueError) as exc:
+            row = parse(obj)
+        except KeyError as exc:
+            diagnostics.append(LineDiagnostic(lineno, f"missing field {exc}"))
+        except (ValueError, TypeError) as exc:
             diagnostics.append(LineDiagnostic(lineno, str(exc)))
-            continue
+        else:
+            yield lineno, row
+
+
+def load_corpus(path: str | Path) -> LoadResult:
+    """Load corpus records in file order.
+
+    Malformed lines are reported with their line number and skipped; records
+    with a year outside the target range are accepted with a warning.
+    Duplicate ids abort the load (downstream joins would be ambiguous).
+    """
+    records: list[CorpusRecord] = []
+    diagnostics: list[LineDiagnostic] = []
+    seen: dict[str, int] = {}
+    for lineno, record in _read_rows(path, "corpus", _parse_corpus_fields, diagnostics):
         if record.id in seen:
             raise CorpusError(
                 f"{path}:{lineno}: duplicate id {record.id!r} (first seen on line {seen[record.id]})"
@@ -210,51 +277,46 @@ def load_corpus(path: str | Path) -> LoadResult:
     return LoadResult(records, diagnostics)
 
 
+def load_candidates(path: str | Path) -> LoadResult:
+    """Load candidate records (``corrected.jsonl`` or ``classified.jsonl``)."""
+    diagnostics: list[LineDiagnostic] = []
+    rows = _read_rows(path, "candidate", CandidateRecord.from_json_dict, diagnostics)
+    return LoadResult([record for _, record in rows], diagnostics)
+
+
 def load_processed(path: str | Path) -> LoadResult:
     """Load processed records (the pipeline output schema)."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read processed file {path}: {exc}") from exc
-
-    records: list[ProcessedRecord] = []
     diagnostics: list[LineDiagnostic] = []
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            base = _parse_corpus_fields(obj)
-            record = ProcessedRecord(
-                record=base,
-                status=obj["status"],
-                text_llm=obj.get("text_llm"),
-                text_final=obj.get("text_final"),
-                corrections=[_correction_from_dict(c) for c in obj.get("corrections", [])],
-            )
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-            diagnostics.append(LineDiagnostic(lineno, str(exc)))
-            continue
-        records.append(record)
-    return LoadResult(records, diagnostics)
+    rows = _read_rows(path, "processed", ProcessedRecord.from_json_dict, diagnostics)
+    return LoadResult([record for _, record in rows], diagnostics)
 
 
-def _write_lines(dicts, path: str | Path) -> None:
+def write_artifact(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write text chunks to ``path`` as UTF-8 with ``\\n`` line ends, atomically.
+
+    If writing fails, the previous file stays as it was and the temporary
+    file beside it is removed.
+    """
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for obj in dicts:
-            fh.write(json.dumps(obj, ensure_ascii=False))
-            fh.write("\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def write_corpus(records: list[CorpusRecord], path: str | Path) -> None:
-    """One record per line, stable field order, byte-identical across runs."""
-    _write_lines((r.to_json_dict() for r in records), path)
+def write_json(obj: dict, path: str | Path) -> None:
+    """One indented JSON document (reports)."""
+    write_artifact(path, [json.dumps(obj, ensure_ascii=False, indent=2) + "\n"])
 
 
-def write_processed(records: list[ProcessedRecord], path: str | Path) -> None:
-    """Persist processed records in input order, deterministically."""
-    _write_lines((r.to_json_dict() for r in records), path)
+def write_records(records: Iterable, path: str | Path) -> None:
+    """One record per line, in order, stable field order, byte-identical across runs."""
+    write_artifact(path, (json.dumps(r.to_json_dict(), ensure_ascii=False) + "\n" for r in records))
+
+
+write_corpus = write_processed = write_records

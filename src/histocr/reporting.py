@@ -8,17 +8,18 @@ its id, since they are not comparable across tokenizers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classify import HALLUCINATION, OCR_ERROR, SURFACE_FORM
-from .cleaning import TOKENIZERS, Tokenizer, word_tokens
+from .cleaning import TOKENIZERS, word_tokens
 from .records import (
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
     STATUS_EXCLUDED_CONTENT_POLICY,
     ProcessedRecord,
+    write_artifact,
+    write_json,
 )
 
 UNKNOWN = "unknown"
@@ -67,7 +68,6 @@ class RunReport:
 def build_report(
     processed: list[ProcessedRecord],
     tokenizer_id: str = "unicode_words",
-    tokenizer: Tokenizer | None = None,
 ) -> RunReport:
     """Aggregate statistics over processed records.
 
@@ -77,7 +77,7 @@ def build_report(
     excluded from the decade histogram and counted separately; missing
     countries bucket under "unknown".
     """
-    tokenizer = tokenizer or TOKENIZERS.get(tokenizer_id, word_tokens)
+    tokenizer = TOKENIZERS.get(tokenizer_id, word_tokens)
     rows = [p for p in processed if p.status != STATUS_CLEANED_OUT]
 
     words = 0
@@ -179,15 +179,9 @@ def render_text(report: RunReport) -> str:
 
 def write_report(report: RunReport, path: str | Path, fmt: str = "structured") -> None:
     """Write the report as JSON ("structured") or plain text."""
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "structured":
-        path.write_text(
-            json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        write_json(report.to_dict(), path)
     elif fmt == "text":
-        path.write_text(render_text(report), encoding="utf-8")
+        write_artifact(path, [render_text(report)])
     else:
         raise ValueError(f"unknown report format {fmt!r}")

@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
-from histocr.cli import main
+from histocr.cli import _build_config, build_parser, main
+from histocr.client import TRANSPORT_ERROR_SENTINEL, MockBackend
+from histocr.config import PipelineConfig
 from histocr.pipeline import ARTIFACTS
 
 
@@ -236,3 +239,101 @@ class TestClassifyCommand:
                      "--max-nonalpha", "0.1"]) == 0
         kept = [json.loads(l)["id"] for l in out.read_text(encoding="utf-8").splitlines()]
         assert kept == ["a"]
+
+
+CORRECTED_ROW = {
+    "id": "a", "newspaper": "", "country": "", "city": None, "year": 1850,
+    "text": "la sesion era mui corta",
+    "llm_outcome": "ok", "llm_detail": "",
+    "text_llm": "la sesión era muy corta",
+}
+PROCESSED_ROW = {
+    "id": "a", "newspaper": "", "country": "", "city": None, "year": 1850,
+    "text": "la sesion era mui corta",
+    "status": "corrected", "text_llm": "la sesión era muy corta",
+    "text_final": "la sesion era mui corta", "corrections": [],
+}
+
+
+def without(row: dict, key: str) -> dict:
+    return {k: v for k, v in row.items() if k != key}
+
+
+class TestMalformedStageRows:
+    """A malformed row costs its own line, never the command."""
+
+    @pytest.mark.parametrize(
+        "command, good_row, bad_line",
+        [
+            ("classify", CORRECTED_ROW, json.dumps(without(CORRECTED_ROW, "text"))),
+            ("apply", {**CORRECTED_ROW, "corrections": []}, json.dumps(without(CORRECTED_ROW, "id"))),
+            ("apply", {**CORRECTED_ROW, "corrections": []}, "[1,2]"),
+            ("report", PROCESSED_ROW, "[1,2]"),
+        ],
+        ids=["classify-no-text", "apply-no-id", "apply-array", "report-array"],
+    )
+    def test_bad_line_is_skipped_and_logged(self, tmp_path, caplog, command, good_row, bad_line):
+        stage_in = tmp_path / "in.jsonl"
+        good = json.dumps({**good_row, "id": "b"}, ensure_ascii=False)
+        stage_in.write_text(bad_line + "\n" + good + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out_flag = "--out" if command == "report" else "--output"
+        assert main([command, "--input", str(stage_in), out_flag, str(out)]) == 0
+        assert f"{stage_in}: line 1: error: " in caplog.text
+        if command == "report":
+            assert json.loads(out.read_text(encoding="utf-8"))["rows"] == 1
+        else:
+            assert [json.loads(line)["id"] for line in out.read_text(encoding="utf-8").splitlines()] == ["b"]
+
+
+class TestStrictCorrect:
+    def test_failed_records_exit_2_in_strict_mode(self, tmp_path):
+        text = "la sesion era mui corta y sin acuerdo alguno"
+        corpus = tmp_path / "cleaned.jsonl"
+        corpus.write_text(json.dumps({"id": "a", "text": text}) + "\n", encoding="utf-8")
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text(
+            json.dumps({"input_hash": MockBackend.hash_text(text), "output": TRANSPORT_ERROR_SENTINEL})
+            + "\n",
+            encoding="utf-8",
+        )
+        args = ["correct", "--input", str(corpus), "--output", str(tmp_path / "corrected.jsonl"),
+                "--backend", "mock", "--fixtures", str(fixtures), "--retry-attempts", "1"]
+        assert main(args) == 0
+        assert main(["--strict"] + args) == 2
+        row = json.loads((tmp_path / "corrected.jsonl").read_text(encoding="utf-8"))
+        assert row["llm_outcome"] == "transport_error"
+
+
+RUN = ["run", "--input", "corpus.jsonl", "--output", "out"]
+
+
+class TestConfigOverrides:
+    @pytest.mark.parametrize(
+        "argv, field, value",
+        [
+            (["--strict"] + RUN, "strict", True),
+            (RUN + ["--backend", "mock"], "backend", "mock"),
+            (RUN + ["--fixtures", "fixtures.jsonl"], "mock_fixtures", "fixtures.jsonl"),
+            (RUN + ["--endpoint", "https://example.test/v1"], "endpoint", "https://example.test/v1"),
+            (RUN + ["--model", "modelo"], "model", "modelo"),
+            (RUN + ["--api-key-env", "OTRA_CLAVE"], "api_key_env", "OTRA_CLAVE"),
+            (RUN + ["--concurrency", "7"], "concurrency", 7),
+            (RUN + ["--retry-attempts", "5"], "retry_attempts", 5),
+            (RUN + ["--max-chars", "900"], "max_chars", 900),
+            (RUN + ["--dry-run", "--backend", "mock"], "backend", "identity"),
+            (RUN + ["--min-tokens", "2"], "min_tokens", 2),
+            (RUN + ["--max-nonalpha", "0.3"], "max_nonalpha", 0.3),
+            (RUN + ["--modernize"], "modernize", True),
+            (RUN + ["--rules", "rules.tsv"], "rules_path", "rules.tsv"),
+            (RUN + ["--ratio-threshold", "0.6"], "ratio_threshold", 0.6),
+            (RUN + ["--max-words", "2"], "max_corrected_words", 2),
+            (["clean", "--input", "corpus.jsonl", "--output", "out", "--count-whitespace"],
+             "count_whitespace", True),
+        ],
+    )
+    def test_flag_lands_in_its_field(self, argv, field, value):
+        config = _build_config(build_parser().parse_args(argv))
+        # run's --input and --output set input and output_dir; nothing else moves
+        base = PipelineConfig(input="corpus.jsonl", output_dir="out" if "run" in argv else "")
+        assert config == replace(base, **{field: value})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -15,6 +16,22 @@ from histocr.records import (
     STATUS_EXCLUDED_LLM_FAILURE,
     load_processed,
 )
+
+
+# sha256 of every artifact of the pipeline-fixture run; a deliberate change to
+# the artifact bytes updates these and says so in CHANGES.md
+ARTIFACT_SHA256 = {
+    "cleaned.jsonl": "edc485b3b6c86c22f7bdeb753282679417643a89fc9cd43bbcda9f42831e7aba",
+    "removed.jsonl": "e009b8b93989e943518aeb91f41f91508c6505fcbfb5757ed5e9bd8d73eb82c2",
+    "cleaning_report.json": "afc7a83f9624791f51a402550df80fdb91874ba954e675165d4713331a4280c2",
+    "corrected.jsonl": "707d5cf1006a9d3f21add4887711b36851053be06ae6217269879f0b60304d92",
+    "classified.jsonl": "78ed14f23ee83e2353620d72c1e4164d892ac7c0e76a8c3ca7de8a0b1cd20670",
+    "final.jsonl": "18ee8b048b088ba72c0994f71dff361fa91077792c95af401229bcb0343ddc6f",
+    "lexicon.tsv": "f317c26997b0272ecad7b7ea1cac5bd43a52350acb6f5f3cbc870820c07bc8d4",
+    "lexicon_nonaccent.tsv": "3a68f43e415b1dbae78adf640ec0c02d18adbaabaad447a50ea2701477cbb7f6",
+    "report.json": "6d05d3497a27b1f8bdc66361a1d28b3358cc8f6ef55ddca79d051776795e43a1",
+    "report.txt": "274d5912ccaeadd8bfb640b3fd6c03683748f465a62b5bfc5e4bc3fcca00a090",
+}
 
 
 def make_config(corpus, fixtures, out_dir, **overrides) -> PipelineConfig:
@@ -114,6 +131,12 @@ class TestRunPipeline:
         assert report["non_accent_surface_forms"] == 6
         assert report["decade_distribution"] == {"1840": 5, "1860": 5, "1870": 5}
         assert report["rows_without_year"] == 1
+
+    def test_artifact_bytes_are_pinned(self, run_dir):
+        assert set(ARTIFACT_SHA256) == set(ARTIFACTS)
+        for name in ARTIFACTS:
+            assert hashlib.sha256((run_dir / name).read_bytes()).hexdigest() == ARTIFACT_SHA256[name], name
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(ARTIFACTS)  # no temporary files
 
     def test_byte_identical_across_runs(self, pipeline_fixture, tmp_path):
         corpus, fixtures = pipeline_fixture

@@ -6,14 +6,33 @@ from histocr.classify import ClassifiedCorrection
 from histocr.records import (
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
+    CandidateRecord,
     CorpusError,
     CorpusRecord,
     ProcessedRecord,
+    load_candidates,
     load_corpus,
     load_processed,
     write_corpus,
     write_processed,
+    write_records,
 )
+
+
+def make_correction():
+    return ClassifiedCorrection(
+        original="harà",
+        corrected="hará",
+        label="surface_form",
+        rule="accent_only",
+        ratio=None,
+        accent_only=True,
+        original_span=(1, 2),
+        corrected_span=(1, 2),
+        original_raw="harà",
+        corrected_raw="hará",
+        frequency=2,
+    )
 
 
 def make_records(n=3):
@@ -132,20 +151,53 @@ class TestRoundTrips:
         write_corpus(records, path)
         assert [r.id for r in load_corpus(path).records] == [r.id for r in records]
 
+    def test_line_separators_inside_text_survive(self, tmp_path):
+        # json.dumps leaves U+2028, U+2029 and NEL unescaped; they must not end a row
+        records = [
+            CorpusRecord(id="a", text="uno\u2028dos"),
+            CorpusRecord(id="b", text="tres\x85cuatro\u2029cinco"),
+            CorpusRecord(id="c", text="seis"),
+        ]
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(records, path)
+        result = load_corpus(path)
+        assert result.records == records
+        assert result.diagnostics == []
+
+    def test_candidate_round_trip(self, tmp_path):
+        base = make_records(2)
+        candidates = [
+            CandidateRecord(base[0], "ok", "", "texto corregido", corrections=[make_correction()]),
+            CandidateRecord(base[1], "transport_error", "exhausted 1 attempts: timeout"),
+        ]
+        path = tmp_path / "candidates.jsonl"
+        write_records(candidates, path)
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        corpus_keys = ["id", "newspaper", "country", "city", "year", "text"]
+        candidate_keys = corpus_keys + ["llm_outcome", "llm_detail", "text_llm"]
+        assert list(rows[0]) == candidate_keys + ["corrections"]
+        assert list(rows[1]) == candidate_keys  # not classified yet: no corrections key
+        loaded = load_candidates(path)
+        assert loaded.records == candidates
+        assert loaded.diagnostics == []
+
+    def test_candidate_rows_are_validated(self, tmp_path):
+        path = tmp_path / "candidates.jsonl"
+        good = CandidateRecord(make_records(1)[0], "ok", "", "texto").to_json_dict()
+        rows = [
+            {k: v for k, v in good.items() if k != "llm_outcome"},
+            {**good, "text_llm": 5},
+            {**good, "corrections": [["not", "a", "correction"]]},
+            good,
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        result = load_candidates(path)
+        assert result.records == [CandidateRecord(make_records(1)[0], "ok", "", "texto")]
+        assert [d.line for d in result.errors] == [1, 2, 3]
+        assert "llm_outcome" in result.errors[0].message
+
     def test_processed_round_trip(self, tmp_path):
-        correction = ClassifiedCorrection(
-            original="harà",
-            corrected="hará",
-            label="surface_form",
-            rule="accent_only",
-            ratio=None,
-            accent_only=True,
-            original_span=(1, 2),
-            corrected_span=(1, 2),
-            original_raw="harà",
-            corrected_raw="hará",
-            frequency=2,
-        )
+        correction = make_correction()
         base = make_records(1)[0]
         processed = [
             ProcessedRecord(
@@ -170,6 +222,22 @@ class TestRoundTrips:
         for key in ("id", "newspaper", "country", "city", "year", "text",
                     "status", "text_llm", "text_final", "corrections"):
             assert key in obj
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(make_records(2), path)
+        before = path.read_bytes()
+
+        def rows_then_failure():
+            yield from make_records(3)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            write_corpus(rows_then_failure(), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestProcessedInvariants:
