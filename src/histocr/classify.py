@@ -342,6 +342,14 @@ def _group_key(words: list[str]) -> str:
     return strip_accents(normalize_segment(" ".join(words)))
 
 
+def _group_keys(words: list[str], core: list[int]) -> list[list[str]]:
+    """``keys[i][d - 1]`` is the string of the d content words from ``core[i]``."""
+    return [
+        [_group_key([words[k] for k in core[i : i + d]]) for d in range(1, min(_MAX_GROUP, len(core) - i) + 1)]
+        for i in range(len(core) + 1)
+    ]
+
+
 def _align_groups(
     o_words: list[str], c_words: list[str]
 ) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
@@ -352,6 +360,15 @@ def _align_groups(
     ties prefer more, finer groups. Returns raw-index ranges per group, or
     None when no decomposition is possible. Punctuation-only tokens attach
     to the group of the preceding content word.
+
+    Each group string is built once, and none is empty. A candidate skips
+    the ratio when ``score + 2*min(len(o), len(c)) / (len(o) + len(c))`` is
+    strictly below the score already stored at its target cell: it cannot
+    win. The skip is exact. The ratio is ``2.0*M / total`` with M at most
+    ``min(len(o), len(c))``, and float division by the same total and
+    addition of the same score keep that order, so the bound's float is
+    never below the candidate's score. A candidate whose bound only equals
+    the stored score still gets the ratio, so ties resolve as before.
     """
     o_core = _content_indices(o_words)
     c_core = _content_indices(c_words)
@@ -359,6 +376,8 @@ def _align_groups(
     if n == 0 or m == 0 or n * m > _MAX_DP_CELLS:
         return None
 
+    o_keys = _group_keys(o_words, o_core)
+    c_keys = _group_keys(c_words, c_core)
     # best[(i, j)] = (score, groups, prev_state)
     best: dict[tuple[int, int], tuple[float, int, tuple[int, int] | None]] = {(0, 0): (0.0, 0, None)}
     for i in range(n + 1):
@@ -367,14 +386,17 @@ def _align_groups(
             if here is None:
                 continue
             score, groups, _ = here
-            for di in range(1, min(_MAX_GROUP, n - i) + 1):
-                o_text = _group_key([o_words[k] for k in o_core[i : i + di]])
-                for dj in range(1, min(_MAX_GROUP, m - j) + 1):
-                    c_text = _group_key([c_words[k] for k in c_core[j : j + dj]])
+            for di, o_text in enumerate(o_keys[i], 1):
+                for dj, c_text in enumerate(c_keys[j], 1):
+                    target = (i + di, j + dj)
+                    prev = best.get(target)
+                    if prev is not None:
+                        shorter = min(len(o_text), len(c_text))
+                        if score + 2.0 * shorter / (len(o_text) + len(c_text)) < prev[0]:
+                            continue
                     cand = (score + similarity_ratio(o_text, c_text), groups + 1, (i, j))
-                    prev = best.get((i + di, j + dj))
                     if prev is None or cand[:2] > prev[:2]:
-                        best[(i + di, j + dj)] = cand
+                        best[target] = cand
 
     if (n, m) not in best:
         return None

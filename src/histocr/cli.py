@@ -172,8 +172,6 @@ def main(argv: list[str] | None = None) -> int:
             result = pipeline.stage_clean(
                 config, args.input, args.output, removed_path=args.removed, report_path=args.report
             )
-            for diag in result.diagnostics:
-                print(f"{args.input}: {diag}", file=sys.stderr)
             return 2 if config.strict and result.errors else 0
 
         if args.command == "correct":

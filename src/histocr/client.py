@@ -108,7 +108,8 @@ class MockBackend:
     """Deterministic fixture-driven backend for offline runs.
 
     The fixture file is line-delimited ``{"input_hash": ..., "output": ...}``
-    where ``input_hash`` is the SHA-256 hex digest of the record text.
+    where ``input_hash`` is the SHA-256 hex digest of the record text; lines
+    end at ``\n`` only, since outputs may hold U+2028 or NEL written raw.
     Sentinel outputs simulate refusals and transport failures; texts without
     a fixture entry are echoed unchanged.
     """
@@ -116,7 +117,7 @@ class MockBackend:
     def __init__(self, fixture_path: str | Path | None = None):
         self.table: dict[str, str] = {}
         if fixture_path is not None:
-            for line in Path(fixture_path).read_text(encoding="utf-8").splitlines():
+            for line in Path(fixture_path).read_text(encoding="utf-8").split("\n"):
                 if not line.strip():
                     continue
                 obj = json.loads(line)

@@ -57,6 +57,7 @@ from .records import (
     STATUS_EXCLUDED_CONTENT_POLICY,
     STATUS_EXCLUDED_LLM_FAILURE,
     CandidateRecord,
+    CorpusError,
     CorpusRecord,
     LoadResult,
     ProcessedRecord,
@@ -245,13 +246,19 @@ def stage_apply(
     lexicon_path: str | Path | None = None,
     lexicon_nonaccent_path: str | Path | None = None,
 ) -> None:
-    """Assemble final texts (OCR errors applied) and emit the lexicon."""
+    """Assemble final texts (OCR errors applied) and emit the lexicon.
+
+    Every row must carry the corrections that classify adds; a row without
+    them raises :class:`CorpusError` before anything is written.
+    """
     candidates = _load(load_candidates, input_path).records
     processed: list[ProcessedRecord] = []
     all_corrections = []
     for candidate in candidates:
         record = candidate.record
-        corrections = candidate.corrections or []
+        corrections = candidate.corrections
+        if corrections is None:
+            raise CorpusError(f"{input_path}: record {record.id!r} has no corrections; run classify first")
         all_corrections.extend(corrections)
         if candidate.outcome == OUTCOME_OK:
             final = apply_corrections(record.text, corrections, modernize=config.modernize)

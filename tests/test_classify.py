@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
 from histocr.classify import (
     HALLUCINATION,
     OCR_ERROR,
@@ -18,7 +19,8 @@ from histocr.classify import (
     normalize_segment,
     strip_accents,
 )
-from histocr.diffing import ChangeHunk, diff_words, tokenize_words
+from histocr.classify import _MAX_DP_CELLS, _MAX_GROUP, _align_groups, _content_indices, _group_key
+from histocr.diffing import ChangeHunk, diff_words, similarity_ratio, tokenize_words
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +246,138 @@ class TestDecomposition:
         for corr in got:
             start, end = corr.original_span
             assert " ".join(words[start:end]) == corr.original_raw
+
+
+def reference_align_groups(o_words, c_words):
+    """The decomposition DP without pruning: every candidate gets its ratio."""
+    o_core = _content_indices(o_words)
+    c_core = _content_indices(c_words)
+    n, m = len(o_core), len(c_core)
+    if n == 0 or m == 0 or n * m > _MAX_DP_CELLS:
+        return None
+    best = {(0, 0): (0.0, 0, None)}
+    for i in range(n + 1):
+        for j in range(m + 1):
+            here = best.get((i, j))
+            if here is None:
+                continue
+            score, groups, _ = here
+            for di in range(1, min(_MAX_GROUP, n - i) + 1):
+                o_text = _group_key([o_words[k] for k in o_core[i : i + di]])
+                for dj in range(1, min(_MAX_GROUP, m - j) + 1):
+                    c_text = _group_key([c_words[k] for k in c_core[j : j + dj]])
+                    cand = (score + similarity_ratio(o_text, c_text), groups + 1, (i, j))
+                    prev = best.get((i + di, j + dj))
+                    if prev is None or cand[:2] > prev[:2]:
+                        best[(i + di, j + dj)] = cand
+    if (n, m) not in best:
+        return None
+    bounds = []
+    state = (n, m)
+    while state is not None and state != (0, 0):
+        bounds.append(state)
+        state = best[state][2]
+    bounds.append((0, 0))
+    bounds.reverse()
+    if len(bounds) <= 2:
+        return None
+    spans = []
+    for idx in range(len(bounds) - 1):
+        ci, cj = bounds[idx]
+        ni, nj = bounds[idx + 1]
+        o_start = 0 if idx == 0 else o_core[ci]
+        o_end = o_core[ni] if ni < n else len(o_words)
+        c_start = 0 if idx == 0 else c_core[cj]
+        c_end = c_core[nj] if nj < m else len(c_words)
+        spans.append(((o_start, o_end), (c_start, c_end)))
+    return spans
+
+
+GOLDEN_WORDS = sorted(set(GOLDEN_ORIGINAL.split()) | set(GOLDEN_CORRECTED.split()))
+PUNCTUATION_TOKENS = [",", ".", ";", "-", "¿", "\"."]
+# few short words, drawn again and again, give groups of equal score
+REPEATED_WORDS = ["a", "b", "ab", "ba", "aa", "à", "de", "la"]
+DP_TOKEN = st.one_of(
+    st.sampled_from(GOLDEN_WORDS), st.sampled_from(PUNCTUATION_TOKENS), st.sampled_from(REPEATED_WORDS)
+)
+DP_SIDE = st.lists(DP_TOKEN, min_size=1, max_size=24)
+TIE_SIDE = st.lists(st.sampled_from(REPEATED_WORDS[:6] + [","]), min_size=1, max_size=8)
+
+
+# content-heavy sides of 17-21 tokens reach the 20 x 20 cell cap and pass it
+LARGE_SIDE = st.lists(st.sampled_from(GOLDEN_WORDS + REPEATED_WORDS), min_size=17, max_size=21)
+
+
+@st.composite
+def damaged_copy(draw, side=DP_SIDE):
+    """An original side and a corrected side made from it by word edits."""
+    original = draw(side)
+    corrected = []
+    for word in original:
+        edit = draw(st.sampled_from(["keep", "accents", "merge", "split", "drop", "insert"]))
+        if edit == "accents":
+            corrected.append(strip_accents(word))
+        elif edit == "merge" and corrected:
+            corrected[-1] += word
+        elif edit == "split" and len(word) > 1:
+            cut = draw(st.integers(1, len(word) - 1))
+            corrected += [word[:cut], word[cut:]]
+        elif edit == "insert":
+            corrected += [draw(DP_TOKEN), word]
+        elif edit != "drop":
+            corrected.append(word)
+    return original, corrected or [draw(DP_TOKEN)]
+
+
+class TestAlignGroupsDP:
+    """The pruned DP returns exactly the groups of the unpruned one."""
+
+    @given(st.one_of(st.tuples(DP_SIDE, DP_SIDE), damaged_copy(), st.tuples(TIE_SIDE, TIE_SIDE)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_unpruned_reference(self, sides):
+        o_words, c_words = sides
+        assert _align_groups(o_words, c_words) == reference_align_groups(o_words, c_words)
+
+    @given(st.one_of(st.tuples(LARGE_SIDE, LARGE_SIDE), damaged_copy(LARGE_SIDE)))
+    @settings(max_examples=12, deadline=None)
+    def test_matches_unpruned_reference_near_cell_cap(self, sides):
+        o_words, c_words = sides
+        assert _align_groups(o_words, c_words) == reference_align_groups(o_words, c_words)
+
+    @pytest.mark.parametrize(
+        "o_words, c_words",
+        [
+            (["sesion"], ["se", "sion", ","]),
+            (["cada", "se", "mana", ",", "y"], ["cadasemanay"]),
+            (["la", "sesion", "á", "las", "dore"], ["la"]),
+            ([",", "."], ["la", "sesión"]),
+            (["la", "sesion"], ["-", ";"]),
+            ([",", "."], [";"]),
+        ],
+        ids=["1x2", "1x5", "5x1", "punct-original", "punct-corrected", "punct-both"],
+    )
+    def test_one_sided_shapes_do_not_decompose(self, o_words, c_words):
+        assert _align_groups(o_words, c_words) is None
+        assert reference_align_groups(o_words, c_words) is None
+
+    def test_tie_goes_to_more_groups(self):
+        # "aa ab b" -> "b a" as one group scores 0.4; "aa" -> "b" then
+        # "ab b" -> "a" scores 0 + 0.4 in two groups. The second candidate's
+        # bound equals the stored score, so it still gets its ratio and wins
+        o_words, c_words = ["aa", "ab", "b"], ["b", "a"]
+        expected = [((0, 1), (0, 1)), ((1, 3), (1, 2))]
+        assert reference_align_groups(o_words, c_words) == expected
+        assert _align_groups(o_words, c_words) == expected
+
+    def test_cell_cap_edge(self):
+        o_words = [w for w in GOLDEN_ORIGINAL.split() if normalize_segment(w)][:21]
+        c_words = [w for w in GOLDEN_CORRECTED.split() if normalize_segment(w)][:20]
+        assert 20 * 20 == _MAX_DP_CELLS
+        got = _align_groups(o_words[:20], c_words)
+        assert got is not None
+        assert got == reference_align_groups(o_words[:20], c_words)
+        # 21 x 20 content words is over the cap: the hunk classifies whole
+        assert _align_groups(o_words, c_words) is None
 
 
 class TestAggregation:

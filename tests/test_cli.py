@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import histocr
 from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
 from histocr.cli import _build_config, build_parser, main
 from histocr.client import TRANSPORT_ERROR_SENTINEL, MockBackend
@@ -123,7 +127,7 @@ class TestStageCommands:
         for name in ARTIFACTS:
             assert (out_run / name).read_bytes() == (out_st / name).read_bytes(), name
 
-    def test_clean_strict_exit_on_malformed_lines(self, tmp_path, capsys):
+    def test_clean_strict_exit_on_malformed_lines(self, tmp_path, caplog):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(
             json.dumps({"id": "a", "text": "cinco palabras bien formadas aqui"})
@@ -133,7 +137,23 @@ class TestStageCommands:
         out = tmp_path / "cleaned.jsonl"
         assert main(["clean", "--input", str(corpus), "--output", str(out)]) == 0
         assert main(["--strict", "clean", "--input", str(corpus), "--output", str(out)]) == 2
-        assert "line 2" in capsys.readouterr().err
+        assert "line 2" in caplog.text
+
+    def test_clean_prints_each_diagnostic_once(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"id": "a", "text": "cinco palabras bien formadas aqui"})
+            + "\n{broken\n",
+            encoding="utf-8",
+        )
+        src = Path(histocr.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "histocr.cli", "clean", "--input", str(corpus),
+             "--output", str(tmp_path / "cleaned.jsonl")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.count("line 2: error") == 1
 
     def test_clean_flags(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -226,6 +246,16 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: stale correction")
         assert "Traceback" not in err
+
+    def test_apply_on_unclassified_file_is_a_clean_failure(self, tmp_path, capsys):
+        corrected = self.corrected_row(tmp_path)
+        final = tmp_path / "final.jsonl"
+        code = main(["apply", "--input", str(corrected), "--output", str(final)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "no corrections; run classify first" in err
+        assert not final.exists()
 
     def test_clean_max_nonalpha_flag(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"

@@ -107,6 +107,22 @@ class TestMockBackend:
         assert backend.complete("prompt", "harà") == "hará"
         assert backend.complete("prompt", "otro") == "otro"
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_fixture_output_with_unicode_line_separator(self, tmp_path, separator):
+        output = f"primera línea{separator}segunda línea"
+        path = tmp_path / "fixtures.jsonl"
+        entries = [
+            {"input_hash": MockBackend.hash_text("uno"), "output": output},
+            {"input_hash": MockBackend.hash_text("dos"), "output": "dos"},
+        ]
+        path.write_text(
+            "".join(json.dumps(e, ensure_ascii=False) + "\n" for e in entries), encoding="utf-8"
+        )
+        assert separator in path.read_text(encoding="utf-8")  # written raw
+        backend = MockBackend(path)
+        assert backend.complete("prompt", "uno") == output
+        assert backend.complete("prompt", "dos") == "dos"
+
     def test_refusal_sentinel(self, tmp_path):
         path = tmp_path / "fixtures.jsonl"
         entry = {"input_hash": MockBackend.hash_text("malo"), "output": REFUSAL_SENTINEL}
