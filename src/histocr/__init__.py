@@ -42,7 +42,6 @@ from .client import (
     PromptTemplate,
     RetryPolicy,
     correct_text,
-    detect_global_hallucination,
     render_prompt,
 )
 from .config import PipelineConfig, load_config
@@ -95,7 +94,6 @@ __all__ = [
     "clean_corpus",
     "correct_text",
     "default_rules",
-    "detect_global_hallucination",
     "diff_words",
     "emit_lexicon",
     "filter_duplicates_and_empty",

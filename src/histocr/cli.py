@@ -1,8 +1,8 @@
 """Command-line entry point wiring the pipeline stages.
 
 Subcommands: run (full pipeline), clean, correct, diff, classify, apply,
-report. Exit codes: 0 success, 1 fatal error, 2 partial failures in strict
-mode.
+report. Exit codes: 0 success, 1 fatal error, 2 in strict mode when a stage
+skipped an input line or a record failed (the count every stage returns).
 """
 
 from __future__ import annotations
@@ -167,43 +167,32 @@ def main(argv: list[str] | None = None) -> int:
         _require_input(config.input)
         if args.command == "run":
             return pipeline.run_pipeline(config)
-
         if args.command == "clean":
-            result = pipeline.stage_clean(
+            problems = pipeline.stage_clean(
                 config, args.input, args.output, removed_path=args.removed, report_path=args.report
             )
-            return 2 if config.strict and result.errors else 0
-
-        if args.command == "correct":
-            outcome_counts = pipeline.stage_correct(config, args.input, args.output)
-            return 2 if config.strict and pipeline.failed_records(outcome_counts) else 0
-
-        if args.command == "classify":
-            pipeline.stage_classify(config, args.input, args.output)
-            return 0
-
-        if args.command == "apply":
-            pipeline.stage_apply(
+        elif args.command == "correct":
+            problems = pipeline.stage_correct(config, args.input, args.output)
+        elif args.command == "classify":
+            problems = pipeline.stage_classify(config, args.input, args.output)
+        elif args.command == "apply":
+            problems = pipeline.stage_apply(
                 config,
                 args.input,
                 args.output,
                 lexicon_path=args.lexicon,
                 lexicon_nonaccent_path=args.lexicon_nonaccent,
             )
-            return 0
-
-        if args.command == "report":
-            pipeline.stage_report(
+        else:  # report; the subparsers are required, so nothing else gets here
+            problems = pipeline.stage_report(
                 config,
                 args.input,
                 json_path=args.out if args.format == "structured" else None,
                 text_path=args.out if args.format == "text" else None,
             )
-            return 0
     except (CorpusError, SpanIntegrityError, ValueError, OSError) as exc:
         return _fail(str(exc))
-
-    return _fail(f"unknown command {args.command!r}")
+    return 2 if config.strict and problems else 0
 
 
 if __name__ == "__main__":

@@ -5,13 +5,14 @@ leaving grammar and proper names alone; the record text goes between
 triple-backtick fences, unescaped (embedded backticks are logged, not
 escaped). Backends: a generic HTTP chat-completion client, a deterministic
 mock driven by a fixture table, and an identity echo for dry runs. Per-record
-processing never raises; every outcome is encoded in the result.
+processing never raises; every outcome is encoded in the result. This module
+only fetches candidates: judging them, the whole-text rewrite check included,
+is the classify stage's job.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Callable, Protocol
 
 import requests
 
-from .diffing import similarity_ratio
+from .records import CorpusError, _read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -33,11 +34,6 @@ SPANISH_PROMPT = (
     "Dado el texto del siglo XIX entre ```, retorna únicamente el texto "
     "corrigiendo los errores ortográficos sin cambiar la gramática. "
     "No corrijas la ortografía de nombres:\n\n```\n{text}\n```"
-)
-ENGLISH_PROMPT = (
-    "Given the 19th-century text between ```, return only the text with "
-    "spelling errors corrected without changing the grammar. "
-    "Do not correct the spelling of names:\n\n```\n{text}\n```"
 )
 
 REFUSAL_SENTINEL = "__CONTENT_POLICY_REFUSAL__"
@@ -57,18 +53,17 @@ class PromptTemplate:
     """A prompt with exactly one {text} placeholder."""
 
     template_text: str
-    language: str = "spanish"
 
     def __post_init__(self) -> None:
         if self.template_text.count("{text}") != 1:
             raise ValueError("template must contain exactly one {text} placeholder")
-        if self.language not in ("spanish", "english"):
-            raise ValueError(f"unknown prompt language {self.language!r}")
 
     @classmethod
     def for_language(cls, language: str) -> "PromptTemplate":
-        text = SPANISH_PROMPT if language == "spanish" else ENGLISH_PROMPT
-        return cls(text, language)
+        """The shipped prompt; the corpora are Spanish, so that is the only language."""
+        if language != "spanish":
+            raise ValueError(f"unknown prompt language {language!r}")
+        return cls(SPANISH_PROMPT)
 
 
 def render_prompt(template: PromptTemplate, text: str) -> str:
@@ -108,20 +103,21 @@ class MockBackend:
     """Deterministic fixture-driven backend for offline runs.
 
     The fixture file is line-delimited ``{"input_hash": ..., "output": ...}``
-    where ``input_hash`` is the SHA-256 hex digest of the record text; lines
-    end at ``\n`` only, since outputs may hold U+2028 or NEL written raw.
-    Sentinel outputs simulate refusals and transport failures; texts without
-    a fixture entry are echoed unchanged.
+    where ``input_hash`` is the SHA-256 hex digest of the record text, read
+    with the same line loader as the stage files. Sentinel outputs simulate
+    refusals and transport failures; texts without a fixture entry are echoed
+    unchanged, so a malformed fixture row is a :class:`CorpusError` rather
+    than a skipped line that would silently turn into an echo.
     """
 
     def __init__(self, fixture_path: str | Path | None = None):
         self.table: dict[str, str] = {}
         if fixture_path is not None:
-            for line in Path(fixture_path).read_text(encoding="utf-8").split("\n"):
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                self.table[obj["input_hash"]] = obj["output"]
+            diagnostics = []
+            for _, (input_hash, output) in _read_rows(fixture_path, "fixture", _fixture_row, diagnostics):
+                self.table[input_hash] = output
+            if diagnostics:
+                raise CorpusError(f"{fixture_path}: {diagnostics[0]}")
 
     @staticmethod
     def hash_text(text: str) -> str:
@@ -136,6 +132,13 @@ class MockBackend:
         if output == TRANSPORT_ERROR_SENTINEL:
             raise TransportError("fixture marked this text as failing")
         return output
+
+
+def _fixture_row(obj: dict) -> tuple[str, str]:
+    input_hash, output = obj["input_hash"], obj["output"]
+    if not isinstance(input_hash, str) or not isinstance(output, str):
+        raise ValueError("'input_hash' and 'output' must be strings")
+    return input_hash, output
 
 
 class HttpChatBackend:
@@ -256,12 +259,3 @@ def correct_text(
         OUTCOME_TRANSPORT_ERROR,
         detail=f"exhausted {retry_policy.max_attempts} attempts: {last_error}",
     )
-
-
-def detect_global_hallucination(original: str, corrected: str, threshold: float) -> bool:
-    """True when the whole response should be discarded as a rewrite.
-
-    Long inputs sometimes come back entirely re-imagined; a whole-text
-    similarity below the threshold signals that.
-    """
-    return similarity_ratio(original, corrected) < threshold

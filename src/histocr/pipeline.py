@@ -5,14 +5,21 @@ is resumable and independently testable; model calls are slow and costly, so
 re-runs must not repeat them. Composing the stage functions by hand produces
 byte-identical artifacts to :func:`run_pipeline`.
 
+``correct`` writes what the backend returned and judges nothing: every
+threshold, ``hallucination_threshold`` included, is applied by ``classify``,
+so re-tuning one never repeats a model call. Every ``stage_*`` returns its
+problem count (input lines skipped plus records failed); strict mode exits 2
+on any.
+
 Row schemas and file handling live in :mod:`histocr.records`. Stage
 artifacts (fixed names inside the output directory):
 
 - ``cleaned.jsonl``         surviving corpus records
 - ``removed.jsonl``         records dropped by cleaning (status ``cleaned_out``)
 - ``cleaning_report.json``  per-filter removal counts and percentages
-- ``corrected.jsonl``       candidate records: model outcome and output
-- ``classified.jsonl``      candidate records plus labeled corrections
+- ``corrected.jsonl``       candidate records: backend outcome and output
+- ``classified.jsonl``      candidate records plus labeled corrections; a
+                            wholesale rewrite reads ``global_hallucination``
 - ``final.jsonl``           processed records (final text, one status each)
 - ``lexicon.tsv``           surface-form lexicon (full)
 - ``lexicon_nonaccent.tsv`` surface forms that are not accent-only
@@ -22,6 +29,7 @@ artifacts (fixed names inside the output directory):
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -47,10 +55,9 @@ from .client import (
     PromptTemplate,
     RetryPolicy,
     correct_text,
-    detect_global_hallucination,
 )
 from .config import PipelineConfig
-from .diffing import diff_words, tokenize_words
+from .diffing import diff_words, similarity_ratio, tokenize_words
 from .records import (
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
@@ -114,12 +121,6 @@ def rule_table(config: PipelineConfig) -> RuleTable:
     return default_rules()
 
 
-def failed_records(outcome_counts: dict[str, int]) -> int:
-    """Records whose correction failed: any outcome but ok or a refusal."""
-    accepted = (OUTCOME_OK, client_mod.OUTCOME_CONTENT_POLICY)
-    return sum(count for outcome, count in outcome_counts.items() if outcome not in accepted)
-
-
 def _load(load, path: str | Path) -> LoadResult:
     """Run a ``records`` loader and log its line diagnostics as warnings."""
     result = load(path)
@@ -134,7 +135,7 @@ def stage_clean(
     output_path: str | Path,
     removed_path: str | Path | None = None,
     report_path: str | Path | None = None,
-) -> LoadResult:
+) -> int:
     """Filter the corpus; write survivors, removed records and the report."""
     result = _load(load_corpus, input_path)
     kept, removed, report = clean_corpus(
@@ -158,7 +159,7 @@ def stage_clean(
         report.surviving,
         report.total_rows - report.surviving,
     )
-    return result
+    return len(result.errors)
 
 
 def stage_correct(
@@ -166,16 +167,17 @@ def stage_correct(
     input_path: str | Path,
     output_path: str | Path,
     backend: CorrectionBackend | None = None,
-) -> dict[str, int]:
-    """Fetch corrected candidates for every cleaned record.
+) -> int:
+    """Fetch a corrected candidate for every cleaned record and write it as returned.
 
     Requests may run concurrently up to the configured limit; rows are
-    re-sequenced to input order before writing. A whole-text similarity
-    check discards responses that rewrote the record wholesale. Returns the
-    number of records per outcome.
+    re-sequenced to input order before writing. Returns the number of input
+    lines skipped plus records that ended in anything but ``ok`` or a
+    content-policy refusal.
     """
     backend = backend or make_backend(config)
-    records = _load(load_corpus, input_path).records
+    loaded = _load(load_corpus, input_path)
+    records = loaded.records
     template = PromptTemplate.for_language("spanish")
     policy = RetryPolicy(max_attempts=config.retry_attempts, backoff_base=config.backoff_base)
 
@@ -194,35 +196,40 @@ def stage_correct(
     else:
         results = [process(r) for r in records]
 
-    candidates: list[CandidateRecord] = []
-    outcome_counts: dict[str, int] = {}
-    for record, result in zip(records, results):
-        outcome = result.outcome
-        if outcome == OUTCOME_OK and detect_global_hallucination(
-            record.text, result.corrected_text or "", config.hallucination_threshold
-        ):
-            outcome = OUTCOME_GLOBAL_HALLUCINATION
-        outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
-        candidates.append(CandidateRecord(record, outcome, result.detail, result.corrected_text))
-    write_records(candidates, output_path)
-    logger.info("correction outcomes: %s", dict(sorted(outcome_counts.items())))
-    return outcome_counts
+    write_records(
+        [CandidateRecord(r, res.outcome, res.detail, res.corrected_text) for r, res in zip(records, results)],
+        output_path,
+    )
+    outcomes = Counter(res.outcome for res in results)
+    logger.info("correction outcomes: %s", dict(sorted(outcomes.items())))
+    failed = sum(res.outcome not in (OUTCOME_OK, client_mod.OUTCOME_CONTENT_POLICY) for res in results)
+    return len(loaded.errors) + failed
 
 
 def stage_classify(
     config: PipelineConfig,
     input_path: str | Path,
     output_path: str | Path,
-) -> None:
-    """Diff each corrected candidate against its original and label the changes."""
+) -> int:
+    """Diff each corrected candidate against its original and label the changes.
+
+    A candidate whose whole-text similarity to the original is below
+    ``hallucination_threshold`` rewrote the record wholesale: it is marked
+    ``global_hallucination`` and gets no corrections. Returns the number of
+    input lines skipped plus candidates so marked.
+    """
     rules = rule_table(config)
     cls_config = classifier_config(config)
-    candidates = _load(load_candidates, input_path).records
+    loaded = _load(load_candidates, input_path)
+    candidates = loaded.records
 
     all_corrections = []
     for candidate in candidates:
         candidate.corrections = []
         if candidate.outcome != OUTCOME_OK or candidate.text_llm is None:
+            continue
+        if similarity_ratio(candidate.record.text, candidate.text_llm) < config.hallucination_threshold:
+            candidate.outcome = OUTCOME_GLOBAL_HALLUCINATION
             continue
         hunks = diff_words(
             tokenize_words(candidate.record.text), tokenize_words(candidate.text_llm)
@@ -237,6 +244,7 @@ def stage_classify(
 
     write_records(candidates, output_path)
     logger.info("classified %d corrections across %d rows", len(all_corrections), len(candidates))
+    return len(loaded.errors) + sum(c.outcome == OUTCOME_GLOBAL_HALLUCINATION for c in candidates)
 
 
 def stage_apply(
@@ -245,13 +253,14 @@ def stage_apply(
     output_path: str | Path,
     lexicon_path: str | Path | None = None,
     lexicon_nonaccent_path: str | Path | None = None,
-) -> None:
+) -> int:
     """Assemble final texts (OCR errors applied) and emit the lexicon.
 
     Every row must carry the corrections that classify adds; a row without
     them raises :class:`CorpusError` before anything is written.
     """
-    candidates = _load(load_candidates, input_path).records
+    loaded = _load(load_candidates, input_path)
+    candidates = loaded.records
     processed: list[ProcessedRecord] = []
     all_corrections = []
     for candidate in candidates:
@@ -280,6 +289,7 @@ def stage_apply(
         len(full),
         len(non_accent),
     )
+    return len(loaded.errors)
 
 
 def stage_report(
@@ -287,49 +297,45 @@ def stage_report(
     input_path: str | Path,
     json_path: str | Path | None = None,
     text_path: str | Path | None = None,
-) -> None:
+) -> int:
     """Compute run statistics over the final processed corpus."""
-    processed = _load(load_processed, input_path).records
-    report = build_report(processed, tokenizer_id=config.tokenizer)
+    loaded = _load(load_processed, input_path)
+    report = build_report(loaded.records, tokenizer_id=config.tokenizer)
     if json_path is not None:
         write_report(report, json_path, fmt="structured")
     if text_path is not None:
         write_report(report, text_path, fmt="text")
+    return len(loaded.errors)
 
 
 def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = None) -> int:
     """Run all stages; returns the process exit code.
 
     0 on success, 1 on fatal errors (checked by the CLI before calling), 2
-    when strict mode is set and some records were skipped or failed.
+    when strict mode is set and some lines were skipped or records failed.
     """
     out = Path(config.output_dir)
 
-    load_result = stage_clean(
+    problems = stage_clean(
         config,
         config.input,
         out / "cleaned.jsonl",
         removed_path=out / "removed.jsonl",
         report_path=out / "cleaning_report.json",
     )
-    outcome_counts = stage_correct(
-        config, out / "cleaned.jsonl", out / "corrected.jsonl", backend=backend
-    )
-    stage_classify(config, out / "corrected.jsonl", out / "classified.jsonl")
-    stage_apply(
+    problems += stage_correct(config, out / "cleaned.jsonl", out / "corrected.jsonl", backend=backend)
+    problems += stage_classify(config, out / "corrected.jsonl", out / "classified.jsonl")
+    problems += stage_apply(
         config,
         out / "classified.jsonl",
         out / "final.jsonl",
         lexicon_path=out / "lexicon.tsv",
         lexicon_nonaccent_path=out / "lexicon_nonaccent.tsv",
     )
-    stage_report(
+    problems += stage_report(
         config,
         out / "final.jsonl",
         json_path=out / "report.json",
         text_path=out / "report.txt",
     )
-
-    if config.strict and (load_result.errors or failed_records(outcome_counts)):
-        return 2
-    return 0
+    return 2 if config.strict and problems else 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classify import HALLUCINATION, OCR_ERROR, SURFACE_FORM
-from .cleaning import TOKENIZERS, word_tokens
+from .cleaning import TOKENIZERS
 from .records import (
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
@@ -75,9 +75,12 @@ def build_report(
     that entered the correction stage. Text measures use the final corrected
     text where available, the original otherwise. Records without a year are
     excluded from the decade histogram and counted separately; missing
-    countries bucket under "unknown".
+    countries bucket under "unknown". An unknown ``tokenizer_id`` is a
+    ``ValueError``: the report would carry a label its counts do not match.
     """
-    tokenizer = TOKENIZERS.get(tokenizer_id, word_tokens)
+    if tokenizer_id not in TOKENIZERS:
+        raise ValueError(f"unknown tokenizer {tokenizer_id!r}; expected one of {sorted(TOKENIZERS)}")
+    tokenizer = TOKENIZERS[tokenizer_id]
     rows = [p for p in processed if p.status != STATUS_CLEANED_OUT]
 
     words = 0

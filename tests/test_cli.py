@@ -289,31 +289,43 @@ def without(row: dict, key: str) -> dict:
     return {k: v for k, v in row.items() if k != key}
 
 
+MALFORMED_STAGE_ROWS = pytest.mark.parametrize(
+    "command, good_row, bad_line",
+    [
+        ("classify", CORRECTED_ROW, json.dumps(without(CORRECTED_ROW, "text"))),
+        ("apply", {**CORRECTED_ROW, "corrections": []}, json.dumps(without(CORRECTED_ROW, "id"))),
+        ("apply", {**CORRECTED_ROW, "corrections": []}, "[1,2]"),
+        ("report", PROCESSED_ROW, "[1,2]"),
+    ],
+    ids=["classify-no-text", "apply-no-id", "apply-array", "report-array"],
+)
+
+
+def stage_argv(tmp_path: Path, command: str, good_row: dict, bad_line: str) -> list[str]:
+    """A stage command whose input holds one malformed line, then one good row ``b``."""
+    stage_in = tmp_path / "in.jsonl"
+    good = json.dumps({**good_row, "id": "b"}, ensure_ascii=False)
+    stage_in.write_text(bad_line + "\n" + good + "\n", encoding="utf-8")
+    out_flag = "--out" if command == "report" else "--output"
+    return [command, "--input", str(stage_in), out_flag, str(tmp_path / "out")]
+
+
 class TestMalformedStageRows:
     """A malformed row costs its own line, never the command."""
 
-    @pytest.mark.parametrize(
-        "command, good_row, bad_line",
-        [
-            ("classify", CORRECTED_ROW, json.dumps(without(CORRECTED_ROW, "text"))),
-            ("apply", {**CORRECTED_ROW, "corrections": []}, json.dumps(without(CORRECTED_ROW, "id"))),
-            ("apply", {**CORRECTED_ROW, "corrections": []}, "[1,2]"),
-            ("report", PROCESSED_ROW, "[1,2]"),
-        ],
-        ids=["classify-no-text", "apply-no-id", "apply-array", "report-array"],
-    )
+    @MALFORMED_STAGE_ROWS
     def test_bad_line_is_skipped_and_logged(self, tmp_path, caplog, command, good_row, bad_line):
-        stage_in = tmp_path / "in.jsonl"
-        good = json.dumps({**good_row, "id": "b"}, ensure_ascii=False)
-        stage_in.write_text(bad_line + "\n" + good + "\n", encoding="utf-8")
-        out = tmp_path / "out"
-        out_flag = "--out" if command == "report" else "--output"
-        assert main([command, "--input", str(stage_in), out_flag, str(out)]) == 0
+        stage_in, out = tmp_path / "in.jsonl", tmp_path / "out"
+        assert main(stage_argv(tmp_path, command, good_row, bad_line)) == 0
         assert f"{stage_in}: line 1: error: " in caplog.text
         if command == "report":
             assert json.loads(out.read_text(encoding="utf-8"))["rows"] == 1
         else:
             assert [json.loads(line)["id"] for line in out.read_text(encoding="utf-8").splitlines()] == ["b"]
+
+    @MALFORMED_STAGE_ROWS
+    def test_bad_line_exits_2_in_strict_mode(self, tmp_path, command, good_row, bad_line):
+        assert main(["--strict"] + stage_argv(tmp_path, command, good_row, bad_line)) == 2
 
 
 class TestStrictCorrect:
@@ -333,6 +345,69 @@ class TestStrictCorrect:
         assert main(["--strict"] + args) == 2
         row = json.loads((tmp_path / "corrected.jsonl").read_text(encoding="utf-8"))
         assert row["llm_outcome"] == "transport_error"
+
+
+class TestStrictWholeTextReject:
+    """A wholesale rewrite is judged by classify, so strict mode fails there, not in correct."""
+
+    TEXT = "Cronica de la visita del prefecto a las escuelas del distrito."
+    REWRITE = "El gobierno anuncia hoy una reforma completa de todos los tributos."
+
+    def write_inputs(self, tmp_path: Path) -> tuple[Path, Path]:
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "a", "year": 1846, "text": self.TEXT}) + "\n", encoding="utf-8")
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text(
+            json.dumps({"input_hash": MockBackend.hash_text(self.TEXT), "output": self.REWRITE}) + "\n",
+            encoding="utf-8",
+        )
+        return corpus, fixtures
+
+    def test_correct_passes_and_classify_fails(self, tmp_path):
+        corpus, fixtures = self.write_inputs(tmp_path)
+        corrected, classified = tmp_path / "corrected.jsonl", tmp_path / "classified.jsonl"
+        assert main(["--strict", "correct", "--input", str(corpus), "--output", str(corrected),
+                     "--backend", "mock", "--fixtures", str(fixtures)]) == 0
+        assert json.loads(corrected.read_text(encoding="utf-8"))["llm_outcome"] == "ok"
+        classify = ["classify", "--input", str(corrected), "--output", str(classified)]
+        assert main(classify) == 0
+        assert main(["--strict"] + classify) == 2
+        assert json.loads(classified.read_text(encoding="utf-8"))["llm_outcome"] == "global_hallucination"
+
+    def test_run_strict_exits_2_on_a_rewrite_alone(self, tmp_path):
+        corpus, fixtures = self.write_inputs(tmp_path)
+        run = ["run", "--input", str(corpus), "--output", str(tmp_path / "out"),
+               "--backend", "mock", "--fixtures", str(fixtures)]
+        assert main(run) == 0
+        assert main(["--strict"] + run) == 2
+        (row,) = (tmp_path / "out" / "final.jsonl").read_text(encoding="utf-8").splitlines()
+        assert json.loads(row)["status"] == "excluded_llm_failure"
+
+
+class TestMalformedFixtures:
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ('{"input_hash": "x"}', "missing field 'output'"),
+            ("[1]", "row is not an object"),
+            ("{bad", "Expecting property name"),
+        ],
+        ids=["missing-output", "array", "broken-json"],
+    )
+    def test_bad_fixture_row_is_a_clean_failure(self, tmp_path, capsys, bad_line, message):
+        corpus = tmp_path / "cleaned.jsonl"
+        corpus.write_text(json.dumps({"id": "a", "text": "la sesion era mui corta"}) + "\n", encoding="utf-8")
+        fixtures = tmp_path / "fixtures.jsonl"
+        good = json.dumps({"input_hash": MockBackend.hash_text("otro"), "output": "otro"})
+        fixtures.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
+        out = tmp_path / "corrected.jsonl"
+        code = main(["correct", "--input", str(corpus), "--output", str(out),
+                     "--backend", "mock", "--fixtures", str(fixtures)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fixtures}: line 2: error: ")
+        assert message in err
+        assert not out.exists()
 
 
 RUN = ["run", "--input", "corpus.jsonl", "--output", "out"]

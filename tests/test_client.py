@@ -17,7 +17,6 @@ from histocr.client import (
     RetryPolicy,
     TransportError,
     correct_text,
-    detect_global_hallucination,
     render_prompt,
     strip_fences,
 )
@@ -33,12 +32,6 @@ class TestPromptTemplate:
     def test_spanish_prompt_renders_text_between_fences(self):
         template = PromptTemplate.for_language("spanish")
         assert render_prompt(template, "hola") == EXPECTED_SPANISH_PROMPT
-
-    def test_english_variant_exists(self):
-        template = PromptTemplate.for_language("english")
-        rendered = render_prompt(template, "hola")
-        assert "19th-century" in rendered
-        assert "```\nhola\n```" in rendered
 
     def test_rendering_is_byte_stable(self):
         template = PromptTemplate.for_language("spanish")
@@ -66,7 +59,7 @@ class TestPromptTemplate:
         with pytest.raises(ValueError):
             PromptTemplate.for_language("latin")
         with pytest.raises(ValueError):
-            PromptTemplate("{text}", language="latin")
+            PromptTemplate.for_language("english")
 
 
 class TestBackendResult:
@@ -290,15 +283,3 @@ class TestHttpChatBackend:
         with pytest.raises(TransportError):
             backend.complete("prompt", "text")
 
-
-class TestGlobalHallucination:
-    def test_identical_text_never_flags(self):
-        assert detect_global_hallucination("abcd efgh", "abcd efgh", 0.99) is False
-
-    def test_unrelated_text_flags(self):
-        assert detect_global_hallucination("aaaa", "zzzz", 0.1) is True
-
-    def test_threshold_decides_borderline(self):
-        # ratio("abcd efgh", "abcd zzzz") = 10/18 = 0.556, from the block oracle
-        assert detect_global_hallucination("abcd efgh", "abcd zzzz", 0.8) is True
-        assert detect_global_hallucination("abcd efgh", "abcd zzzz", 0.5) is False

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from difflib import SequenceMatcher
 from pathlib import Path
 
@@ -14,7 +15,11 @@ from histocr.records import (
     STATUS_CORRECTED,
     STATUS_EXCLUDED_CONTENT_POLICY,
     STATUS_EXCLUDED_LLM_FAILURE,
+    CandidateRecord,
+    CorpusRecord,
+    load_candidates,
     load_processed,
+    write_records,
 )
 
 
@@ -24,7 +29,7 @@ ARTIFACT_SHA256 = {
     "cleaned.jsonl": "edc485b3b6c86c22f7bdeb753282679417643a89fc9cd43bbcda9f42831e7aba",
     "removed.jsonl": "e009b8b93989e943518aeb91f41f91508c6505fcbfb5757ed5e9bd8d73eb82c2",
     "cleaning_report.json": "afc7a83f9624791f51a402550df80fdb91874ba954e675165d4713331a4280c2",
-    "corrected.jsonl": "707d5cf1006a9d3f21add4887711b36851053be06ae6217269879f0b60304d92",
+    "corrected.jsonl": "3f3cf41c687a962843ac6bb09c7971c042ee724057e5a558d0b7598218717016",
     "classified.jsonl": "78ed14f23ee83e2353620d72c1e4164d892ac7c0e76a8c3ca7de8a0b1cd20670",
     "final.jsonl": "18ee8b048b088ba72c0994f71dff361fa91077792c95af401229bcb0343ddc6f",
     "lexicon.tsv": "f317c26997b0272ecad7b7ea1cac5bd43a52350acb6f5f3cbc870820c07bc8d4",
@@ -242,6 +247,83 @@ class TestLongRecord:
         (final,) = load_processed(outs[0] / "final.jsonl").records
         assert final.status == STATUS_CORRECTED
         assert final.text_llm == output
+
+
+def classify_one(tmp_path, original: str, candidate: str, threshold: float) -> tuple[int, CandidateRecord]:
+    """Run the classify stage on one ``ok`` candidate at the given whole-text threshold."""
+    corrected, classified = tmp_path / "corrected.jsonl", tmp_path / "classified.jsonl"
+    write_records([CandidateRecord(CorpusRecord("a", text=original), "ok", text_llm=candidate)], corrected)
+    config = PipelineConfig(hallucination_threshold=threshold)
+    problems = stage_classify(config, corrected, classified)
+    (row,) = load_candidates(classified).records
+    return problems, row
+
+
+class TestWholeTextCheck:
+    """Classify discards a candidate whose whole-text ratio is below the threshold."""
+
+    def test_identical_text_never_flags(self, tmp_path):
+        problems, row = classify_one(tmp_path, "abcd efgh", "abcd efgh", 0.99)
+        assert (problems, row.outcome, row.corrections) == (0, "ok", [])
+
+    def test_unrelated_text_flags(self, tmp_path):
+        problems, row = classify_one(tmp_path, "aaaa", "zzzz", 0.1)
+        assert (problems, row.outcome, row.corrections) == (1, "global_hallucination", [])
+        assert row.text_llm == "zzzz"  # the model output stays on the row
+
+    def test_threshold_decides_borderline(self, tmp_path):
+        # ratio("abcd efgh", "abcd zzzz") = 10/18 = 0.556, from the block oracle
+        assert classify_one(tmp_path, "abcd efgh", "abcd zzzz", 0.8)[1].outcome == "global_hallucination"
+        problems, row = classify_one(tmp_path, "abcd efgh", "abcd zzzz", 0.5)
+        assert (problems, row.outcome) == (0, "ok")
+        assert [(c.original, c.corrected) for c in row.corrections] == [("efgh", "zzzz")]
+
+    def test_ratio_equal_to_threshold_is_kept(self, tmp_path):
+        ratio = 10 / 18
+        assert classify_one(tmp_path, "abcd efgh", "abcd zzzz", ratio)[1].outcome == "ok"
+        above = math.nextafter(ratio, 1.0)
+        assert classify_one(tmp_path, "abcd efgh", "abcd zzzz", above)[1].outcome == "global_hallucination"
+
+
+class CountingBackend(MockBackend):
+    def __init__(self, fixture_path):
+        super().__init__(fixture_path)
+        self.calls = 0
+
+    def complete(self, prompt: str, text: str) -> str:
+        self.calls += 1
+        return super().complete(prompt, text)
+
+
+class TestRethreshold:
+    def test_classify_rethresholds_without_touching_model_output(self, pipeline_fixture, tmp_path):
+        corpus, fixtures = pipeline_fixture
+        config = make_config(corpus, fixtures, tmp_path)
+        stage_clean(config, corpus, tmp_path / "cleaned.jsonl")
+        backend = CountingBackend(fixtures)
+        assert stage_correct(config, tmp_path / "cleaned.jsonl", tmp_path / "corrected.jsonl", backend=backend) == 2
+        calls = backend.calls
+        corrected_bytes = (tmp_path / "corrected.jsonl").read_bytes()
+        assert {c.outcome for c in load_candidates(tmp_path / "corrected.jsonl").records} == {
+            "ok", "content_policy_refusal", "transport_error", "over_length"
+        }
+
+        rewrites = {}
+        for threshold in (0.5, 0.99):
+            out = tmp_path / f"classified_{threshold}.jsonl"
+            problems = stage_classify(
+                make_config(corpus, fixtures, tmp_path, hallucination_threshold=threshold),
+                tmp_path / "corrected.jsonl",
+                out,
+            )
+            rewrites[threshold] = {
+                c.record.id for c in load_candidates(out).records if c.outcome == "global_hallucination"
+            }
+            assert problems == len(rewrites[threshold])
+        assert rewrites[0.5] == {"p06"}
+        assert rewrites[0.99] > rewrites[0.5]  # lightly corrected records fall below 0.99 too
+        assert backend.calls == calls
+        assert (tmp_path / "corrected.jsonl").read_bytes() == corrected_bytes
 
 
 class TestBackendConstruction:

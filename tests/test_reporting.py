@@ -130,6 +130,11 @@ class TestBuildReport:
         assert report.tokens == 4  # letter/digit runs
         assert report.tokenizer_id == "unicode_words"
 
+    def test_unknown_tokenizer_is_rejected(self):
+        # counting with a fallback tokenizer would label the counts with a wrong id
+        with pytest.raises(ValueError, match="unknown tokenizer 'bogus'"):
+            build_report([], tokenizer_id="bogus")
+
     def test_newspapers_distinct(self):
         rows = [
             processed("r1", newspaper="El Oso"),
