@@ -22,7 +22,6 @@ from .classify import (
     classify_pair,
     default_rules,
     load_rules,
-    normalize_pair,
     normalize_segment,
     strip_accents,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "load_corpus",
     "load_processed",
     "load_rules",
-    "normalize_pair",
     "normalize_segment",
     "reconstruct_words",
     "render_prompt",

@@ -31,7 +31,7 @@ label. Punctuation-only tokens attach to the preceding content word.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -84,11 +84,6 @@ def normalize_segment(segment: str) -> str:
     return " ".join(w for w in words if w)
 
 
-def normalize_pair(hunk: ChangeHunk) -> tuple[str, str]:
-    """Normalized (original, corrected) forms of a replace hunk."""
-    return normalize_segment(hunk.original_segment), normalize_segment(hunk.corrected_segment)
-
-
 @dataclass(frozen=True)
 class SubstitutionRule:
     rule_id: str
@@ -106,26 +101,43 @@ class SubstitutionRule:
         return [(a, b) for a, b in pairs if a != b]
 
 
+# (original-side pattern, corrected-side pattern, rule id) by the first
+# character of the original side, each bucket in table order; key "" holds
+# the patterns with an empty original side, which every bucket also holds
+Expansions = dict[str, tuple[tuple[str, str, str], ...]]
+
+
+def _index_expansions(rows: tuple[SubstitutionRule, ...]) -> Expansions:
+    flat = [(o, c, r.rule_id) for r in rows for o, c in r.expansions()]
+    return {key: tuple(e for e in flat if e[0][:1] in ("", key)) for key in {e[0][:1] for e in flat} | {""}}
+
+
 @dataclass(frozen=True)
 class RuleTable:
-    """Parsed rules file: surface-form substitutions, enclitics, confusions."""
+    """Parsed rules file: surface-form substitutions, enclitics, confusions.
+
+    The tables the cascade reads are derived once, when the table is built,
+    so an edit to the rules file takes effect on the next load.
+    """
 
     surface_rows: tuple[SubstitutionRule, ...]
     confusion_rows: tuple[SubstitutionRule, ...]
+    # letter-group rows usable by the substitution matcher (stage 5)
+    substitutions: tuple[SubstitutionRule, ...] = field(init=False, repr=False, compare=False)
+    enclitic_pronouns: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    substitution_expansions: Expansions = field(init=False, repr=False, compare=False)
+    confusion_expansions: Expansions = field(init=False, repr=False, compare=False)
 
-    @property
-    def substitutions(self) -> tuple[SubstitutionRule, ...]:
-        """Letter-group rows usable by the substitution matcher (stage 5)."""
-        return tuple(
-            r
-            for r in self.surface_rows
-            if r.direction != "enclitic"
-            and strip_accents(r.historical) != strip_accents(r.modern)
+    def __post_init__(self) -> None:
+        subs = tuple(
+            r for r in self.surface_rows
+            if r.direction != "enclitic" and strip_accents(r.historical) != strip_accents(r.modern)
         )
-
-    @property
-    def enclitic_pronouns(self) -> tuple[str, ...]:
-        return tuple(r.historical for r in self.surface_rows if r.direction == "enclitic")
+        enclitics = tuple(r.historical for r in self.surface_rows if r.direction == "enclitic")
+        object.__setattr__(self, "substitutions", subs)
+        object.__setattr__(self, "enclitic_pronouns", enclitics)
+        object.__setattr__(self, "substitution_expansions", _index_expansions(subs))
+        object.__setattr__(self, "confusion_expansions", _index_expansions(self.confusion_rows))
 
     @property
     def example_rows(self) -> tuple[SubstitutionRule, ...]:
@@ -196,9 +208,7 @@ class ClassifiedCorrection:
     frequency: int = 1
 
 
-def _match_substitutions(
-    original: str, corrected: str, rules: tuple[SubstitutionRule, ...]
-) -> tuple[str, ...] | None:
+def _match_substitutions(original: str, corrected: str, expansions: Expansions) -> tuple[str, ...] | None:
     """Check whether the rules jointly explain every difference.
 
     Walks both strings left to right; equal characters advance, otherwise a
@@ -208,7 +218,6 @@ def _match_substitutions(
     """
     if original == corrected:
         return None
-    expansions = [(o, c, r.rule_id) for r in rules for o, c in r.expansions()]
     dead: set[tuple[int, int]] = set()
 
     def walk(i: int, j: int) -> tuple[str, ...] | None:
@@ -220,7 +229,7 @@ def _match_substitutions(
             found = walk(i + 1, j + 1)
             if found is not None:
                 return found
-        for pat_o, pat_c, rule_id in expansions:
+        for pat_o, pat_c, rule_id in expansions.get(original[i : i + 1], expansions[""]):
             if original.startswith(pat_o, i) and corrected.startswith(pat_c, j):
                 found = walk(i + len(pat_o), j + len(pat_c))
                 if found is not None:
@@ -252,29 +261,25 @@ def _match_enclitic(original: str, corrected: str, pronouns: tuple[str, ...]) ->
 
 
 def classify_pair(
-    original_raw: str,
-    corrected_raw: str,
-    rules: RuleTable,
-    config: ClassifierConfig,
-    original_span: tuple[int, int] = (0, 0),
-    corrected_span: tuple[int, int] = (0, 0),
+    original_raw: str, corrected_raw: str, rules: RuleTable, config: ClassifierConfig,
+    original_span: tuple[int, int] = (0, 0), corrected_span: tuple[int, int] = (0, 0),
 ) -> ClassifiedCorrection:
     """Run the replace-pair cascade (stages 2-8) on one raw segment pair."""
-    norm_o = normalize_segment(original_raw)
-    norm_c = normalize_segment(corrected_raw)
+    return _cascade(
+        original_raw, corrected_raw, normalize_segment(original_raw), normalize_segment(corrected_raw),
+        rules, config, original_span, corrected_span,
+    )
+
+
+def _cascade(
+    original_raw: str, corrected_raw: str, norm_o: str, norm_c: str, rules: RuleTable,
+    config: ClassifierConfig, original_span: tuple[int, int], corrected_span: tuple[int, int],
+) -> ClassifiedCorrection:
+    """:func:`classify_pair` given the pair's normalized forms."""
 
     def result(label: str, rule: str, ratio: float | None = None, accent_only: bool = False):
         return ClassifiedCorrection(
-            original=norm_o,
-            corrected=norm_c,
-            label=label,
-            rule=rule,
-            ratio=ratio,
-            accent_only=accent_only,
-            original_span=original_span,
-            corrected_span=corrected_span,
-            original_raw=original_raw,
-            corrected_raw=corrected_raw,
+            norm_o, norm_c, label, rule, ratio, accent_only, original_span, corrected_span, original_raw, corrected_raw
         )
 
     if norm_o == norm_c:
@@ -290,11 +295,11 @@ def classify_pair(
         return result(SURFACE_FORM, enclitic)
 
     if len(norm_o) <= _MAX_SUBSTITUTION_LEN and len(norm_c) <= _MAX_SUBSTITUTION_LEN:
-        used = _match_substitutions(stripped_o, stripped_c, rules.substitutions)
+        used = _match_substitutions(stripped_o, stripped_c, rules.substitution_expansions)
         if used is not None:
             return result(SURFACE_FORM, "+".join(used))
 
-        confused = _match_substitutions(norm_o, norm_c, rules.confusion_rows)
+        confused = _match_substitutions(norm_o, norm_c, rules.confusion_expansions)
         if confused is not None:
             return result(OCR_ERROR, "ocr_confusion_table")
 
@@ -307,59 +312,49 @@ def classify_pair(
     return result(HALLUCINATION, "ratio_threshold", ratio=ratio)
 
 
-def classify_hunk(
-    hunk: ChangeHunk, rules: RuleTable, config: ClassifierConfig
-) -> ClassifiedCorrection:
+def classify_hunk(hunk: ChangeHunk, rules: RuleTable, config: ClassifierConfig) -> ClassifiedCorrection:
     """Classify one hunk as a unit (no multi-word decomposition)."""
     if hunk.kind in ("insert", "delete"):
         return ClassifiedCorrection(
-            original=normalize_segment(hunk.original_segment),
-            corrected=normalize_segment(hunk.corrected_segment),
-            label=HALLUCINATION,
-            rule="insert_delete",
-            ratio=None,
-            accent_only=False,
-            original_span=hunk.original_span,
-            corrected_span=hunk.corrected_span,
-            original_raw=hunk.original_segment,
-            corrected_raw=hunk.corrected_segment,
+            normalize_segment(hunk.original_segment), normalize_segment(hunk.corrected_segment),
+            HALLUCINATION, "insert_delete", None, False,
+            hunk.original_span, hunk.corrected_span, hunk.original_segment, hunk.corrected_segment,
         )
     return classify_pair(
-        hunk.original_segment,
-        hunk.corrected_segment,
-        rules,
-        config,
-        hunk.original_span,
-        hunk.corrected_span,
+        hunk.original_segment, hunk.corrected_segment, rules, config, hunk.original_span, hunk.corrected_span
     )
 
 
-def _content_indices(words: list[str]) -> list[int]:
-    return [i for i, w in enumerate(words) if normalize_segment(w)]
+def _joined(norm: list[str]) -> str:
+    """``normalize_segment`` of a segment from its words' forms: a space ends
+    the lower-casing context (final sigma), and stripping acts per token."""
+    return " ".join(w for w in norm if w)
 
 
-def _group_key(words: list[str]) -> str:
-    return strip_accents(normalize_segment(" ".join(words)))
-
-
-def _group_keys(words: list[str], core: list[int]) -> list[list[str]]:
+def _group_keys(stripped: list[str], core: list[int]) -> list[list[str]]:
     """``keys[i][d - 1]`` is the string of the d content words from ``core[i]``."""
     return [
-        [_group_key([words[k] for k in core[i : i + d]]) for d in range(1, min(_MAX_GROUP, len(core) - i) + 1)]
+        [" ".join(stripped[k] for k in core[i : i + d]) for d in range(1, min(_MAX_GROUP, len(core) - i) + 1)]
         for i in range(len(core) + 1)
     ]
 
 
-def _align_groups(
-    o_words: list[str], c_words: list[str]
+def _align_groups(o_words: list[str], c_words: list[str]) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
+    """:func:`_align_normalized` on raw word lists."""
+    return _align_normalized([normalize_segment(w) for w in o_words], [normalize_segment(w) for w in c_words])
+
+
+def _align_normalized(
+    o_norm: list[str], c_norm: list[str]
 ) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
     """Monotone grouping of the two word lists maximizing similarity.
 
-    Dynamic program over content words (groups of up to a few words per
-    side), scored by the Gestalt ratio of the accent-stripped group strings;
-    ties prefer more, finer groups. Returns raw-index ranges per group, or
-    None when no decomposition is possible. Punctuation-only tokens attach
-    to the group of the preceding content word.
+    Takes each word's ``normalize_segment`` form. Dynamic program over
+    content words (groups of up to a few words per side), scored by the
+    Gestalt ratio of the accent-stripped group strings; ties prefer more,
+    finer groups. Returns raw-index ranges per group, or None when no
+    decomposition is possible. Punctuation-only tokens attach to the group
+    of the preceding content word.
 
     Each group string is built once, and none is empty. A candidate skips
     the ratio when ``score + 2*min(len(o), len(c)) / (len(o) + len(c))`` is
@@ -370,14 +365,14 @@ def _align_groups(
     never below the candidate's score. A candidate whose bound only equals
     the stored score still gets the ratio, so ties resolve as before.
     """
-    o_core = _content_indices(o_words)
-    c_core = _content_indices(c_words)
+    o_core = [i for i, w in enumerate(o_norm) if w]
+    c_core = [i for i, w in enumerate(c_norm) if w]
     n, m = len(o_core), len(c_core)
     if n == 0 or m == 0 or n * m > _MAX_DP_CELLS:
         return None
 
-    o_keys = _group_keys(o_words, o_core)
-    c_keys = _group_keys(c_words, c_core)
+    o_keys = _group_keys([strip_accents(w) for w in o_norm], o_core)
+    c_keys = _group_keys([strip_accents(w) for w in c_norm], c_core)
     # best[(i, j)] = (score, groups, prev_state)
     best: dict[tuple[int, int], tuple[float, int, tuple[int, int] | None]] = {(0, 0): (0.0, 0, None)}
     for i in range(n + 1):
@@ -416,9 +411,9 @@ def _align_groups(
         ci, cj = bounds[idx]
         ni, nj = bounds[idx + 1]
         o_start = 0 if idx == 0 else o_core[ci]
-        o_end = o_core[ni] if ni < n else len(o_words)
+        o_end = o_core[ni] if ni < n else len(o_norm)
         c_start = 0 if idx == 0 else c_core[cj]
-        c_end = c_core[nj] if nj < m else len(c_words)
+        c_end = c_core[nj] if nj < m else len(c_norm)
         spans.append(((o_start, o_end), (c_start, c_end)))
     return spans
 
@@ -426,7 +421,11 @@ def _align_groups(
 def classify_hunks(
     hunks: list[ChangeHunk], rules: RuleTable, config: ClassifierConfig
 ) -> list[ClassifiedCorrection]:
-    """Classify all hunks of one record, decomposing multi-word replaces."""
+    """Classify all hunks of one record, decomposing multi-word replaces.
+
+    Each word of a replace hunk is normalized once; the decomposition and
+    every pair of the cascade read those forms.
+    """
     corrections: list[ClassifiedCorrection] = []
     for hunk in hunks:
         if hunk.kind in ("insert", "delete"):
@@ -434,11 +433,14 @@ def classify_hunks(
             continue
         o_words = hunk.original_segment.split(" ")
         c_words = hunk.corrected_segment.split(" ")
+        o_norm = [normalize_segment(w) for w in o_words]
+        c_norm = [normalize_segment(w) for w in c_words]
         groups = None
         if len(o_words) > 1 or len(c_words) > 1:
-            groups = _align_groups(o_words, c_words)
+            groups = _align_normalized(o_norm, c_norm)
         if groups is None:
-            corrections.append(classify_hunk(hunk, rules, config))
+            whole = hunk.original_segment, hunk.corrected_segment, _joined(o_norm), _joined(c_norm)
+            corrections.append(_cascade(*whole, rules, config, hunk.original_span, hunk.corrected_span))
             continue
         base_o, base_c = hunk.original_span[0], hunk.corrected_span[0]
         for (o_start, o_end), (c_start, c_end) in groups:
@@ -446,16 +448,9 @@ def classify_hunks(
             raw_c = " ".join(c_words[c_start:c_end])
             if raw_o == raw_c:
                 continue
-            corrections.append(
-                classify_pair(
-                    raw_o,
-                    raw_c,
-                    rules,
-                    config,
-                    (base_o + o_start, base_o + o_end),
-                    (base_c + c_start, base_c + c_end),
-                )
-            )
+            norm_o, norm_c = _joined(o_norm[o_start:o_end]), _joined(c_norm[c_start:c_end])
+            spans = (base_o + o_start, base_o + o_end), (base_c + c_start, base_c + c_end)
+            corrections.append(_cascade(raw_o, raw_c, norm_o, norm_c, rules, config, *spans))
     return corrections
 
 

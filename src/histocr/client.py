@@ -48,6 +48,10 @@ class TransportError(Exception):
     """Transient failure talking to the backend; retryable."""
 
 
+class FatalTransportError(TransportError):
+    """A failure that a retry cannot fix (bad key, no access, wrong URL)."""
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     """A prompt with exactly one {text} placeholder."""
@@ -181,6 +185,8 @@ class HttpChatBackend:
             marker in response.text.lower() for marker in refusal_markers
         ):
             raise ContentPolicyRefusal(response.text[:500])
+        if response.status_code in (401, 403, 404):
+            raise FatalTransportError(f"HTTP {response.status_code}: {response.text[:500]}")
         if response.status_code >= 400:
             raise TransportError(f"HTTP {response.status_code}: {response.text[:500]}")
         try:
@@ -231,10 +237,12 @@ def correct_text(
     """Fetch a corrected candidate for one record; never raises on backend trouble.
 
     Texts over the character budget are flagged ``over_length`` without a
-    backend call (the pipeline does not split records into chunks).
+    backend call (the pipeline does not split records into chunks), and an
+    empty text is a ``transport_error`` without one. A
+    :class:`FatalTransportError` is not retried.
     """
     if not text:
-        raise ValueError("correct_text requires non-empty text")
+        return BackendResult(OUTCOME_TRANSPORT_ERROR, detail="empty text: nothing to correct")
     retry_policy = retry_policy or RetryPolicy()
     template = template or PromptTemplate.for_language("spanish")
     if max_chars is not None and len(text) > max_chars:
@@ -249,6 +257,8 @@ def correct_text(
             raw = backend.complete(prompt, text)
         except ContentPolicyRefusal as exc:
             return BackendResult(OUTCOME_CONTENT_POLICY, detail=str(exc))
+        except FatalTransportError as exc:
+            return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=f"not retried: {exc}")
         except TransportError as exc:
             last_error = str(exc)
             if attempt < retry_policy.max_attempts:

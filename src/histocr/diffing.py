@@ -147,6 +147,36 @@ def similarity_ratio(a: str, b: str) -> float:
     return 2.0 * matches / total
 
 
+def similarity_below(a: str, b: str, threshold: float) -> bool:
+    """Whether ``similarity_ratio(a, b) < threshold``, often without the full ratio.
+
+    The ratio is ``2.0*M / total``, and that float only grows with M. So the
+    answer is yes at once when even ``M = min(len(a), len(b))`` falls short,
+    and no as soon as the blocks matched so far reach the threshold; both
+    shortcuts give the answer the full ratio gives. Otherwise the blocks are
+    found exactly as :func:`similarity_ratio` finds them.
+    """
+    total = len(a) + len(b)
+    if not total:
+        return 1.0 < threshold
+    if 2.0 * min(len(a), len(b)) / total < threshold:
+        return True
+    matches = 0
+    stack = [(0, len(a), 0, len(b), min(len(a), len(b)))]
+    while stack:
+        alo, ahi, blo, bhi, limit = stack.pop()
+        i, j, size = _longest_block(a, b, alo, ahi, blo, bhi, limit)
+        if size:
+            matches += size
+            if 2.0 * matches / total >= threshold:
+                return False
+            if alo < i and blo < j:
+                stack.append((alo, i, blo, j, size))
+            if i + size < ahi and j + size < bhi:
+                stack.append((i + size, ahi, j + size, bhi, size))
+    return 2.0 * matches / total < threshold
+
+
 def _longest_block(
     a: str, b: str, alo: int, ahi: int, blo: int, bhi: int, limit: int
 ) -> tuple[int, int, int]:

@@ -57,7 +57,7 @@ from .client import (
     correct_text,
 )
 from .config import PipelineConfig
-from .diffing import diff_words, similarity_ratio, tokenize_words
+from .diffing import diff_words, similarity_below, tokenize_words
 from .records import (
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
@@ -228,7 +228,7 @@ def stage_classify(
         candidate.corrections = []
         if candidate.outcome != OUTCOME_OK or candidate.text_llm is None:
             continue
-        if similarity_ratio(candidate.record.text, candidate.text_llm) < config.hallucination_threshold:
+        if similarity_below(candidate.record.text, candidate.text_llm, config.hallucination_threshold):
             candidate.outcome = OUTCOME_GLOBAL_HALLUCINATION
             continue
         hunks = diff_words(

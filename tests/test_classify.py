@@ -15,11 +15,17 @@ from histocr.classify import (
     classify_pair,
     default_rules,
     load_rules,
-    normalize_pair,
     normalize_segment,
     strip_accents,
 )
-from histocr.classify import _MAX_DP_CELLS, _MAX_GROUP, _align_groups, _content_indices, _group_key
+from histocr.classify import (
+    _MAX_DP_CELLS,
+    _MAX_GROUP,
+    RuleTable,
+    SubstitutionRule,
+    _align_groups,
+    _match_substitutions,
+)
 from histocr.diffing import ChangeHunk, diff_words, similarity_ratio, tokenize_words
 
 
@@ -51,16 +57,14 @@ class TestStripAccents:
 
 class TestNormalize:
     def test_lowercases_and_strips_edge_punctuation(self):
-        hunk = ChangeHunk("Periodico.", "Periódico.", (0, 1), (0, 1), "replace")
-        assert normalize_pair(hunk) == ("periodico", "periódico")
+        assert normalize_segment("Periodico.") == "periodico"
+        assert normalize_segment("Periódico.") == "periódico"
 
     def test_uppercase(self):
-        hunk = ChangeHunk("MUI", "MUY", (0, 1), (0, 1), "replace")
-        assert normalize_pair(hunk) == ("mui", "muy")
+        assert normalize_segment("MUI") == "mui"
 
     def test_already_normalized(self):
-        hunk = ChangeHunk("hara", "hará", (0, 1), (0, 1), "replace")
-        assert normalize_pair(hunk) == ("hara", "hará")
+        assert normalize_segment("hará") == "hará"
 
     def test_interior_punctuation_preserved(self):
         assert normalize_segment("¡«D'Artagnan!»") == "d'artagnan"
@@ -249,9 +253,13 @@ class TestDecomposition:
 
 
 def reference_align_groups(o_words, c_words):
-    """The decomposition DP without pruning: every candidate gets its ratio."""
-    o_core = _content_indices(o_words)
-    c_core = _content_indices(c_words)
+    """The decomposition DP without pruning: every candidate gets its ratio.
+
+    It normalizes each group string itself, from the raw words, rather than
+    sharing the per-word forms the classifier builds.
+    """
+    o_core = [i for i, w in enumerate(o_words) if normalize_segment(w)]
+    c_core = [i for i, w in enumerate(c_words) if normalize_segment(w)]
     n, m = len(o_core), len(c_core)
     if n == 0 or m == 0 or n * m > _MAX_DP_CELLS:
         return None
@@ -263,9 +271,9 @@ def reference_align_groups(o_words, c_words):
                 continue
             score, groups, _ = here
             for di in range(1, min(_MAX_GROUP, n - i) + 1):
-                o_text = _group_key([o_words[k] for k in o_core[i : i + di]])
+                o_text = strip_accents(normalize_segment(" ".join(o_words[k] for k in o_core[i : i + di])))
                 for dj in range(1, min(_MAX_GROUP, m - j) + 1):
-                    c_text = _group_key([c_words[k] for k in c_core[j : j + dj]])
+                    c_text = strip_accents(normalize_segment(" ".join(c_words[k] for k in c_core[j : j + dj])))
                     cand = (score + similarity_ratio(o_text, c_text), groups + 1, (i, j))
                     prev = best.get((i + di, j + dj))
                     if prev is None or cand[:2] > prev[:2]:
@@ -378,6 +386,166 @@ class TestAlignGroupsDP:
         assert got == reference_align_groups(o_words[:20], c_words)
         # 21 x 20 content words is over the cap: the hunk classifies whole
         assert _align_groups(o_words, c_words) is None
+
+
+# upper-case Greek: lower-casing writes a final sigma at a word's end only
+GREEK_WORDS = ["ΟΔΟΣ", "ΟΔΟΣ.", "Σ", "ΑΣ'", "«ΟΣ»"]
+CASED_SIDE = st.lists(st.one_of(DP_TOKEN, st.sampled_from(GREEK_WORDS)), min_size=1, max_size=12)
+
+
+class TestHunkNormalization:
+    """``classify_hunks`` normalizes each word once; every correction it
+    returns is the one ``classify_pair`` gives for the same raw pair."""
+
+    @given(damaged_copy(CASED_SIDE))
+    @settings(max_examples=150, deadline=None)
+    def test_corrections_match_classify_pair(self, rules, config, sides):
+        o_words, c_words = sides
+        got = classify_hunks(diff_words(o_words, c_words), rules, config)
+        for corr in got:
+            if corr.rule != "insert_delete":
+                again = classify_pair(
+                    corr.original_raw, corr.corrected_raw, rules, config, corr.original_span, corr.corrected_span
+                )
+                assert again == corr
+
+    def test_whole_hunk_keeps_its_spans(self, rules, config):
+        hunk = ChangeHunk("Se Mana,", "semana,", (4, 6), (4, 5), "replace")
+        (got,) = classify_hunks([hunk], rules, config)
+        assert got == classify_hunk(hunk, rules, config)
+        assert (got.original, got.corrected) == ("se mana", "semana")
+
+
+def linear_match_substitutions(original, corrected, rules):
+    """The substitution matcher as it was before the rule table was indexed:
+    every rule's expansions are scanned, in table order, at every step."""
+    if original == corrected:
+        return None
+    expansions = [(o, c, r.rule_id) for r in rules for o, c in r.expansions()]
+    dead = set()
+
+    def walk(i, j):
+        if (i, j) in dead:
+            return None
+        if i == len(original) and j == len(corrected):
+            return ()
+        if i < len(original) and j < len(corrected) and original[i] == corrected[j]:
+            found = walk(i + 1, j + 1)
+            if found is not None:
+                return found
+        for pat_o, pat_c, rule_id in expansions:
+            if original.startswith(pat_o, i) and corrected.startswith(pat_c, j):
+                found = walk(i + len(pat_o), j + len(pat_c))
+                if found is not None:
+                    return found if rule_id in found else (rule_id,) + found
+        dead.add((i, j))
+        return None
+
+    used = walk(0, 0)
+    if not used:
+        return None
+    return tuple(sorted(set(used)))
+
+
+def _row(rule_id, historical, modern, direction="one_way"):
+    return SubstitutionRule(rule_id, historical, modern, direction, ("", ""), SURFACE_FORM)
+
+
+# multi-character, overlapping and backtracking patterns, and one with an
+# empty original side
+CUSTOM_ROWS = (
+    _row("r_rr", "r", "rr", "two_way"),
+    _row("n_ñ", "n", "ñ"),
+    _row("ni_ñ", "ni", "ñ"),
+    _row("rn_m", "rn", "m", "two_way"),
+    _row("insert_h", "", "h"),
+    _row("ou_u", "ou", "u"),
+)
+CUSTOM_TABLE = RuleTable(CUSTOM_ROWS, CUSTOM_ROWS)
+SHIPPED_TABLE = default_rules()
+
+
+@st.composite
+def rule_pairs(draw, rows):
+    """A pair that the rows explain, or nearly: pattern pairs between
+    literal characters, sometimes with one stray edit."""
+    expansions = [(o, c) for r in rows for o, c in r.expansions()]
+    letters = sorted({ch for o, c in expansions for ch in o + c} | set("aeo"))
+    original, corrected = "", ""
+    for _ in range(draw(st.integers(0, 8))):
+        if expansions and draw(st.booleans()):
+            pat_o, pat_c = draw(st.sampled_from(expansions))
+            original, corrected = original + pat_o, corrected + pat_c
+        else:
+            ch = draw(st.sampled_from(letters))
+            original, corrected = original + ch, corrected + ch
+    if draw(st.integers(0, 3)) == 0:
+        corrected += draw(st.sampled_from(letters))
+    return original, corrected
+
+
+def letter_pairs(letters):
+    return st.tuples(st.text(letters, max_size=8), st.text(letters, max_size=8))
+
+
+class TestIndexedMatcher:
+    """The matcher over the first-character index returns what the linear
+    scan over the table returns, ``None`` included."""
+
+    @given(st.one_of(rule_pairs(SHIPPED_TABLE.substitutions), letter_pairs("aeinsyjgvbxcktpqu")))
+    @settings(max_examples=200, deadline=None)
+    def test_shipped_substitutions(self, pair):
+        original, corrected = pair
+        expected = linear_match_substitutions(original, corrected, SHIPPED_TABLE.substitutions)
+        assert _match_substitutions(original, corrected, SHIPPED_TABLE.substitution_expansions) == expected
+
+    @given(st.one_of(rule_pairs(SHIPPED_TABLE.confusion_rows), letter_pairs("rnm6ó1i0o")))
+    @settings(max_examples=200, deadline=None)
+    def test_shipped_confusions(self, pair):
+        original, corrected = pair
+        expected = linear_match_substitutions(original, corrected, SHIPPED_TABLE.confusion_rows)
+        assert _match_substitutions(original, corrected, SHIPPED_TABLE.confusion_expansions) == expected
+
+    @given(st.one_of(rule_pairs(CUSTOM_ROWS), letter_pairs("rnmñihou")))
+    @settings(max_examples=300, deadline=None)
+    def test_custom_table(self, pair):
+        original, corrected = pair
+        for rows, expansions in (
+            (CUSTOM_TABLE.substitutions, CUSTOM_TABLE.substitution_expansions),
+            (CUSTOM_TABLE.confusion_rows, CUSTOM_TABLE.confusion_expansions),
+        ):
+            assert _match_substitutions(original, corrected, expansions) == linear_match_substitutions(
+                original, corrected, rows
+            )
+
+    @pytest.mark.parametrize(
+        "original, corrected, expected",
+        [
+            ("vireinato", "virreinato", ("r_rr",)),  # "r" matches literally first, then must backtrack
+            ("senior", "señor", ("ni_ñ",)),
+            ("senor", "señor", ("n_ñ",)),
+            ("inforrne", "informe", ("rn_m",)),
+            ("inforre", "informe", None),
+            ("oa", "hoa", ("insert_h",)),  # empty original side, at the start
+            ("oa", "oah", ("insert_h",)),  # and at the end of the original
+            ("bou", "bu", ("ou_u",)),
+            ("abc", "abd", None),
+        ],
+    )
+    def test_custom_examples(self, original, corrected, expected):
+        got = _match_substitutions(original, corrected, CUSTOM_TABLE.substitution_expansions)
+        assert got == expected == linear_match_substitutions(original, corrected, CUSTOM_ROWS)
+
+    def test_empty_original_side_sits_in_every_bucket(self):
+        index = CUSTOM_TABLE.substitution_expansions
+        assert all(("", "h", "insert_h") in bucket for bucket in index.values())
+        assert index[""] == (("", "h", "insert_h"),)
+        assert index["r"] == (("r", "rr", "r_rr"), ("rr", "r", "r_rr"), ("rn", "m", "rn_m"), ("", "h", "insert_h"))
+
+    def test_derived_tables_built_once(self):
+        assert SHIPPED_TABLE.substitutions is SHIPPED_TABLE.substitutions
+        assert SHIPPED_TABLE.enclitic_pronouns == ("lo", "se")
+        assert RuleTable(SHIPPED_TABLE.surface_rows, SHIPPED_TABLE.confusion_rows) == SHIPPED_TABLE
 
 
 class TestAggregation:

@@ -346,6 +346,19 @@ class TestStrictCorrect:
         row = json.loads((tmp_path / "corrected.jsonl").read_text(encoding="utf-8"))
         assert row["llm_outcome"] == "transport_error"
 
+    def test_empty_text_row_costs_one_record(self, tmp_path):
+        corpus = tmp_path / "cleaned.jsonl"
+        rows = [{"id": "a", "text": "la sesion era mui corta"}, {"id": "b", "text": ""}]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        out = tmp_path / "corrected.jsonl"
+        args = ["correct", "--input", str(corpus), "--output", str(out), "--backend", "identity"]
+        assert main(args) == 0
+        assert main(["--strict"] + args) == 2
+        written = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [(r["id"], r["llm_outcome"]) for r in written] == [("a", "ok"), ("b", "transport_error")]
+        assert written[0]["text_llm"] == rows[0]["text"]
+        assert "empty text" in written[1]["llm_detail"]
+
 
 class TestStrictWholeTextReject:
     """A wholesale rewrite is judged by classify, so strict mode fails there, not in correct."""

@@ -209,8 +209,11 @@ class TestCorrectText:
         assert result.corrected_text == "hola mundo"
 
     def test_empty_text_rejected(self):
-        with pytest.raises(ValueError):
-            correct_text("", IdentityBackend(), self.policy())
+        backend = FlakyBackend(failures=0)
+        result = correct_text("", backend, self.policy())
+        assert result.outcome == OUTCOME_TRANSPORT_ERROR
+        assert "empty text" in result.detail
+        assert backend.calls == 0
 
 
 class FakeResponse:
@@ -283,3 +286,20 @@ class TestHttpChatBackend:
         with pytest.raises(TransportError):
             backend.complete("prompt", "text")
 
+    @pytest.mark.parametrize("status", [401, 403, 404])
+    def test_client_errors_fail_fast(self, status):
+        backend, session = self.make([FakeResponse(status, text="denied")] * 3)
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.0, sleep=lambda _: None)
+        result = correct_text("hola", backend, policy)
+        assert result.outcome == OUTCOME_TRANSPORT_ERROR
+        assert result.detail == f"not retried: HTTP {status}: denied"
+        assert len(session.requests) == 1
+
+    @pytest.mark.parametrize("status", [429, 500, 503])
+    def test_rate_limits_and_server_errors_are_retried(self, status):
+        backend, session = self.make([FakeResponse(status, text="busy")] * 4)
+        policy = RetryPolicy(max_attempts=4, backoff_base=0.0, sleep=lambda _: None)
+        result = correct_text("hola", backend, policy)
+        assert result.outcome == OUTCOME_TRANSPORT_ERROR
+        assert "exhausted 4 attempts" in result.detail
+        assert len(session.requests) == 4

@@ -1,3 +1,4 @@
+import math
 import random
 from difflib import SequenceMatcher
 
@@ -11,6 +12,7 @@ from histocr.diffing import (
     diff_words,
     format_hunk,
     reconstruct_words,
+    similarity_below,
     similarity_ratio,
     tokenize_words,
 )
@@ -251,6 +253,43 @@ class TestSimilarityRatioMatchesDifflib:
     def test_two_letter_ties(self, a, b):
         # a small alphabet makes many equally long blocks: the tie-break decides M
         assert similarity_ratio(a, b) == difflib_ratio(a, b)
+
+
+class TestSimilarityBelow:
+    """The early-exit check answers exactly ``similarity_ratio(a, b) < t``."""
+
+    @given(
+        st.one_of(
+            st.tuples(st.text(alphabet="abc", max_size=12), st.text(alphabet="abc", max_size=12)),
+            spanish_pairs(),
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_pairs_and_thresholds(self, pair, threshold):
+        a, b = pair
+        assert similarity_below(a, b, threshold) == (similarity_ratio(a, b) < threshold)
+
+    @given(st.text(alphabet="abcó", max_size=20), st.text(alphabet="abcó", max_size=20))
+    @settings(max_examples=200)
+    def test_threshold_at_the_exact_ratio_and_the_ends(self, a, b):
+        ratio = similarity_ratio(a, b)
+        just_above = math.nextafter(ratio, math.inf)
+        for threshold in (0.0, 1.0, ratio, just_above, math.nextafter(ratio, -math.inf)):
+            assert similarity_below(a, b, threshold) == (ratio < threshold), threshold
+        assert not similarity_below(a, b, ratio)
+        assert similarity_below(a, b, just_above)
+
+    @pytest.mark.parametrize("a, b", [("", ""), ("", "doce"), ("doce", ""), ("doce", "doce")])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_empty_and_equal_sides(self, a, b, threshold):
+        assert similarity_below(a, b, threshold) == (similarity_ratio(a, b) < threshold)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_PAIRS))
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.9])
+    def test_adversarial_pairs(self, name, threshold):
+        a, b = ADVERSARIAL_PAIRS[name]
+        assert similarity_below(a, b, threshold) == (similarity_ratio(a, b) < threshold)
 
 
 class TestFormatHunk:
