@@ -119,16 +119,3 @@ def write_lexicon(entries: list[SurfaceFormEntry], path: str | Path) -> None:
         )
     write_artifact(path, lines)
 
-
-def load_lexicon(path: str | Path) -> list[SurfaceFormEntry]:
-    """Read back a lexicon file written by :func:`write_lexicon`."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    entries: list[SurfaceFormEntry] = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        original, modern, rule, frequency, accent_only = line.split("\t")
-        entries.append(
-            SurfaceFormEntry(original, modern, rule, int(frequency), accent_only == "true")
-        )
-    return entries

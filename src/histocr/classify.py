@@ -331,12 +331,16 @@ def _joined(norm: list[str]) -> str:
     return " ".join(w for w in norm if w)
 
 
-def _group_keys(stripped: list[str], core: list[int]) -> list[list[str]]:
-    """``keys[i][d - 1]`` is the string of the d content words from ``core[i]``."""
-    return [
-        [" ".join(stripped[k] for k in core[i : i + d]) for d in range(1, min(_MAX_GROUP, len(core) - i) + 1)]
-        for i in range(len(core) + 1)
-    ]
+def _groups_into(stripped: list[str], core: list[int]) -> list[list[tuple[int, str, int]]]:
+    """``into[t]`` holds ``(s, key, len(key))`` for each group of at most
+    ``_MAX_GROUP`` content words ending before content index ``t``; ``key``
+    joins the words of ``core[s:t]``."""
+    into: list[list[tuple[int, str, int]]] = [[] for _ in range(len(core) + 1)]
+    for t in range(1, len(core) + 1):
+        for s in range(max(0, t - _MAX_GROUP), t):
+            key = " ".join(stripped[k] for k in core[s:t])
+            into[t].append((s, key, len(key)))
+    return into
 
 
 def _align_groups(o_words: list[str], c_words: list[str]) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
@@ -352,18 +356,23 @@ def _align_normalized(
     Takes each word's ``normalize_segment`` form. Dynamic program over
     content words (groups of up to a few words per side), scored by the
     Gestalt ratio of the accent-stripped group strings; ties prefer more,
-    finer groups. Returns raw-index ranges per group, or None when no
-    decomposition is possible. Punctuation-only tokens attach to the group
-    of the preceding content word.
+    finer groups, then the lexicographically smallest source cell. Returns
+    raw-index ranges per group, or None when no decomposition is possible.
+    Punctuation-only tokens attach to the group of the preceding content
+    word.
 
-    Each group string is built once, and none is empty. A candidate skips
-    the ratio when ``score + 2*min(len(o), len(c)) / (len(o) + len(c))`` is
-    strictly below the score already stored at its target cell: it cannot
-    win. The skip is exact. The ratio is ``2.0*M / total`` with M at most
+    Each group string is built once, and none is empty. Each cell, in
+    row-major order, pulls from its reachable predecessors, best bound
+    first. A predecessor's bound is ``score + 2.0*min(len(o), len(c)) /
+    (len(o) + len(c))``: the ratio is ``2.0*M / total`` with M at most
     ``min(len(o), len(c))``, and float division by the same total and
     addition of the same score keep that order, so the bound's float is
-    never below the candidate's score. A candidate whose bound only equals
-    the stored score still gets the ratio, so ties resolve as before.
+    never below the candidate's score. Once a bound falls strictly below
+    the best score found so far, neither it nor any later predecessor can
+    win, and the rest skip the ratio. A predecessor whose bound only equals
+    that score still gets its ratio, because it may tie. The winner is the
+    maximum ``(score, groups)``, ties going to the smallest source ``(i,
+    j)``: the first maximum a row-major scan of the sources would meet.
     """
     o_core = [i for i, w in enumerate(o_norm) if w]
     c_core = [i for i, w in enumerate(c_norm) if w]
@@ -371,36 +380,40 @@ def _align_normalized(
     if n == 0 or m == 0 or n * m > _MAX_DP_CELLS:
         return None
 
-    o_keys = _group_keys([strip_accents(w) for w in o_norm], o_core)
-    c_keys = _group_keys([strip_accents(w) for w in c_norm], c_core)
-    # best[(i, j)] = (score, groups, prev_state)
-    best: dict[tuple[int, int], tuple[float, int, tuple[int, int] | None]] = {(0, 0): (0.0, 0, None)}
-    for i in range(n + 1):
-        for j in range(m + 1):
-            here = best.get((i, j))
-            if here is None:
-                continue
-            score, groups, _ = here
-            for di, o_text in enumerate(o_keys[i], 1):
-                for dj, c_text in enumerate(c_keys[j], 1):
-                    target = (i + di, j + dj)
-                    prev = best.get(target)
-                    if prev is not None:
-                        shorter = min(len(o_text), len(c_text))
-                        if score + 2.0 * shorter / (len(o_text) + len(c_text)) < prev[0]:
-                            continue
-                    cand = (score + similarity_ratio(o_text, c_text), groups + 1, (i, j))
-                    if prev is None or cand[:2] > prev[:2]:
-                        best[target] = cand
+    o_into = _groups_into([strip_accents(w) for w in o_norm], o_core)
+    c_into = _groups_into([strip_accents(w) for w in c_norm], c_core)
+    # best[i][j] = (score, groups, source cell), None while unreachable
+    best: list[list[tuple[float, int, tuple[int, int] | None] | None]] = [[None] * (m + 1) for _ in range(n + 1)]
+    best[0][0] = (0.0, 0, None)
+    for ti in range(1, n + 1):
+        for tj in range(1, m + 1):
+            preds = []
+            for si, o_text, o_len in o_into[ti]:
+                row = best[si]
+                for sj, c_text, c_len in c_into[tj]:
+                    here = row[sj]
+                    if here is not None:
+                        bound = here[0] + 2.0 * min(o_len, c_len) / (o_len + c_len)
+                        preds.append((bound, si, sj, o_text, c_text))
+            preds.sort(reverse=True)
+            win = None
+            for bound, si, sj, o_text, c_text in preds:
+                if win is not None and bound < win[0]:
+                    break
+                score, groups, _ = best[si][sj]
+                cand = (score + similarity_ratio(o_text, c_text), groups + 1, (si, sj))
+                if win is None or cand[:2] > win[:2] or (cand[:2] == win[:2] and cand[2] < win[2]):
+                    win = cand
+            best[ti][tj] = win
 
-    if (n, m) not in best:
+    if best[n][m] is None:
         return None
     # walk back through the DP to recover group boundaries in core indices
     bounds: list[tuple[int, int]] = []
     state: tuple[int, int] | None = (n, m)
     while state is not None and state != (0, 0):
         bounds.append(state)
-        state = best[state][2]
+        state = best[state[0]][state[1]][2]
     bounds.append((0, 0))
     bounds.reverse()
     if len(bounds) <= 2:  # a single group is the whole hunk

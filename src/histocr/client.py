@@ -49,7 +49,7 @@ class TransportError(Exception):
 
 
 class FatalTransportError(TransportError):
-    """A failure that a retry cannot fix (bad key, no access, wrong URL)."""
+    """A failure that a retry cannot fix (bad request, bad key, no access, wrong URL)."""
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,8 @@ class HttpChatBackend:
             marker in response.text.lower() for marker in refusal_markers
         ):
             raise ContentPolicyRefusal(response.text[:500])
-        if response.status_code in (401, 403, 404):
+        # a client error other than a timeout or a rate limit recurs on every retry
+        if 400 <= response.status_code < 500 and response.status_code not in (408, 429):
             raise FatalTransportError(f"HTTP {response.status_code}: {response.text[:500]}")
         if response.status_code >= 400:
             raise TransportError(f"HTTP {response.status_code}: {response.text[:500]}")

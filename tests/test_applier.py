@@ -5,7 +5,6 @@ from histocr.applier import (
     SurfaceFormEntry,
     apply_corrections,
     emit_lexicon,
-    load_lexicon,
     write_lexicon,
 )
 from histocr.classify import (
@@ -149,17 +148,6 @@ class TestEmitLexicon:
 
 
 class TestLexiconFile:
-    def test_write_and_load_round_trip(self, tmp_path):
-        corrections = corrections_for(
-            "el jeneral dijo que la sesion era mui corta",
-            "el general dijo que la sesión era muy corta",
-        )
-        aggregate_frequencies(corrections)
-        full, _ = emit_lexicon(corrections)
-        path = tmp_path / "lexicon.tsv"
-        write_lexicon(full, path)
-        assert load_lexicon(path) == full
-
     def test_header_and_stable_bytes(self, tmp_path):
         corrections = corrections_for("se harà", "se hará")
         full, _ = emit_lexicon(corrections)

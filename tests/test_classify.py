@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
+from histocr import classify
 from histocr.classify import (
     HALLUCINATION,
     OCR_ERROR,
@@ -386,6 +387,33 @@ class TestAlignGroupsDP:
         assert got == reference_align_groups(o_words[:20], c_words)
         # 21 x 20 content words is over the cap: the hunk classifies whole
         assert _align_groups(o_words, c_words) is None
+
+    def test_tie_goes_to_earliest_source(self):
+        # into cell (3, 2), "cc" -> "a" then "a cb" -> "a" (source (1, 1))
+        # and "cc a" -> "a" then "cb" -> "a" (source (2, 1)) both score
+        # 0.4 in two groups. Source (2, 1) has the higher bound (0.4 + 2/3),
+        # so it is tried first; source (1, 1)'s bound only equals the tied
+        # score, so it still gets its ratio, and as the earlier source it wins
+        o_words, c_words = ["cc", "a", "cb"], ["a", "a"]
+        expected = [((0, 1), (0, 1)), ((1, 3), (1, 2))]
+        assert reference_align_groups(o_words, c_words) == expected
+        assert _align_groups(o_words, c_words) == expected
+
+    def test_best_bound_first_skips_most_ratios(self, monkeypatch):
+        # the 20 x 20 hunk of test_cell_cap_edge; visiting the sources in
+        # row-major order and skipping only the candidates whose bound falls
+        # below the score already at their target took 1,730 ratios
+        o_words = [w for w in GOLDEN_ORIGINAL.split() if normalize_segment(w)][:20]
+        c_words = [w for w in GOLDEN_CORRECTED.split() if normalize_segment(w)][:20]
+        calls = []
+
+        def counting_ratio(a, b):
+            calls.append((a, b))
+            return similarity_ratio(a, b)
+
+        monkeypatch.setattr(classify, "similarity_ratio", counting_ratio)
+        assert _align_groups(o_words, c_words) == reference_align_groups(o_words, c_words)
+        assert len(calls) < 1730
 
 
 # upper-case Greek: lower-casing writes a final sigma at a word's end only

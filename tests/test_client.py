@@ -286,7 +286,7 @@ class TestHttpChatBackend:
         with pytest.raises(TransportError):
             backend.complete("prompt", "text")
 
-    @pytest.mark.parametrize("status", [401, 403, 404])
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 405, 422])
     def test_client_errors_fail_fast(self, status):
         backend, session = self.make([FakeResponse(status, text="denied")] * 3)
         policy = RetryPolicy(max_attempts=3, backoff_base=0.0, sleep=lambda _: None)
@@ -295,7 +295,7 @@ class TestHttpChatBackend:
         assert result.detail == f"not retried: HTTP {status}: denied"
         assert len(session.requests) == 1
 
-    @pytest.mark.parametrize("status", [429, 500, 503])
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
     def test_rate_limits_and_server_errors_are_retried(self, status):
         backend, session = self.make([FakeResponse(status, text="busy")] * 4)
         policy = RetryPolicy(max_attempts=4, backoff_base=0.0, sleep=lambda _: None)
