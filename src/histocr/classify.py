@@ -357,9 +357,10 @@ def _align_normalized(
     content words (groups of up to a few words per side), scored by the
     Gestalt ratio of the accent-stripped group strings; ties prefer more,
     finer groups, then the lexicographically smallest source cell. Returns
-    raw-index ranges per group, or None when no decomposition is possible.
-    Punctuation-only tokens attach to the group of the preceding content
-    word.
+    raw-index ranges per group, or None when no decomposition is possible:
+    with fewer than two content words on a side, every grouping is the
+    whole hunk, so that case returns None before any ratio. Punctuation-only
+    tokens attach to the group of the preceding content word.
 
     Each group string is built once, and none is empty. Each cell, in
     row-major order, pulls from its reachable predecessors, best bound
@@ -377,7 +378,7 @@ def _align_normalized(
     o_core = [i for i, w in enumerate(o_norm) if w]
     c_core = [i for i, w in enumerate(c_norm) if w]
     n, m = len(o_core), len(c_core)
-    if n == 0 or m == 0 or n * m > _MAX_DP_CELLS:
+    if n < 2 or m < 2 or n * m > _MAX_DP_CELLS:
         return None
 
     o_into = _groups_into([strip_accents(w) for w in o_norm], o_core)

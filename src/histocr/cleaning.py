@@ -46,30 +46,21 @@ class CleaningReport:
     removed_short: int
     surviving: int
 
-    def _pct(self, n: int) -> float:
-        return 100.0 * n / self.total_rows if self.total_rows else 0.0
-
-    @property
-    def pct_duplicate_or_empty(self) -> float:
-        return self._pct(self.removed_duplicate_or_empty)
-
-    @property
-    def pct_non_alpha(self) -> float:
-        return self._pct(self.removed_non_alpha)
-
-    @property
-    def pct_short(self) -> float:
-        return self._pct(self.removed_short)
-
     def to_dict(self) -> dict:
+        """The counts, each removal also as a percentage of ``total_rows``."""
+        total = self.total_rows
+
+        def pct(n: int) -> float:
+            return 100.0 * n / total if total else 0.0
+
         return {
-            "total_rows": self.total_rows,
+            "total_rows": total,
             "removed_duplicate_or_empty": self.removed_duplicate_or_empty,
-            "pct_duplicate_or_empty": self.pct_duplicate_or_empty,
+            "pct_duplicate_or_empty": pct(self.removed_duplicate_or_empty),
             "removed_non_alpha": self.removed_non_alpha,
-            "pct_non_alpha": self.pct_non_alpha,
+            "pct_non_alpha": pct(self.removed_non_alpha),
             "removed_short": self.removed_short,
-            "pct_short": self.pct_short,
+            "pct_short": pct(self.removed_short),
             "surviving": self.surviving,
         }
 

@@ -45,7 +45,15 @@ class ContentPolicyRefusal(Exception):
 
 
 class TransportError(Exception):
-    """Transient failure talking to the backend; retryable."""
+    """Transient failure talking to the backend; retryable.
+
+    ``retry_after`` is the server's requested delay in seconds, when it sent
+    one (the ``Retry-After`` header).
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class FatalTransportError(TransportError):
@@ -189,7 +197,10 @@ class HttpChatBackend:
         if 400 <= response.status_code < 500 and response.status_code not in (408, 429):
             raise FatalTransportError(f"HTTP {response.status_code}: {response.text[:500]}")
         if response.status_code >= 400:
-            raise TransportError(f"HTTP {response.status_code}: {response.text[:500]}")
+            raise TransportError(
+                f"HTTP {response.status_code}: {response.text[:500]}",
+                retry_after=_delay_seconds(response.headers.get("Retry-After")),
+            )
         try:
             body = response.json()
             choice = body["choices"][0]
@@ -198,6 +209,13 @@ class HttpChatBackend:
             return choice["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed backend response: {exc}") from exc
+
+
+def _delay_seconds(value: str | None) -> float | None:
+    """A ``Retry-After`` value in its delay-seconds form; None for an
+    HTTP-date, a malformed value or no header."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 @dataclass(frozen=True)
@@ -240,7 +258,9 @@ def correct_text(
     Texts over the character budget are flagged ``over_length`` without a
     backend call (the pipeline does not split records into chunks), and an
     empty text is a ``transport_error`` without one. A
-    :class:`FatalTransportError` is not retried.
+    :class:`FatalTransportError` is not retried. Before a retry it sleeps
+    the backoff delay, or the server's ``Retry-After`` if that is longer,
+    but never more than ``backoff_cap``.
     """
     if not text:
         return BackendResult(OUTCOME_TRANSPORT_ERROR, detail="empty text: nothing to correct")
@@ -263,7 +283,8 @@ def correct_text(
         except TransportError as exc:
             last_error = str(exc)
             if attempt < retry_policy.max_attempts:
-                retry_policy.sleep(retry_policy.delay(attempt))
+                delay = max(exc.retry_after or 0.0, retry_policy.delay(attempt))
+                retry_policy.sleep(min(delay, retry_policy.backoff_cap))
             continue
         return BackendResult(OUTCOME_OK, corrected_text=strip_fences(raw))
     return BackendResult(

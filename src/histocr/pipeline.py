@@ -1,9 +1,14 @@
 """Stage orchestration: clean -> correct -> classify -> apply -> report.
 
-Each stage reads and writes files under the output directory, so every stage
-is resumable and independently testable; model calls are slow and costly, so
-re-runs must not repeat them. Composing the stage functions by hand produces
-byte-identical artifacts to :func:`run_pipeline`.
+Each stage has a core (``clean_records`` ... ``report_records``) that takes
+the previous stage's records, writes its artifacts under the output
+directory and returns its own records. :func:`run_pipeline` chains the cores,
+so it writes every artifact and reads none back: it reads only its input
+corpus and the mock fixtures. The stage commands (``stage_clean`` ...
+``stage_report``) read their input file and call the core, so every stage
+stays resumable and independently testable; model calls are slow and costly,
+so re-runs must not repeat them. Composing the stage functions by hand
+produces byte-identical artifacts to :func:`run_pipeline`.
 
 ``correct`` writes what the backend returned and judges nothing: every
 threshold, ``hallucination_threshold`` included, is applied by ``classify``,
@@ -129,17 +134,19 @@ def _load(load, path: str | Path) -> LoadResult:
     return result
 
 
-def stage_clean(
+def clean_records(
     config: PipelineConfig,
-    input_path: str | Path,
+    records: list[CorpusRecord],
     output_path: str | Path,
     removed_path: str | Path | None = None,
     report_path: str | Path | None = None,
-) -> int:
-    """Filter the corpus; write survivors, removed records and the report."""
-    result = _load(load_corpus, input_path)
+) -> list[CorpusRecord]:
+    """Filter corpus records; write survivors, removed records and the report.
+
+    Returns the surviving records.
+    """
     kept, removed, report = clean_corpus(
-        result.records,
+        records,
         min_tokens=config.min_tokens,
         max_nonalpha=config.max_nonalpha,
         count_whitespace=config.count_whitespace,
@@ -159,25 +166,23 @@ def stage_clean(
         report.surviving,
         report.total_rows - report.surviving,
     )
-    return len(result.errors)
+    return kept
 
 
-def stage_correct(
+def correct_records(
     config: PipelineConfig,
-    input_path: str | Path,
+    records: list[CorpusRecord],
     output_path: str | Path,
     backend: CorrectionBackend | None = None,
-) -> int:
+) -> tuple[list[CandidateRecord], int]:
     """Fetch a corrected candidate for every cleaned record and write it as returned.
 
     Requests may run concurrently up to the configured limit; rows are
-    re-sequenced to input order before writing. Returns the number of input
-    lines skipped plus records that ended in anything but ``ok`` or a
+    re-sequenced to input order before writing. Returns the candidates and
+    the number of records that ended in anything but ``ok`` or a
     content-policy refusal.
     """
     backend = backend or make_backend(config)
-    loaded = _load(load_corpus, input_path)
-    records = loaded.records
     template = PromptTemplate.for_language("spanish")
     policy = RetryPolicy(max_attempts=config.retry_attempts, backoff_base=config.backoff_base)
 
@@ -196,32 +201,29 @@ def stage_correct(
     else:
         results = [process(r) for r in records]
 
-    write_records(
-        [CandidateRecord(r, res.outcome, res.detail, res.corrected_text) for r, res in zip(records, results)],
-        output_path,
-    )
+    candidates = [
+        CandidateRecord(r, res.outcome, res.detail, res.corrected_text) for r, res in zip(records, results)
+    ]
+    write_records(candidates, output_path)
     outcomes = Counter(res.outcome for res in results)
     logger.info("correction outcomes: %s", dict(sorted(outcomes.items())))
     failed = sum(res.outcome not in (OUTCOME_OK, client_mod.OUTCOME_CONTENT_POLICY) for res in results)
-    return len(loaded.errors) + failed
+    return candidates, failed
 
 
-def stage_classify(
-    config: PipelineConfig,
-    input_path: str | Path,
-    output_path: str | Path,
-) -> int:
+def classify_records(
+    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path
+) -> tuple[list[CandidateRecord], int]:
     """Diff each corrected candidate against its original and label the changes.
 
-    A candidate whose whole-text similarity to the original is below
-    ``hallucination_threshold`` rewrote the record wholesale: it is marked
-    ``global_hallucination`` and gets no corrections. Returns the number of
-    input lines skipped plus candidates so marked.
+    Fills in each candidate's ``corrections`` (and, for a rewrite, its
+    outcome) in place. A candidate whose whole-text similarity to the
+    original is below ``hallucination_threshold`` rewrote the record
+    wholesale: it is marked ``global_hallucination`` and gets no
+    corrections. Returns the candidates and the number so marked.
     """
     rules = rule_table(config)
     cls_config = classifier_config(config)
-    loaded = _load(load_candidates, input_path)
-    candidates = loaded.records
 
     all_corrections = []
     for candidate in candidates:
@@ -244,30 +246,26 @@ def stage_classify(
 
     write_records(candidates, output_path)
     logger.info("classified %d corrections across %d rows", len(all_corrections), len(candidates))
-    return len(loaded.errors) + sum(c.outcome == OUTCOME_GLOBAL_HALLUCINATION for c in candidates)
+    return candidates, sum(c.outcome == OUTCOME_GLOBAL_HALLUCINATION for c in candidates)
 
 
-def stage_apply(
+def apply_records(
     config: PipelineConfig,
-    input_path: str | Path,
+    candidates: list[CandidateRecord],
     output_path: str | Path,
     lexicon_path: str | Path | None = None,
     lexicon_nonaccent_path: str | Path | None = None,
-) -> int:
+) -> list[ProcessedRecord]:
     """Assemble final texts (OCR errors applied) and emit the lexicon.
 
-    Every row must carry the corrections that classify adds; a row without
-    them raises :class:`CorpusError` before anything is written.
+    Every candidate must carry the corrections that classify adds. Returns
+    the processed records.
     """
-    loaded = _load(load_candidates, input_path)
-    candidates = loaded.records
     processed: list[ProcessedRecord] = []
     all_corrections = []
     for candidate in candidates:
         record = candidate.record
         corrections = candidate.corrections
-        if corrections is None:
-            raise CorpusError(f"{input_path}: record {record.id!r} has no corrections; run classify first")
         all_corrections.extend(corrections)
         if candidate.outcome == OUTCOME_OK:
             final = apply_corrections(record.text, corrections, modernize=config.modernize)
@@ -289,6 +287,75 @@ def stage_apply(
         len(full),
         len(non_accent),
     )
+    return processed
+
+
+def report_records(
+    config: PipelineConfig,
+    processed: list[ProcessedRecord],
+    json_path: str | Path | None = None,
+    text_path: str | Path | None = None,
+) -> None:
+    """Compute run statistics over the final processed corpus."""
+    report = build_report(processed, tokenizer_id=config.tokenizer)
+    if json_path is not None:
+        write_report(report, json_path, fmt="structured")
+    if text_path is not None:
+        write_report(report, text_path, fmt="text")
+
+
+def stage_clean(
+    config: PipelineConfig,
+    input_path: str | Path,
+    output_path: str | Path,
+    removed_path: str | Path | None = None,
+    report_path: str | Path | None = None,
+) -> int:
+    """:func:`clean_records` on a corpus file; returns the input lines skipped."""
+    loaded = _load(load_corpus, input_path)
+    clean_records(config, loaded.records, output_path, removed_path, report_path)
+    return len(loaded.errors)
+
+
+def stage_correct(
+    config: PipelineConfig,
+    input_path: str | Path,
+    output_path: str | Path,
+    backend: CorrectionBackend | None = None,
+) -> int:
+    """:func:`correct_records` on a cleaned file; returns the input lines
+    skipped plus records failed."""
+    loaded = _load(load_corpus, input_path)
+    _, failed = correct_records(config, loaded.records, output_path, backend)
+    return len(loaded.errors) + failed
+
+
+def stage_classify(config: PipelineConfig, input_path: str | Path, output_path: str | Path) -> int:
+    """:func:`classify_records` on a candidate file; returns the input lines
+    skipped plus candidates marked ``global_hallucination``."""
+    loaded = _load(load_candidates, input_path)
+    _, rewrites = classify_records(config, loaded.records, output_path)
+    return len(loaded.errors) + rewrites
+
+
+def stage_apply(
+    config: PipelineConfig,
+    input_path: str | Path,
+    output_path: str | Path,
+    lexicon_path: str | Path | None = None,
+    lexicon_nonaccent_path: str | Path | None = None,
+) -> int:
+    """:func:`apply_records` on a classified file; returns the input lines skipped.
+
+    A row without the corrections that classify adds raises
+    :class:`CorpusError` before anything is written.
+    """
+    loaded = _load(load_candidates, input_path)
+    for candidate in loaded.records:
+        if candidate.corrections is None:
+            rec_id = candidate.record.id
+            raise CorpusError(f"{input_path}: record {rec_id!r} has no corrections; run classify first")
+    apply_records(config, loaded.records, output_path, lexicon_path, lexicon_nonaccent_path)
     return len(loaded.errors)
 
 
@@ -298,44 +365,30 @@ def stage_report(
     json_path: str | Path | None = None,
     text_path: str | Path | None = None,
 ) -> int:
-    """Compute run statistics over the final processed corpus."""
+    """:func:`report_records` on a processed file; returns the input lines skipped."""
     loaded = _load(load_processed, input_path)
-    report = build_report(loaded.records, tokenizer_id=config.tokenizer)
-    if json_path is not None:
-        write_report(report, json_path, fmt="structured")
-    if text_path is not None:
-        write_report(report, text_path, fmt="text")
+    report_records(config, loaded.records, json_path, text_path)
     return len(loaded.errors)
 
 
 def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = None) -> int:
     """Run all stages; returns the process exit code.
 
-    0 on success, 1 on fatal errors (checked by the CLI before calling), 2
-    when strict mode is set and some lines were skipped or records failed.
+    Each stage's output records go straight to the next stage: every
+    artifact is written, and none is read back. 0 on success, 1 on fatal
+    errors (checked by the CLI before calling), 2 when strict mode is set
+    and some lines were skipped or records failed.
     """
     out = Path(config.output_dir)
-
-    problems = stage_clean(
-        config,
-        config.input,
-        out / "cleaned.jsonl",
-        removed_path=out / "removed.jsonl",
-        report_path=out / "cleaning_report.json",
+    loaded = _load(load_corpus, config.input)
+    kept = clean_records(
+        config, loaded.records, out / "cleaned.jsonl", out / "removed.jsonl", out / "cleaning_report.json"
     )
-    problems += stage_correct(config, out / "cleaned.jsonl", out / "corrected.jsonl", backend=backend)
-    problems += stage_classify(config, out / "corrected.jsonl", out / "classified.jsonl")
-    problems += stage_apply(
-        config,
-        out / "classified.jsonl",
-        out / "final.jsonl",
-        lexicon_path=out / "lexicon.tsv",
-        lexicon_nonaccent_path=out / "lexicon_nonaccent.tsv",
+    candidates, failed = correct_records(config, kept, out / "corrected.jsonl", backend)
+    candidates, rewrites = classify_records(config, candidates, out / "classified.jsonl")
+    processed = apply_records(
+        config, candidates, out / "final.jsonl", out / "lexicon.tsv", out / "lexicon_nonaccent.tsv"
     )
-    problems += stage_report(
-        config,
-        out / "final.jsonl",
-        json_path=out / "report.json",
-        text_path=out / "report.txt",
-    )
+    report_records(config, processed, out / "report.json", out / "report.txt")
+    problems = len(loaded.errors) + failed + rewrites
     return 2 if config.strict and problems else 0

@@ -415,6 +415,24 @@ class TestAlignGroupsDP:
         assert _align_groups(o_words, c_words) == reference_align_groups(o_words, c_words)
         assert len(calls) < 1730
 
+    @pytest.mark.parametrize(
+        "o_words, c_words",
+        [
+            (["sesion"], ["se", "sion", ","]),
+            (["sesion", ","], ["la", "se", "sion", "á", "las"]),
+            (["cada", "se", "mana", ",", "y"], ["cadasemanay"]),
+            (["la", ",", "sesion"], [".", "la"]),
+        ],
+    )
+    def test_single_content_word_side_computes_no_ratio(self, monkeypatch, o_words, c_words):
+        # one content word on a side admits only the whole hunk as a grouping
+        calls = []
+        monkeypatch.setattr(classify, "similarity_ratio", lambda a, b: calls.append((a, b)) or 0.0)
+        assert _align_groups(o_words, c_words) is None
+        assert calls == []
+        monkeypatch.undo()
+        assert reference_align_groups(o_words, c_words) is None
+
 
 # upper-case Greek: lower-casing writes a final sigma at a word's end only
 GREEK_WORDS = ["ΟΔΟΣ", "ΟΔΟΣ.", "Σ", "ΑΣ'", "«ΟΣ»"]

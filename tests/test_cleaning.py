@@ -132,11 +132,12 @@ class TestCleanCorpus:
     def test_percentages(self):
         records, _ = build_cleaning_fixture()
         _, _, report = clean_corpus(records)
-        assert report.pct_duplicate_or_empty == pytest.approx(15.0)
-        assert report.pct_non_alpha == pytest.approx(8.0)
-        assert report.pct_short == pytest.approx(6.0)
-        for pct in (report.pct_duplicate_or_empty, report.pct_non_alpha, report.pct_short):
-            assert 0.0 <= pct <= 100.0
+        pcts = report.to_dict()
+        assert pcts["pct_duplicate_or_empty"] == pytest.approx(15.0)
+        assert pcts["pct_non_alpha"] == pytest.approx(8.0)
+        assert pcts["pct_short"] == pytest.approx(6.0)
+        for name in ("pct_duplicate_or_empty", "pct_non_alpha", "pct_short"):
+            assert 0.0 <= pcts[name] <= 100.0
 
     def test_removal_reasons(self):
         records, _ = build_cleaning_fixture()
@@ -148,7 +149,7 @@ class TestCleanCorpus:
         kept, removed, report = clean_corpus([])
         assert (kept, removed) == ([], [])
         assert report.total_rows == 0
-        assert report.pct_short == 0.0
+        assert report.to_dict()["pct_short"] == 0.0
 
     @given(st.lists(st.text(alphabet="ab1 ", max_size=12), max_size=20))
     @settings(max_examples=100)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from requests.structures import CaseInsensitiveDict
 
 from histocr.client import (
     OUTCOME_CONTENT_POLICY,
@@ -217,10 +218,11 @@ class TestCorrectText:
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, body=None, text=""):
+    def __init__(self, status_code=200, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text or (json.dumps(body) if body is not None else "")
+        self.headers = CaseInsensitiveDict(headers or {})
 
     def json(self):
         if self._body is None:
@@ -303,3 +305,27 @@ class TestHttpChatBackend:
         assert result.outcome == OUTCOME_TRANSPORT_ERROR
         assert "exhausted 4 attempts" in result.detail
         assert len(session.requests) == 4
+
+    @pytest.mark.parametrize(
+        "status, retry_after, expected",
+        [
+            (429, "3", [3.0, 3.0]),  # longer than the backoff: honoured
+            (503, " 1 ", [1.0, 2.0]),  # shorter than the second backoff
+            (408, "120", [4.0, 4.0]),  # capped at backoff_cap
+            (500, "0", [1.0, 2.0]),
+            (429, "Wed, 21 Oct 2026 07:28:00 GMT", [1.0, 2.0]),  # HTTP-date: backoff
+            (429, "2.5", [1.0, 2.0]),  # malformed: backoff
+            (429, "-3", [1.0, 2.0]),
+            (429, "", [1.0, 2.0]),
+            (429, None, [1.0, 2.0]),
+        ],
+    )
+    def test_retry_after_sleeps_longer_of_header_and_backoff(self, status, retry_after, expected):
+        headers = {} if retry_after is None else {"retry-after": retry_after}
+        backend, session = self.make([FakeResponse(status, text="busy", headers=headers)] * 3)
+        delays = []
+        policy = RetryPolicy(max_attempts=3, backoff_base=1.0, backoff_cap=4.0, sleep=delays.append)
+        result = correct_text("hola", backend, policy)
+        assert result.outcome == OUTCOME_TRANSPORT_ERROR
+        assert len(session.requests) == 3
+        assert delays == expected

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
+from histocr import client, records
 from histocr.client import MockBackend
 from histocr.config import PipelineConfig
 from histocr.pipeline import ARTIFACTS, run_pipeline, stage_apply, stage_classify, stage_clean, stage_correct, stage_report
@@ -152,33 +153,75 @@ class TestRunPipeline:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+def run_stages(config: PipelineConfig, out: Path) -> None:
+    """The stage commands chained through their files, as ``run_pipeline`` would run them."""
+    out.mkdir()
+    stage_clean(
+        config, config.input, out / "cleaned.jsonl",
+        removed_path=out / "removed.jsonl", report_path=out / "cleaning_report.json",
+    )
+    stage_correct(config, out / "cleaned.jsonl", out / "corrected.jsonl")
+    stage_classify(config, out / "corrected.jsonl", out / "classified.jsonl")
+    stage_apply(
+        config, out / "classified.jsonl", out / "final.jsonl",
+        lexicon_path=out / "lexicon.tsv", lexicon_nonaccent_path=out / "lexicon_nonaccent.tsv",
+    )
+    stage_report(config, out / "final.jsonl", json_path=out / "report.json", text_path=out / "report.txt")
+
+
 class TestStageComposition:
     def test_stages_match_run(self, pipeline_fixture, tmp_path):
         corpus, fixtures = pipeline_fixture
         out_run, out_stages = tmp_path / "run", tmp_path / "stages"
-        config = make_config(corpus, fixtures, out_run)
-        assert run_pipeline(config) == 0
-
-        out_stages.mkdir()
-        staged = make_config(corpus, fixtures, out_stages)
-        stage_clean(
-            staged, corpus, out_stages / "cleaned.jsonl",
-            removed_path=out_stages / "removed.jsonl",
-            report_path=out_stages / "cleaning_report.json",
-        )
-        stage_correct(staged, out_stages / "cleaned.jsonl", out_stages / "corrected.jsonl")
-        stage_classify(staged, out_stages / "corrected.jsonl", out_stages / "classified.jsonl")
-        stage_apply(
-            staged, out_stages / "classified.jsonl", out_stages / "final.jsonl",
-            lexicon_path=out_stages / "lexicon.tsv",
-            lexicon_nonaccent_path=out_stages / "lexicon_nonaccent.tsv",
-        )
-        stage_report(
-            staged, out_stages / "final.jsonl",
-            json_path=out_stages / "report.json", text_path=out_stages / "report.txt",
-        )
+        assert run_pipeline(make_config(corpus, fixtures, out_run)) == 0
+        run_stages(make_config(corpus, fixtures, out_stages), out_stages)
         for name in ARTIFACTS:
             assert (out_run / name).read_bytes() == (out_stages / name).read_bytes(), name
+
+    def test_stages_match_run_with_out_of_range_year(self, tmp_path, caplog):
+        rows = [
+            ("y1", 1795, "El jeneral llegó á la villa con su tropa y mui poca jente.",
+             "El general llegó a la villa con su tropa y muy poca gente."),
+            ("y2", 1850, "La publicacion se harà cada se mana sin falta alguna.",
+             "La publicación se hará cada semana sin falta alguna."),
+            ("y3", None, "Se dió cuenta del estado de la hacienda pública.", None),
+        ]
+        corpus, fixtures = tmp_path / "corpus.jsonl", tmp_path / "fixtures.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": rid, "year": year, "text": text}, ensure_ascii=False) + "\n"
+            for rid, year, text, _ in rows
+        ), encoding="utf-8")
+        fixtures.write_text("".join(
+            json.dumps({"input_hash": MockBackend.hash_text(text), "output": output}, ensure_ascii=False) + "\n"
+            for _, _, text, output in rows if output is not None
+        ), encoding="utf-8")
+        out_run, out_stages = tmp_path / "run", tmp_path / "stages"
+        assert run_pipeline(make_config(corpus, fixtures, out_run, strict=True)) == 0
+        # the run reads its corpus once, so it warns about the year once
+        assert caplog.text.count("year 1795 outside target range") == 1
+        run_stages(make_config(corpus, fixtures, out_stages), out_stages)
+        final = {p.record.id: p for p in load_processed(out_run / "final.jsonl").records}
+        assert final["y1"].record.year == 1795
+        assert all(p.status == STATUS_CORRECTED for p in final.values())
+        for name in ARTIFACTS:
+            assert (out_run / name).read_bytes() == (out_stages / name).read_bytes(), name
+
+    def test_run_reads_none_of_its_own_artifacts(self, pipeline_fixture, tmp_path, monkeypatch):
+        corpus, fixtures = pipeline_fixture
+        opened = []
+        read_rows = records._read_rows
+
+        def recording_read_rows(path, *args):
+            opened.append(Path(path))
+            return read_rows(path, *args)
+
+        # the stage loaders and the mock backend's fixture loader
+        monkeypatch.setattr(records, "_read_rows", recording_read_rows)
+        monkeypatch.setattr(client, "_read_rows", recording_read_rows)
+        out = tmp_path / "out"
+        assert run_pipeline(make_config(corpus, fixtures, out)) == 0
+        assert sorted(opened) == sorted([Path(corpus), Path(fixtures)])
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
 
 
 class TestModes:
