@@ -41,7 +41,6 @@ from .client import (
     PromptTemplate,
     RetryPolicy,
     correct_text,
-    render_prompt,
 )
 from .config import PipelineConfig, load_config
 from .diffing import (
@@ -104,7 +103,6 @@ __all__ = [
     "load_rules",
     "normalize_segment",
     "reconstruct_words",
-    "render_prompt",
     "run_pipeline",
     "similarity_ratio",
     "strip_accents",

@@ -185,10 +185,18 @@ class ClassifierConfig:
     promote_min_frequency: int | None = None  # None disables promotion
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.ratio_threshold <= 1.0:
-            raise ValueError("ratio_threshold must be within [0, 1]")
-        if self.max_corrected_words < 1:
-            raise ValueError("max_corrected_words must be >= 1")
+        if errors := self.range_errors(self.ratio_threshold, self.max_corrected_words):
+            raise ValueError("; ".join(errors))
+
+    @staticmethod
+    def range_errors(ratio_threshold: float, max_corrected_words: int) -> list[str]:
+        """Every out-of-range value, each message naming its key and value."""
+        errors = []
+        if not 0.0 <= ratio_threshold <= 1.0:
+            errors.append(f"ratio_threshold must be in [0, 1], got {ratio_threshold}")
+        if max_corrected_words < 1:
+            errors.append(f"max_corrected_words must be >= 1, got {max_corrected_words}")
+        return errors
 
 
 @dataclass

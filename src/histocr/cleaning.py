@@ -65,6 +65,17 @@ class CleaningReport:
         }
 
 
+def _partition(
+    records: Sequence[CorpusRecord], drop: Callable[[CorpusRecord], bool]
+) -> tuple[list[CorpusRecord], list[CorpusRecord]]:
+    """Split records, in input order, into those kept and those ``drop`` removes."""
+    kept: list[CorpusRecord] = []
+    removed: list[CorpusRecord] = []
+    for record in records:
+        (removed if drop(record) else kept).append(record)
+    return kept, removed
+
+
 def filter_duplicates_and_empty(
     records: Sequence[CorpusRecord],
 ) -> tuple[list[CorpusRecord], list[CorpusRecord]]:
@@ -74,17 +85,16 @@ def filter_duplicates_and_empty(
     whitespace; the first occurrence is kept. Decisions are made in input
     order so "first occurrence wins" is deterministic.
     """
-    kept: list[CorpusRecord] = []
-    removed: list[CorpusRecord] = []
     seen: set[str] = set()
-    for record in records:
+
+    def drop(record: CorpusRecord) -> bool:
         trimmed = record.text.strip()
         if not trimmed or trimmed in seen:
-            removed.append(record)
-            continue
+            return True
         seen.add(trimmed)
-        kept.append(record)
-    return kept, removed
+        return False
+
+    return _partition(records, drop)
 
 
 def non_alpha_ratio(text: str, count_whitespace: bool = False) -> float:
@@ -109,14 +119,7 @@ def filter_non_alphabetic(
     Accented letters and ñ count as alphabetic; digits, punctuation and
     symbols do not. A record sitting exactly on the threshold is kept.
     """
-    kept: list[CorpusRecord] = []
-    removed: list[CorpusRecord] = []
-    for record in records:
-        if non_alpha_ratio(record.text, count_whitespace) > max_ratio:
-            removed.append(record)
-        else:
-            kept.append(record)
-    return kept, removed
+    return _partition(records, lambda r: non_alpha_ratio(r.text, count_whitespace) > max_ratio)
 
 
 def filter_short(
@@ -127,14 +130,7 @@ def filter_short(
     """Drop records with ``min_tokens`` or fewer tokens."""
     if min_tokens < 0:
         raise ValueError("min_tokens must be >= 0")
-    kept: list[CorpusRecord] = []
-    removed: list[CorpusRecord] = []
-    for record in records:
-        if len(tokenizer(record.text)) <= min_tokens:
-            removed.append(record)
-        else:
-            kept.append(record)
-    return kept, removed
+    return _partition(records, lambda r: len(tokenizer(r.text)) <= min_tokens)
 
 
 def clean_corpus(

@@ -16,13 +16,13 @@ from pathlib import Path
 from . import pipeline
 from .applier import SpanIntegrityError
 from .classify import classify_hunks
-from .config import PipelineConfig, load_config, with_overrides
+from .config import BACKEND_KINDS, PipelineConfig, load_config, with_overrides
 from .diffing import diff_words, format_hunk, tokenize_words
 from .records import CorpusError
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=("mock", "identity", "http"), default=None)
+    parser.add_argument("--backend", choices=BACKEND_KINDS, default=None)
     parser.add_argument(
         "--fixtures", dest="mock_fixtures", default=None, help="mock backend fixture file"
     )

@@ -3,8 +3,9 @@
 The prompt asks the model to return only the input text with spelling fixed,
 leaving grammar and proper names alone; the record text goes between
 triple-backtick fences, unescaped (embedded backticks are logged, not
-escaped). Backends: a generic HTTP chat-completion client, a deterministic
-mock driven by a fixture table, and an identity echo for dry runs. Per-record
+escaped). Backends: a generic HTTP chat-completion client and a
+deterministic mock driven by a fixture table; the identity echo for dry runs
+is the mock with no fixtures, which echoes every text. Per-record
 processing never raises; every outcome is encoded in the result. This module
 only fetches candidates: judging them, the whole-text rewrite check included,
 is the classify stage's job.
@@ -38,6 +39,7 @@ SPANISH_PROMPT = (
 
 REFUSAL_SENTINEL = "__CONTENT_POLICY_REFUSAL__"
 TRANSPORT_ERROR_SENTINEL = "__TRANSPORT_ERROR__"
+HTTP_TIMEOUT_S = 60.0
 
 
 class ContentPolicyRefusal(Exception):
@@ -78,15 +80,6 @@ class PromptTemplate:
         return cls(SPANISH_PROMPT)
 
 
-def render_prompt(template: PromptTemplate, text: str) -> str:
-    """Substitute the record text into the template; byte-stable."""
-    if not text:
-        raise ValueError("cannot render a prompt for empty text")
-    if "```" in text:
-        logger.warning("record text contains triple backticks; embedded unescaped")
-    return template.template_text.replace("{text}", text)
-
-
 @dataclass(frozen=True)
 class BackendResult:
     outcome: str
@@ -102,13 +95,6 @@ class CorrectionBackend(Protocol):
     """Turns a prompt (and the raw record text) into a model response."""
 
     def complete(self, prompt: str, text: str) -> str: ...
-
-
-class IdentityBackend:
-    """Echoes the record text; used by dry runs and as the mock fallback."""
-
-    def complete(self, prompt: str, text: str) -> str:
-        return text
 
 
 class MockBackend:
@@ -146,6 +132,10 @@ class MockBackend:
         return output
 
 
+# the identity echo of dry runs: a mock with no fixtures echoes every text
+IdentityBackend = MockBackend
+
+
 def _fixture_row(obj: dict) -> tuple[str, str]:
     input_hash, output = obj["input_hash"], obj["output"]
     if not isinstance(input_hash, str) or not isinstance(output, str):
@@ -162,14 +152,12 @@ class HttpChatBackend:
         model: str,
         api_key: str | None = None,
         temperature: float = 0.0,
-        timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
         self.temperature = temperature
-        self.timeout = timeout
         self.session = session or requests.Session()
 
     def complete(self, prompt: str, text: str) -> str:
@@ -183,7 +171,7 @@ class HttpChatBackend:
         }
         try:
             response = self.session.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                self.endpoint, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S
             )
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
@@ -206,9 +194,12 @@ class HttpChatBackend:
             choice = body["choices"][0]
             if choice.get("finish_reason") == "content_filter":
                 raise ContentPolicyRefusal("finish_reason=content_filter")
-            return choice["message"]["content"]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            content = choice["message"]["content"]
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed backend response: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportError(f"malformed backend response: content is {type(content).__name__}")
+        return content
 
 
 def _delay_seconds(value: str | None) -> float | None:
@@ -271,7 +262,9 @@ def correct_text(
             OUTCOME_OVER_LENGTH,
             detail=f"text length {len(text)} exceeds budget {max_chars}",
         )
-    prompt = render_prompt(template, text)
+    if "```" in text:
+        logger.warning("record text contains triple backticks; embedded unescaped")
+    prompt = template.template_text.replace("{text}", text)
     last_error = ""
     for attempt in range(1, retry_policy.max_attempts + 1):
         try:

@@ -7,9 +7,14 @@ import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .classify import ClassifierConfig
 from .cleaning import TOKENIZERS
 
 BACKEND_KINDS = ("mock", "identity", "http")
+
+# the JSON types each field annotation admits, matched exactly: a bool is no number
+_ADMITTED = {"str": (str,), "str | None": (str, type(None)), "int": (int,),
+             "int | None": (int, type(None)), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -44,39 +49,45 @@ class PipelineConfig:
     strict: bool = False
 
     def validate(self) -> list[str]:
-        """Collect every configuration problem instead of failing on the first."""
-        errors: list[str] = []
-        if not 0.0 <= self.ratio_threshold <= 1.0:
-            errors.append(f"ratio_threshold must be in [0, 1], got {self.ratio_threshold}")
-        if self.max_corrected_words < 1:
-            errors.append(f"max_corrected_words must be >= 1, got {self.max_corrected_words}")
-        if not 0.0 <= self.max_nonalpha <= 1.0:
-            errors.append(f"max_nonalpha must be in [0, 1], got {self.max_nonalpha}")
-        if not 0.0 <= self.hallucination_threshold <= 1.0:
-            errors.append(
-                f"hallucination_threshold must be in [0, 1], got {self.hallucination_threshold}"
-            )
-        if self.min_tokens < 0:
-            errors.append(f"min_tokens must be >= 0, got {self.min_tokens}")
-        if self.concurrency < 1:
-            errors.append(f"concurrency must be >= 1, got {self.concurrency}")
-        if self.retry_attempts < 1:
-            errors.append(f"retry_attempts must be >= 1, got {self.retry_attempts}")
-        if self.max_chars < 1:
-            errors.append(f"max_chars must be >= 1, got {self.max_chars}")
-        if self.backend not in BACKEND_KINDS:
-            errors.append(f"backend must be one of {BACKEND_KINDS}, got {self.backend!r}")
-        if self.backend == "http":
-            if not self.endpoint:
+        """Collect every configuration problem instead of failing on the first.
+
+        Each field's type is checked first. The ranges are then checked with
+        the default in place of every wrong-typed value, so a wrong type hides
+        no other problem.
+        """
+        errors, defaults = [], {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in _ADMITTED[f.type]:
+                errors.append(f"{f.name} must be {f.type}, got {value!r}")
+                defaults[f.name] = f.default
+        c = replace(self, **defaults)
+        errors += ClassifierConfig.range_errors(c.ratio_threshold, c.max_corrected_words)
+        if not 0.0 <= c.max_nonalpha <= 1.0:
+            errors.append(f"max_nonalpha must be in [0, 1], got {c.max_nonalpha}")
+        if not 0.0 <= c.hallucination_threshold <= 1.0:
+            errors.append(f"hallucination_threshold must be in [0, 1], got {c.hallucination_threshold}")
+        if c.min_tokens < 0:
+            errors.append(f"min_tokens must be >= 0, got {c.min_tokens}")
+        if c.concurrency < 1:
+            errors.append(f"concurrency must be >= 1, got {c.concurrency}")
+        if c.retry_attempts < 1:
+            errors.append(f"retry_attempts must be >= 1, got {c.retry_attempts}")
+        if c.max_chars < 1:
+            errors.append(f"max_chars must be >= 1, got {c.max_chars}")
+        if c.backend not in BACKEND_KINDS:
+            errors.append(f"backend must be one of {BACKEND_KINDS}, got {c.backend!r}")
+        if c.backend == "http":
+            if not c.endpoint:
                 errors.append("http backend requires an endpoint")
-            if not self.model:
+            if not c.model:
                 errors.append("http backend requires a model name")
-        if self.backend == "mock" and self.mock_fixtures and not Path(self.mock_fixtures).exists():
-            errors.append(f"mock fixtures file not found: {self.mock_fixtures}")
-        if self.tokenizer not in TOKENIZERS:
-            errors.append(f"tokenizer must be one of {sorted(TOKENIZERS)}, got {self.tokenizer!r}")
-        if self.rules_path and not Path(self.rules_path).exists():
-            errors.append(f"rules file not found: {self.rules_path}")
+        if c.backend == "mock" and c.mock_fixtures and not Path(c.mock_fixtures).exists():
+            errors.append(f"mock fixtures file not found: {c.mock_fixtures}")
+        if c.tokenizer not in TOKENIZERS:
+            errors.append(f"tokenizer must be one of {sorted(TOKENIZERS)}, got {c.tokenizer!r}")
+        if c.rules_path and not Path(c.rules_path).exists():
+            errors.append(f"rules file not found: {c.rules_path}")
         return errors
 
     @property

@@ -133,18 +133,7 @@ def similarity_ratio(a: str, b: str) -> float:
     total = len(a) + len(b)
     if not total:
         return 1.0
-    matches = 0
-    stack = [(0, len(a), 0, len(b), min(len(a), len(b)))]
-    while stack:
-        alo, ahi, blo, bhi, limit = stack.pop()
-        i, j, size = _longest_block(a, b, alo, ahi, blo, bhi, limit)
-        if size:
-            matches += size
-            if alo < i and blo < j:
-                stack.append((alo, i, blo, j, size))
-            if i + size < ahi and j + size < bhi:
-                stack.append((i + size, ahi, j + size, bhi, size))
-    return 2.0 * matches / total
+    return 2.0 * _matches(a, b, total) / total
 
 
 def similarity_below(a: str, b: str, threshold: float) -> bool:
@@ -161,6 +150,15 @@ def similarity_below(a: str, b: str, threshold: float) -> bool:
         return 1.0 < threshold
     if 2.0 * min(len(a), len(b)) / total < threshold:
         return True
+    return 2.0 * _matches(a, b, total, threshold) / total < threshold
+
+
+def _matches(a: str, b: str, total: int, stop_at: float | None = None) -> int:
+    """M of the Gestalt ratio: the characters of the recursively found longest blocks.
+
+    With ``stop_at``, stops as soon as ``2.0*M / total`` reaches it; the
+    count returned then gives that ratio or more.
+    """
     matches = 0
     stack = [(0, len(a), 0, len(b), min(len(a), len(b)))]
     while stack:
@@ -168,13 +166,13 @@ def similarity_below(a: str, b: str, threshold: float) -> bool:
         i, j, size = _longest_block(a, b, alo, ahi, blo, bhi, limit)
         if size:
             matches += size
-            if 2.0 * matches / total >= threshold:
-                return False
+            if stop_at is not None and 2.0 * matches / total >= stop_at:
+                break
             if alo < i and blo < j:
                 stack.append((alo, i, blo, j, size))
             if i + size < ahi and j + size < bhi:
                 stack.append((i + size, ahi, j + size, bhi, size))
-    return 2.0 * matches / total < threshold
+    return matches
 
 
 def _longest_block(

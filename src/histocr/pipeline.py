@@ -55,9 +55,7 @@ from .client import (
     BackendResult,
     CorrectionBackend,
     HttpChatBackend,
-    IdentityBackend,
     MockBackend,
-    PromptTemplate,
     RetryPolicy,
     correct_text,
 )
@@ -100,16 +98,14 @@ ARTIFACTS = (
 
 
 def make_backend(config: PipelineConfig) -> CorrectionBackend:
-    if config.backend == "identity":
-        return IdentityBackend()
-    if config.backend == "mock":
-        return MockBackend(config.mock_fixtures)
-    return HttpChatBackend(
-        endpoint=config.endpoint,
-        model=config.model,
-        api_key=config.api_key,
-        temperature=config.temperature,
-    )
+    if config.backend == "http":
+        return HttpChatBackend(
+            endpoint=config.endpoint,
+            model=config.model,
+            api_key=config.api_key,
+            temperature=config.temperature,
+        )
+    return MockBackend(config.mock_fixtures if config.backend == "mock" else None)
 
 
 def classifier_config(config: PipelineConfig) -> ClassifierConfig:
@@ -183,7 +179,6 @@ def correct_records(
     content-policy refusal.
     """
     backend = backend or make_backend(config)
-    template = PromptTemplate.for_language("spanish")
     policy = RetryPolicy(max_attempts=config.retry_attempts, backoff_base=config.backoff_base)
 
     def process(record: CorpusRecord) -> BackendResult:
@@ -191,7 +186,6 @@ def correct_records(
             record.text,
             backend,
             retry_policy=policy,
-            template=template,
             max_chars=config.max_chars,
         )
 

@@ -8,9 +8,11 @@ its id, since they are not comparable across tokenizers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .applier import emit_lexicon
 from .classify import HALLUCINATION, OCR_ERROR, SURFACE_FORM
 from .cleaning import TOKENIZERS
 from .records import (
@@ -90,8 +92,7 @@ def build_report(
     rows_without_year = 0
     country_counts: dict[str, int] = {}
     decade_counts: dict[int, int] = {}
-    label_counts = {OCR_ERROR: 0, HALLUCINATION: 0, SURFACE_FORM: 0}
-    surface_pairs: dict[tuple[str, str], bool] = {}
+    corrections = []
     refused = 0
 
     for item in rows:
@@ -112,12 +113,12 @@ def build_report(
         country_counts[country] = country_counts.get(country, 0) + 1
         if item.status == STATUS_EXCLUDED_CONTENT_POLICY:
             refused += 1
-        for corr in item.corrections:
-            label_counts[corr.label] = label_counts.get(corr.label, 0) + 1
-            if corr.label == SURFACE_FORM:
-                surface_pairs[(corr.original, corr.corrected)] = corr.accent_only
+        corrections.extend(item.corrections)
 
-    total_corrections = sum(label_counts.values())
+    label_counts = Counter(corr.label for corr in corrections)
+    total_corrections = len(corrections)
+    # counted as the lexicon counts them, so the report and the lexicon agree
+    surface_forms, non_accent_surface_forms = emit_lexicon(corrections)
 
     def pct(n: int, total: int) -> float:
         return 100.0 * n / total if total else 0.0
@@ -135,8 +136,8 @@ def build_report(
         year_range=(min(years), max(years)) if years else None,
         rows_without_year=rows_without_year,
         total_corrections=total_corrections,
-        surface_forms=len(surface_pairs),
-        non_accent_surface_forms=sum(1 for accent in surface_pairs.values() if not accent),
+        surface_forms=len(surface_forms),
+        non_accent_surface_forms=len(non_accent_surface_forms),
         pct_ocr_error=pct(label_counts[OCR_ERROR], total_corrections),
         pct_hallucination=pct(label_counts[HALLUCINATION], total_corrections),
         pct_surface_form=pct(label_counts[SURFACE_FORM], total_corrections),

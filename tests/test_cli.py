@@ -66,6 +66,41 @@ class TestRunCommand:
         assert "backend" in err
         assert "concurrency" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("concurrency", "4"),
+            ("ratio_threshold", "0.5"),
+            ("rules_path", 5),
+            ("concurrency", True),  # a bool is no int
+            ("max_nonalpha", False),  # nor a float
+            ("max_chars", 500.0),  # a float is no int
+            ("strict", 1),
+            ("mock_fixtures", ["a.jsonl"]),
+        ],
+    )
+    def test_wrong_typed_config_value_is_config_error(
+        self, pipeline_fixture, tmp_path, capsys, key, value
+    ):
+        corpus, fixtures = pipeline_fixture
+        config = write_config(tmp_path / "config.json", corpus, fixtures, **{key: value})
+        out = tmp_path / "out"
+        code = main(["--config", str(config), "run", "--input", str(corpus),
+                     "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key} must be" in err
+        assert repr(value) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_int_accepted_where_float_expected(self, pipeline_fixture, tmp_path):
+        corpus, fixtures = pipeline_fixture
+        config = write_config(tmp_path / "config.json", corpus, fixtures,
+                              backoff_base=0, max_nonalpha=1, temperature=0)
+        assert main(["--config", str(config), "run", "--input", str(corpus),
+                     "--output", str(tmp_path / "out")]) == 0
+
     def test_unknown_config_key_rejected(self, pipeline_fixture, tmp_path, capsys):
         corpus, _ = pipeline_fixture
         config = tmp_path / "config.json"

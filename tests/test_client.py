@@ -18,7 +18,6 @@ from histocr.client import (
     RetryPolicy,
     TransportError,
     correct_text,
-    render_prompt,
     strip_fences,
 )
 
@@ -29,26 +28,39 @@ EXPECTED_SPANISH_PROMPT = (
 )
 
 
+class RecordingBackend:
+    """Echoes the record text and keeps every prompt it was sent."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, text):
+        self.prompts.append(prompt)
+        return text
+
+
+def sent_prompt(text: str) -> str:
+    """The one prompt ``correct_text`` sends for ``text`` with the shipped template."""
+    backend = RecordingBackend()
+    template = PromptTemplate.for_language("spanish")
+    assert correct_text(text, backend, template=template).outcome == OUTCOME_OK
+    [prompt] = backend.prompts
+    return prompt
+
+
 class TestPromptTemplate:
     def test_spanish_prompt_renders_text_between_fences(self):
-        template = PromptTemplate.for_language("spanish")
-        assert render_prompt(template, "hola") == EXPECTED_SPANISH_PROMPT
+        assert sent_prompt("hola") == EXPECTED_SPANISH_PROMPT
 
     def test_rendering_is_byte_stable(self):
-        template = PromptTemplate.for_language("spanish")
         text = "se harà dos veces cada se mana"
-        assert render_prompt(template, text) == render_prompt(template, text)
+        assert sent_prompt(text) == sent_prompt(text)
 
     def test_backticks_embedded_unescaped(self, caplog):
-        template = PromptTemplate.for_language("spanish")
         with caplog.at_level("WARNING"):
-            rendered = render_prompt(template, "uso de ``` en el texto")
+            rendered = sent_prompt("uso de ``` en el texto")
         assert "uso de ``` en el texto" in rendered
         assert any("backtick" in r.message for r in caplog.records)
-
-    def test_empty_text_is_a_precondition_error(self):
-        with pytest.raises(ValueError):
-            render_prompt(PromptTemplate.for_language("spanish"), "")
 
     def test_template_must_have_exactly_one_placeholder(self):
         with pytest.raises(ValueError):
@@ -284,9 +296,20 @@ class TestHttpChatBackend:
             backend.complete("prompt", "text")
 
     def test_malformed_body_is_transport_error(self):
-        backend, _ = self.make([FakeResponse(200, {"unexpected": True})])
-        with pytest.raises(TransportError):
-            backend.complete("prompt", "text")
+        bodies = [
+            {"unexpected": True},
+            {"choices": [None]},
+            {"choices": ["text"]},
+            {"choices": [{"message": None}]},
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": 7}}]},
+            {"choices": [{"message": {"content": ["hola"]}}]},
+            ["not", "an", "object"],
+        ]
+        for body in bodies:
+            backend, _ = self.make([FakeResponse(200, body)])
+            with pytest.raises(TransportError, match="malformed backend response"):
+                backend.complete("prompt", "text")
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404, 405, 422])
     def test_client_errors_fail_fast(self, status):

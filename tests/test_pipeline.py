@@ -116,6 +116,15 @@ class TestRunPipeline:
         assert "mui\tmuy" in non_accent
         assert "harà" not in non_accent  # accent-only stays out of the sublist
 
+    def test_report_counts_the_lexicon_rows(self, run_dir):
+        report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+
+        def data_rows(name):
+            return len((run_dir / name).read_text(encoding="utf-8").splitlines()) - 1
+
+        assert report["surface_forms"] == data_rows("lexicon.tsv") > 0
+        assert report["non_accent_surface_forms"] == data_rows("lexicon_nonaccent.tsv") > 0
+
     def test_cleaning_report(self, run_dir):
         report = json.loads((run_dir / "cleaning_report.json").read_text(encoding="utf-8"))
         assert report["total_rows"] == 20
