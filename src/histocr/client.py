@@ -8,7 +8,9 @@ deterministic mock driven by a fixture table; the identity echo for dry runs
 is the mock with no fixtures, which echoes every text. Per-record
 processing never raises; every outcome is encoded in the result. This module
 only fetches candidates: judging them, the whole-text rewrite check included,
-is the classify stage's job.
+is the classify stage's job. ``requests`` is needed only by the HTTP
+backend and is imported only when one is built, so mock and dry runs never
+load it.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from .records import CorpusError, _read_rows
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -158,9 +161,15 @@ class HttpChatBackend:
         self.model = model
         self.api_key = api_key
         self.temperature = temperature
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
 
     def complete(self, prompt: str, text: str) -> str:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -251,7 +260,9 @@ def correct_text(
     empty text is a ``transport_error`` without one. A
     :class:`FatalTransportError` is not retried. Before a retry it sleeps
     the backoff delay, or the server's ``Retry-After`` if that is longer,
-    but never more than ``backoff_cap``.
+    but never more than ``backoff_cap``. Any other exception from the
+    backend, or a response that is not a ``str``, is one ``transport_error``
+    whose detail names its type, and is not retried either.
     """
     if not text:
         return BackendResult(OUTCOME_TRANSPORT_ERROR, detail="empty text: nothing to correct")
@@ -279,6 +290,14 @@ def correct_text(
                 delay = max(exc.retry_after or 0.0, retry_policy.delay(attempt))
                 retry_policy.sleep(min(delay, retry_policy.backoff_cap))
             continue
+        except Exception as exc:
+            # a backend bug costs this record, not the stage; --verbose shows the traceback
+            logger.warning("backend raised %s; recorded as transport_error", type(exc).__name__,
+                           exc_info=logger.isEnabledFor(logging.DEBUG))
+            return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=f"not retried: {type(exc).__name__}: {exc}")
+        if not isinstance(raw, str):
+            detail = f"not retried: backend returned {type(raw).__name__}, not str"
+            return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=detail)
         return BackendResult(OUTCOME_OK, corrected_text=strip_fences(raw))
     return BackendResult(
         OUTCOME_TRANSPORT_ERROR,

@@ -9,6 +9,7 @@ import pytest
 
 import histocr
 from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
+from histocr import pipeline
 from histocr.cli import _build_config, build_parser, main
 from histocr.client import TRANSPORT_ERROR_SENTINEL, MockBackend
 from histocr.config import PipelineConfig
@@ -393,6 +394,30 @@ class TestStrictCorrect:
         assert [(r["id"], r["llm_outcome"]) for r in written] == [("a", "ok"), ("b", "transport_error")]
         assert written[0]["text_llm"] == rows[0]["text"]
         assert "empty text" in written[1]["llm_detail"]
+
+    def test_backend_exception_costs_one_record(self, tmp_path, monkeypatch):
+        texts = ["la sesion era mui corta", "el prefecto llego tarde", "sin acuerdo alguno"]
+        corpus = tmp_path / "cleaned.jsonl"
+        corpus.write_text(
+            "".join(json.dumps({"id": str(i), "text": t}) + "\n" for i, t in enumerate(texts)),
+            encoding="utf-8",
+        )
+
+        class CrashesOnce:
+            def complete(self, prompt, text):
+                if text == texts[1]:
+                    raise RuntimeError("boom")
+                return text
+
+        monkeypatch.setattr(pipeline, "make_backend", lambda config: CrashesOnce())
+        out = tmp_path / "corrected.jsonl"
+        args = ["correct", "--input", str(corpus), "--output", str(out), "--concurrency", "2"]
+        assert main(args) == 0
+        assert main(["--strict"] + args) == 2
+        written = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [r["llm_outcome"] for r in written] == ["ok", "transport_error", "ok"]
+        assert [r["text_llm"] for r in written] == [texts[0], None, texts[2]]
+        assert written[1]["llm_detail"] == "not retried: RuntimeError: boom"
 
 
 class TestStrictWholeTextReject:

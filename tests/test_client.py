@@ -228,6 +228,28 @@ class TestCorrectText:
         assert "empty text" in result.detail
         assert backend.calls == 0
 
+    def test_unexpected_exception_is_one_transport_error(self, caplog):
+        calls = []
+
+        class Crashing:
+            def complete(self, prompt, text):
+                calls.append(1)
+                raise RuntimeError("boom")
+
+        result = correct_text("hola", Crashing(), self.policy(attempts=3))
+        assert result.outcome == OUTCOME_TRANSPORT_ERROR
+        assert result.detail == "not retried: RuntimeError: boom"
+        assert len(calls) == 1
+        assert "backend raised RuntimeError" in caplog.text
+
+    @pytest.mark.parametrize("response", [None, b"hola", 7, ["hola"]], ids=["none", "bytes", "int", "list"])
+    def test_non_str_response_is_one_transport_error(self, response):
+        backend = FlakyBackend(failures=0, response=response)
+        result = correct_text("hola", backend, self.policy(attempts=3))
+        assert result.outcome == OUTCOME_TRANSPORT_ERROR
+        assert result.detail == f"not retried: backend returned {type(response).__name__}, not str"
+        assert backend.calls == 1
+
 
 class FakeResponse:
     def __init__(self, status_code=200, body=None, text="", headers=None):
@@ -266,6 +288,12 @@ class TestHttpChatBackend:
             **kwargs,
         )
         return backend, session
+
+    def test_default_session_is_a_requests_session(self):
+        import requests
+
+        backend = HttpChatBackend("https://example.test/v1/chat/completions", "test-model")
+        assert isinstance(backend.session, requests.Session)
 
     def test_ok_response(self):
         body = {"choices": [{"finish_reason": "stop", "message": {"content": "hola"}}]}

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
+from dataclasses import asdict
 from difflib import SequenceMatcher
 from pathlib import Path
 
@@ -399,3 +402,28 @@ class TestBackendConstruction:
         errors = config.validate()
         assert any("endpoint" in e for e in errors)
         assert any("model" in e for e in errors)
+
+
+COLD_START_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import histocr, histocr.cli
+from histocr.config import PipelineConfig
+from histocr.pipeline import run_pipeline
+code = run_pipeline(PipelineConfig(**json.loads(sys.argv[2])))
+print(json.dumps({"code": code, "loaded": [m for m in ("requests", "urllib3") if m in sys.modules]}))
+"""
+
+
+class TestColdStart:
+    def test_mock_run_never_imports_requests(self, pipeline_fixture, tmp_path):
+        # this test process has imported requests already, so ask a fresh interpreter
+        corpus, fixtures = pipeline_fixture
+        config = make_config(corpus, fixtures, tmp_path / "out")
+        src = Path(client.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START_SCRIPT, str(src), json.dumps(asdict(config))],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
+        assert (tmp_path / "out" / "final.jsonl").is_file()
