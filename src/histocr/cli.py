@@ -130,6 +130,14 @@ def _require_input(path: str) -> None:
         raise CorpusError(f"input file not found: {path}")
 
 
+def _read_text(path: str) -> str:
+    _require_input(path)
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"cannot decode {path} as UTF-8: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -150,10 +158,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "diff":
-            _require_input(args.original)
-            _require_input(args.corrected)
-            original = Path(args.original).read_text(encoding="utf-8")
-            corrected = Path(args.corrected).read_text(encoding="utf-8")
+            original, corrected = _read_text(args.original), _read_text(args.corrected)
             hunks = diff_words(tokenize_words(original), tokenize_words(corrected))
             for hunk in hunks:
                 print(format_hunk(hunk))
@@ -177,11 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             problems = pipeline.stage_classify(config, args.input, args.output)
         elif args.command == "apply":
             problems = pipeline.stage_apply(
-                config,
-                args.input,
-                args.output,
-                lexicon_path=args.lexicon,
-                lexicon_nonaccent_path=args.lexicon_nonaccent,
+                config, args.input, args.output, args.lexicon, args.lexicon_nonaccent
             )
         else:  # report; the subparsers are required, so nothing else gets here
             problems = pipeline.stage_report(

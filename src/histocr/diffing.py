@@ -6,30 +6,25 @@ no unchanged word between them surface as a single hunk, so a space-merge
 such as "se mana" -> "semana" arrives as one replace hunk with a two-word
 original segment.
 
-Character-level similarity uses the Gestalt (Ratcliff-Obershelp) ratio
-(Ratcliff and Metzener, "Pattern Matching: The Gestalt Approach", 1988):
-recursively take the longest common contiguous block, recurse on both
-flanks, and return 2*M / (len(a) + len(b)) where M is the total matched
-character count. Ties between equally long blocks are broken toward the
-earliest start in the first string, then the second, which is the order
-``difflib.SequenceMatcher(autojunk=False)`` uses, so :func:`similarity_ratio`
-returns exactly difflib's ratio.
-
-The longest block is not found by difflib's walk over every pair of equal
-characters, which makes the ratio of two long texts cost roughly the cube
-of their length. It is found from sampled seeds instead: with
-``s + q = K + 1``, every common block of length at least K contains one of
-the substrings ``a[p:p+q]`` whose start ``p`` is a multiple of ``s`` past the
-window start. Each seed's occurrences in the other window come from
-``str.find`` and are extended to maximal blocks by slice comparisons, and K
-halves until a block of length K is found.
+Both the word diff and the character similarity run on one block engine,
+the Gestalt (Ratcliff-Obershelp) recursion (Ratcliff and Metzener, "Pattern
+Matching: The Gestalt Approach", 1988): take the longest common contiguous
+block, then recurse on both flanks. Ties between equally long blocks go to
+the earliest start in the first string, then the second. With no junk,
+``difflib.SequenceMatcher(autojunk=False)`` finds its matching blocks by
+this recursion with this tie order, so :func:`similarity_ratio` returns
+exactly difflib's ratio. The word diff maps each distinct word to one code
+point and makes one hunk of each gap between consecutive blocks; difflib
+merges adjacent blocks, but they leave no gap, so its opcodes give the same
+hunks. The longest block is found from sampled seeds (see
+:func:`_longest_block`), not by difflib's walk over every pair of equal
+elements, which costs roughly the cube of the length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from difflib import SequenceMatcher
-from typing import Literal
+from typing import Iterator, Literal
 
 HunkKind = Literal["replace", "insert", "delete"]
 
@@ -65,26 +60,24 @@ def tokenize_words(text: str) -> list[str]:
 def diff_words(original: list[str], corrected: list[str]) -> list[ChangeHunk]:
     """Align two word sequences and return the changed regions as hunks.
 
-    The alignment is the longest-common-subsequence family matching of
-    :class:`difflib.SequenceMatcher` (junk heuristics disabled), which breaks
-    ties by preferring the earliest match in the original sequence. Hunks are
-    non-overlapping and ordered by original span. Directly adjacent changes
-    always form a single hunk.
+    Hunks are non-overlapping and ordered by original span, and directly
+    adjacent changes form a single hunk. Each distinct word becomes one code
+    point, and the block engine aligns the two code strings; the hunks are
+    exactly the non-equal opcodes of ``difflib.SequenceMatcher(None,
+    original, corrected, autojunk=False)``, whose matching blocks are the
+    same recursion with the same tie order. One call takes at most 1,114,112
+    distinct words, the number of code points.
     """
-    matcher = SequenceMatcher(None, original, corrected, autojunk=False)
+    codes: dict[str, str] = {}
+    a = "".join([codes.setdefault(w, chr(len(codes))) for w in original])
+    b = "".join([codes.setdefault(w, chr(len(codes))) for w in corrected])
     hunks: list[ChangeHunk] = []
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if tag == "equal":
-            continue
-        hunks.append(
-            ChangeHunk(
-                original_segment=" ".join(original[i1:i2]),
-                corrected_segment=" ".join(corrected[j1:j2]),
-                original_span=(i1, i2),
-                corrected_span=(j1, j2),
-                kind=tag,  # type: ignore[arg-type]
-            )
-        )
+    i = j = 0
+    for bi, bj, size in sorted(_blocks(a, b)) + [(len(a), len(b), 0)]:
+        if i < bi or j < bj:
+            kind: HunkKind = "replace" if i < bi and j < bj else "delete" if i < bi else "insert"
+            hunks.append(ChangeHunk(" ".join(original[i:bi]), " ".join(corrected[j:bj]), (i, bi), (j, bj), kind))
+        i, j = bi + size, bj + size
     return hunks
 
 
@@ -113,22 +106,8 @@ def similarity_ratio(a: str, b: str) -> float:
     """Gestalt similarity in [0, 1]; 1.0 for two empty strings.
 
     Equals ``2*M / (len(a) + len(b))`` with M the character total of the
-    recursively found longest common blocks. Each window takes its longest
-    block, ties going to the smallest start in ``a`` and then the smallest
-    start in ``b``; that is difflib's order, so both recursions match the
-    same blocks and the result is exactly (``==``) the float that
+    recursively found longest common blocks, exactly (``==``) the float that
     ``difflib.SequenceMatcher(None, a, b, autojunk=False).ratio()`` returns.
-
-    Seed lemma: let ``s + q = K + 1``. A common block of length at least K
-    starting at ``x`` in the ``a`` window ``[alo, ahi)`` has some
-    ``p = alo + t*s`` among ``x .. x+s-1``, and ``p + q <= x + K``, so it
-    contains the seed ``a[p:p+q]``. Extending every occurrence of every seed
-    in the ``b`` window to its maximal block therefore finds every block of
-    length at least K, tied ones included. K starts at the shorter window's
-    length and halves (or drops to the longest block found so far) until a
-    found block reaches it. A block inside a flank is also a block of the
-    enclosing window, so the flanks start K at the enclosing block's length.
-    The flanks are kept on an explicit stack.
     """
     total = len(a) + len(b)
     if not total:
@@ -160,19 +139,28 @@ def _matches(a: str, b: str, total: int, stop_at: float | None = None) -> int:
     count returned then gives that ratio or more.
     """
     matches = 0
+    for _, _, size in _blocks(a, b):
+        matches += size
+        if stop_at is not None and 2.0 * matches / total >= stop_at:
+            break
+    return matches
+
+
+def _blocks(a: str, b: str) -> Iterator[tuple[int, int, int]]:
+    """Yield the Gestalt recursion's blocks ``(i, j, size)``, in no set order.
+
+    A flank's blocks are blocks of its enclosing window too, so ``size`` bounds them.
+    """
     stack = [(0, len(a), 0, len(b), min(len(a), len(b)))]
     while stack:
         alo, ahi, blo, bhi, limit = stack.pop()
         i, j, size = _longest_block(a, b, alo, ahi, blo, bhi, limit)
         if size:
-            matches += size
-            if stop_at is not None and 2.0 * matches / total >= stop_at:
-                break
+            yield i, j, size
             if alo < i and blo < j:
                 stack.append((alo, i, blo, j, size))
             if i + size < ahi and j + size < bhi:
                 stack.append((i + size, ahi, j + size, bhi, size))
-    return matches
 
 
 def _longest_block(
@@ -183,6 +171,15 @@ def _longest_block(
     The caller guarantees that no common block is longer than ``limit``.
     Ties go to the smallest ``i``, then the smallest ``j``; ``size`` is 0
     when the windows share no character.
+
+    Seed lemma: let ``s + q = K + 1``. A common block of length at least K
+    starting at ``x`` in the ``a`` window ``[alo, ahi)`` has some
+    ``p = alo + t*s`` among ``x .. x+s-1``, and ``p + q <= x + K``, so it
+    contains the seed ``a[p:p+q]``. Extending every occurrence (``str.find``)
+    of every seed in the ``b`` window to its maximal block therefore finds
+    every block of length at least K, tied ones included. K starts at the
+    smallest of ``limit`` and the window lengths, and halves (or drops to the
+    longest block found so far) until a found block reaches it.
     """
     k = cap = min(limit, ahi - alo, bhi - blo)
     best_i, best_j, best = alo, blo, 0

@@ -226,17 +226,18 @@ def _read_rows(
 ) -> Iterator[tuple[int, object]]:
     """Yield ``(line number, row)`` for each line that ``parse`` accepts.
 
-    Every other non-blank line is appended to ``diagnostics`` as an error, in
+    Other non-blank lines, undecodable ones too, go to ``diagnostics`` as errors in
     line order. Lines end at ``\\n`` only: JSON strings may hold U+2028 or NEL.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = Path(path).read_bytes().split(b"\n")
     except OSError as exc:
         raise CorpusError(f"cannot read {kind} file {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
+    for lineno, raw in enumerate(lines, 1):
         try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("row is not an object")

@@ -111,6 +111,17 @@ class TestRunCommand:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_undecodable_corpus_line_costs_one_line(self, tmp_path, caplog):
+        corpus = tmp_path / "corpus.jsonl"
+        good = json.dumps({"id": "a", "text": "cinco palabras bien formadas aqui"}).encode()
+        corpus.write_bytes(b'{"id": "b", "text": "caf\xff"}\n' + good + b"\n")
+        run = ["run", "--input", str(corpus), "--output", str(tmp_path / "out"), "--dry-run"]
+        assert main(run) == 0
+        assert f"{corpus}: line 1: error: 'utf-8' codec can't decode byte 0xff" in caplog.text
+        (row,) = (tmp_path / "out" / "final.jsonl").read_text(encoding="utf-8").splitlines()
+        assert json.loads(row)["id"] == "a"
+        assert main(["--strict"] + run) == 2
+
     def test_rerun_is_byte_identical(self, pipeline_fixture, tmp_path):
         corpus, fixtures = pipeline_fixture
         config = write_config(tmp_path / "config.json", corpus, fixtures)
@@ -222,6 +233,16 @@ class TestDiffCommand:
         assert "[5,6) replace 'harà' -> 'hará'" in lines
         assert "[9,11) replace 'se mana,' -> 'semana,'" in lines
         assert all(") " in line for line in lines)
+
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        original = tmp_path / "original.txt"
+        corrected = tmp_path / "corrected.txt"
+        original.write_text("mismo texto", encoding="utf-8")
+        corrected.write_bytes(b"mismo t\xffexto")
+        assert main(["diff", "--original", str(original), "--corrected", str(corrected)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot decode {corrected} as UTF-8: ")
+        assert "0xff" in err
 
     def test_identical_files_print_nothing(self, tmp_path, capsys):
         path_a = tmp_path / "a.txt"
@@ -464,15 +485,17 @@ class TestMalformedFixtures:
             ('{"input_hash": "x"}', "missing field 'output'"),
             ("[1]", "row is not an object"),
             ("{bad", "Expecting property name"),
+            ('{"input_hash": "x", "output": "caf\xff"}', "can't decode byte 0xff"),
         ],
-        ids=["missing-output", "array", "broken-json"],
+        ids=["missing-output", "array", "broken-json", "not-utf-8"],
     )
     def test_bad_fixture_row_is_a_clean_failure(self, tmp_path, capsys, bad_line, message):
         corpus = tmp_path / "cleaned.jsonl"
         corpus.write_text(json.dumps({"id": "a", "text": "la sesion era mui corta"}) + "\n", encoding="utf-8")
         fixtures = tmp_path / "fixtures.jsonl"
         good = json.dumps({"input_hash": MockBackend.hash_text("otro"), "output": "otro"})
-        fixtures.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
+        # latin-1 writes "\xff" as the one byte 0xff and every other character here as itself
+        fixtures.write_bytes((good + "\n" + bad_line + "\n").encode("latin-1"))
         out = tmp_path / "corrected.jsonl"
         code = main(["correct", "--input", str(corpus), "--output", str(out),
                      "--backend", "mock", "--fixtures", str(fixtures)])

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 from difflib import SequenceMatcher
@@ -192,6 +194,82 @@ class TestDiffWords:
             assert start >= cursor
             assert start <= end
             cursor = end
+
+
+def difflib_hunks(original: list[str], corrected: list[str]) -> list[ChangeHunk]:
+    """Reference hunks: difflib's non-equal opcodes, junk heuristics off."""
+    opcodes = SequenceMatcher(None, original, corrected, autojunk=False).get_opcodes()
+    return [
+        ChangeHunk(" ".join(original[i1:i2]), " ".join(corrected[j1:j2]), (i1, i2), (j1, j2), tag)
+        for tag, i1, i2, j1, j2 in opcodes
+        if tag != "equal"
+    ]
+
+
+_DOTS = ["."] * 1500
+_WORDS_60K = [f"w{k}" for k in range(60_000)]
+# (original, corrected, hunk count, sha256 of the format_hunk lines), both
+# figures computed once from difflib_hunks; difflib takes seconds to minutes here
+WORD_REPEAT_CASES = {
+    "dot_leaders": (
+        _DOTS,
+        ["," if k % 10 == 9 else w for k, w in enumerate(_DOTS)],
+        150,
+        "02397575843d7922bea41314c3dec69d807173b36a9f3420b2714bae3931a71f",
+    ),
+    "table_rows": (
+        "Id. $ 1.00".split() * 500,
+        "Id. $1.00".split() * 500,
+        500,
+        "36fbb4724100e67d117364197861b6a707116ff738fdb36c21632385baa384cd",
+    ),
+    "de_la_500": (
+        ["de"] * 1000,
+        ["de", "la"] * 500,
+        500,
+        "aa4f3b297e9d8e0dbf588729c7ad6e910df69e7d7bd29e32aaf02065ffca82c3",
+    ),
+    "de_la_1000": (
+        ["de"] * 2000,
+        ["de", "la"] * 1000,
+        1000,
+        "b6294bfa9c38a4c887812489a5ee7a6ee5ccc04091f2e1d110c70e47c2322d47",
+    ),
+    # more distinct words than code points below the surrogates (55,296)
+    "distinct_60000": (
+        _WORDS_60K,
+        [w + "x" if k % 97 == 0 else w for k, w in enumerate(_WORDS_60K) if k % 89],
+        1273,
+        "c5611bb8812831d351c95a02e767b22a57b13f19bda2741a94ebfed0c5c70823",
+    ),
+}
+
+
+class TestDiffWordsMatchesDifflib:
+    """Exact (``==``) agreement with difflib's opcodes: segments, spans and kind."""
+
+    def test_exhaustive_three_word_vocabulary(self):
+        lists = [list(p) for n in range(5) for p in itertools.product(("x", "y", "z"), repeat=n)]
+        assert len(lists) ** 2 == 14_641
+        for original in lists:
+            for corrected in lists:
+                assert diff_words(original, corrected) == difflib_hunks(original, corrected)
+
+    def test_random_small_vocabularies(self):
+        rng = random.Random(7)
+        for _ in range(5_000):
+            vocabulary = [f"w{k}" for k in range(rng.randint(1, 5))]
+            original = rng.choices(vocabulary, k=rng.randint(0, 30))
+            corrected = rng.choices(vocabulary, k=rng.randint(0, 30))
+            assert diff_words(original, corrected) == difflib_hunks(original, corrected)
+
+    @pytest.mark.parametrize("name", sorted(WORD_REPEAT_CASES))
+    def test_word_repeat_cases_pinned(self, name):
+        original, corrected, count, digest = WORD_REPEAT_CASES[name]
+        hunks = diff_words(original, corrected)
+        assert len(hunks) == count
+        lines = "\n".join(format_hunk(h) for h in hunks)
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
 
 class TestSimilarityRatio:

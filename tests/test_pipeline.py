@@ -411,7 +411,7 @@ import histocr, histocr.cli
 from histocr.config import PipelineConfig
 from histocr.pipeline import run_pipeline
 code = run_pipeline(PipelineConfig(**json.loads(sys.argv[2])))
-print(json.dumps({"code": code, "loaded": [m for m in ("requests", "urllib3") if m in sys.modules]}))
+print(json.dumps({"code": code, "loaded": [m for m in ("requests", "urllib3", "difflib") if m in sys.modules]}))
 """
 
 

@@ -74,6 +74,24 @@ class TestLoadCorpus:
         assert len(result.errors) == 1
         assert result.errors[0].line == 3
 
+    def test_undecodable_line_skipped_with_line_number(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        first, second = (json.dumps(r.to_json_dict(), ensure_ascii=False).encode() for r in make_records(2))
+        path.write_bytes(first + b'\n{"id": "bad", "text": "caf\xff"}\n' + second + b"\n")
+        result = load_corpus(path)
+        assert [r.id for r in result.records] == ["r0", "r1"]
+        assert [(d.line, d.severity) for d in result.diagnostics] == [(2, "error")]
+        assert "'utf-8' codec can't decode byte 0xff" in result.errors[0].message
+
+    def test_crlf_line_ends_load(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        records = make_records(3)
+        lines = [json.dumps(r.to_json_dict(), ensure_ascii=False) for r in records]
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        result = load_corpus(path)
+        assert result.records == records
+        assert result.diagnostics == []
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("", encoding="utf-8")
