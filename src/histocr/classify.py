@@ -148,7 +148,11 @@ def load_rules(path: str | Path) -> RuleTable:
     """Load a tab-separated rules file (one rule per line, # comments)."""
     surface: list[SubstitutionRule] = []
     confusion: list[SubstitutionRule] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -96,8 +96,14 @@ class PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read a JSON config file; unknown keys are rejected."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON config file; unknown keys are rejected.
+
+    An undecodable or malformed file is a ``ValueError`` that names it.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     known = {f.name for f in fields(PipelineConfig)}

@@ -1,20 +1,20 @@
 """Stage orchestration: clean -> correct -> classify -> apply -> report.
 
-Each stage has a core (``clean_records`` ... ``report_records``) that takes
-the previous stage's records, writes its artifacts under the output
-directory and returns its own records. :func:`run_pipeline` chains the cores,
-so it writes every artifact and reads none back: it reads only its input
-corpus and the mock fixtures. The stage commands (``stage_clean`` ...
-``stage_report``) read their input file and call the core, so every stage
-stays resumable and independently testable; model calls are slow and costly,
-so re-runs must not repeat them. Composing the stage functions by hand
-produces byte-identical artifacts to :func:`run_pipeline`.
+Every stage has a core (``clean_records`` ... ``report_records``) that takes
+the previous stage's records, writes its artifacts and returns ``(records,
+problems)``: its own records and how many it failed (``correct``: records
+neither ``ok`` nor refused; ``classify``: wholesale rewrites; others: none).
+:func:`run_pipeline` loads the rules table, then chains the cores: it writes
+every artifact and reads none back. The stage commands (``stage_clean`` ...
+``stage_report``) share one body that reads the input file, logs its line
+diagnostics, calls the core and returns the input lines skipped plus the
+records failed; strict mode exits 2 on any. So every stage stays resumable,
+and a re-run never repeats a slow, costly model call. Composing the stage
+commands by hand produces byte-identical artifacts to :func:`run_pipeline`.
 
 ``correct`` writes what the backend returned and judges nothing: every
 threshold, ``hallucination_threshold`` included, is applied by ``classify``,
-so re-tuning one never repeats a model call. Every ``stage_*`` returns its
-problem count (input lines skipped plus records failed); strict mode exits 2
-on any.
+so re-tuning one never repeats a model call.
 
 Row schemas and file handling live in :mod:`histocr.records`. Stage
 artifacts (fixed names inside the output directory):
@@ -36,6 +36,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import client as client_mod
@@ -83,18 +84,15 @@ logger = logging.getLogger(__name__)
 
 OUTCOME_GLOBAL_HALLUCINATION = "global_hallucination"
 
-ARTIFACTS = (
-    "cleaned.jsonl",
-    "removed.jsonl",
-    "cleaning_report.json",
-    "corrected.jsonl",
-    "classified.jsonl",
-    "final.jsonl",
-    "lexicon.tsv",
-    "lexicon_nonaccent.tsv",
-    "report.json",
-    "report.txt",
+# each stage's artifacts, in the order its core takes their paths
+_STAGE_ARTIFACTS = (
+    ("cleaned.jsonl", "removed.jsonl", "cleaning_report.json"),
+    ("corrected.jsonl",),
+    ("classified.jsonl",),
+    ("final.jsonl", "lexicon.tsv", "lexicon_nonaccent.tsv"),
+    ("report.json", "report.txt"),
 )
+ARTIFACTS = tuple(name for names in _STAGE_ARTIFACTS for name in names)
 
 
 def make_backend(config: PipelineConfig) -> CorrectionBackend:
@@ -122,12 +120,22 @@ def rule_table(config: PipelineConfig) -> RuleTable:
     return default_rules()
 
 
-def _load(load, path: str | Path) -> LoadResult:
-    """Run a ``records`` loader and log its line diagnostics as warnings."""
-    result = load(path)
-    for diag in result.diagnostics:
-        logger.warning("%s: %s", path, diag)
-    return result
+def _stage(load, core, config: PipelineConfig, input_path: str | Path, *args) -> tuple[list, int]:
+    """``core`` on the records ``load`` reads, diagnostics logged; problems count skipped lines too."""
+    loaded = load(input_path)
+    for diag in loaded.diagnostics:
+        logger.warning("%s: %s", input_path, diag)
+    records, problems = core(config, loaded.records, *args)
+    return records, len(loaded.errors) + problems
+
+
+def _load_classified(path: str | Path) -> LoadResult:
+    """:func:`load_candidates`, refusing a row without the corrections classify adds."""
+    loaded = load_candidates(path)
+    for candidate in loaded.records:
+        if candidate.corrections is None:
+            raise CorpusError(f"{path}: record {candidate.record.id!r} has no corrections; run classify first")
+    return loaded
 
 
 def clean_records(
@@ -136,10 +144,10 @@ def clean_records(
     output_path: str | Path,
     removed_path: str | Path | None = None,
     report_path: str | Path | None = None,
-) -> list[CorpusRecord]:
+) -> tuple[list[CorpusRecord], int]:
     """Filter corpus records; write survivors, removed records and the report.
 
-    Returns the surviving records.
+    Returns the surviving records; a removed record is no problem.
     """
     kept, removed, report = clean_corpus(
         records,
@@ -162,7 +170,7 @@ def clean_records(
         report.surviving,
         report.total_rows - report.surviving,
     )
-    return kept
+    return kept, 0
 
 
 def correct_records(
@@ -206,7 +214,7 @@ def correct_records(
 
 
 def classify_records(
-    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path
+    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path, rules: RuleTable
 ) -> tuple[list[CandidateRecord], int]:
     """Diff each corrected candidate against its original and label the changes.
 
@@ -216,7 +224,6 @@ def classify_records(
     wholesale: it is marked ``global_hallucination`` and gets no
     corrections. Returns the candidates and the number so marked.
     """
-    rules = rule_table(config)
     cls_config = classifier_config(config)
 
     all_corrections = []
@@ -249,11 +256,11 @@ def apply_records(
     output_path: str | Path,
     lexicon_path: str | Path | None = None,
     lexicon_nonaccent_path: str | Path | None = None,
-) -> list[ProcessedRecord]:
+) -> tuple[list[ProcessedRecord], int]:
     """Assemble final texts (OCR errors applied) and emit the lexicon.
 
     Every candidate must carry the corrections that classify adds. Returns
-    the processed records.
+    the processed records and no problem.
     """
     processed: list[ProcessedRecord] = []
     all_corrections = []
@@ -281,7 +288,7 @@ def apply_records(
         len(full),
         len(non_accent),
     )
-    return processed
+    return processed, 0
 
 
 def report_records(
@@ -289,13 +296,14 @@ def report_records(
     processed: list[ProcessedRecord],
     json_path: str | Path | None = None,
     text_path: str | Path | None = None,
-) -> None:
-    """Compute run statistics over the final processed corpus."""
+) -> tuple[list[ProcessedRecord], int]:
+    """Compute run statistics over the final processed corpus; returns the records unchanged."""
     report = build_report(processed, tokenizer_id=config.tokenizer)
     if json_path is not None:
         write_report(report, json_path, fmt="structured")
     if text_path is not None:
         write_report(report, text_path, fmt="text")
+    return processed, 0
 
 
 def stage_clean(
@@ -306,9 +314,7 @@ def stage_clean(
     report_path: str | Path | None = None,
 ) -> int:
     """:func:`clean_records` on a corpus file; returns the input lines skipped."""
-    loaded = _load(load_corpus, input_path)
-    clean_records(config, loaded.records, output_path, removed_path, report_path)
-    return len(loaded.errors)
+    return _stage(load_corpus, clean_records, config, input_path, output_path, removed_path, report_path)[1]
 
 
 def stage_correct(
@@ -319,17 +325,13 @@ def stage_correct(
 ) -> int:
     """:func:`correct_records` on a cleaned file; returns the input lines
     skipped plus records failed."""
-    loaded = _load(load_corpus, input_path)
-    _, failed = correct_records(config, loaded.records, output_path, backend)
-    return len(loaded.errors) + failed
+    return _stage(load_corpus, correct_records, config, input_path, output_path, backend)[1]
 
 
 def stage_classify(config: PipelineConfig, input_path: str | Path, output_path: str | Path) -> int:
     """:func:`classify_records` on a candidate file; returns the input lines
     skipped plus candidates marked ``global_hallucination``."""
-    loaded = _load(load_candidates, input_path)
-    _, rewrites = classify_records(config, loaded.records, output_path)
-    return len(loaded.errors) + rewrites
+    return _stage(load_candidates, classify_records, config, input_path, output_path, rule_table(config))[1]
 
 
 def stage_apply(
@@ -344,13 +346,9 @@ def stage_apply(
     A row without the corrections that classify adds raises
     :class:`CorpusError` before anything is written.
     """
-    loaded = _load(load_candidates, input_path)
-    for candidate in loaded.records:
-        if candidate.corrections is None:
-            rec_id = candidate.record.id
-            raise CorpusError(f"{input_path}: record {rec_id!r} has no corrections; run classify first")
-    apply_records(config, loaded.records, output_path, lexicon_path, lexicon_nonaccent_path)
-    return len(loaded.errors)
+    return _stage(
+        _load_classified, apply_records, config, input_path, output_path, lexicon_path, lexicon_nonaccent_path
+    )[1]
 
 
 def stage_report(
@@ -360,29 +358,29 @@ def stage_report(
     text_path: str | Path | None = None,
 ) -> int:
     """:func:`report_records` on a processed file; returns the input lines skipped."""
-    loaded = _load(load_processed, input_path)
-    report_records(config, loaded.records, json_path, text_path)
-    return len(loaded.errors)
+    return _stage(load_processed, report_records, config, input_path, json_path, text_path)[1]
 
 
 def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = None) -> int:
     """Run all stages; returns the process exit code.
 
-    Each stage's output records go straight to the next stage: every
-    artifact is written, and none is read back. 0 on success, 1 on fatal
-    errors (checked by the CLI before calling), 2 when strict mode is set
-    and some lines were skipped or records failed.
+    The rules table is loaded first: a bad one raises before any model call
+    or artifact. Each stage's output records go straight to the next stage:
+    every artifact is written, and none is read back. 0 on success, 1 on
+    fatal errors (checked by the CLI before calling), 2 when strict mode is
+    set and some lines were skipped or records failed.
     """
+    rules = rule_table(config)
     out = Path(config.output_dir)
-    loaded = _load(load_corpus, config.input)
-    kept = clean_records(
-        config, loaded.records, out / "cleaned.jsonl", out / "removed.jsonl", out / "cleaning_report.json"
+    paths = [[out / name for name in names] for names in _STAGE_ARTIFACTS]
+    records, problems = _stage(load_corpus, clean_records, config, config.input, *paths[0])
+    cores = (
+        partial(correct_records, backend=backend),
+        partial(classify_records, rules=rules),
+        apply_records,
+        report_records,
     )
-    candidates, failed = correct_records(config, kept, out / "corrected.jsonl", backend)
-    candidates, rewrites = classify_records(config, candidates, out / "classified.jsonl")
-    processed = apply_records(
-        config, candidates, out / "final.jsonl", out / "lexicon.tsv", out / "lexicon_nonaccent.tsv"
-    )
-    report_records(config, processed, out / "report.json", out / "report.txt")
-    problems = len(loaded.errors) + failed + rewrites
+    for core, stage_paths in zip(cores, paths[1:]):
+        records, failed = core(config, records, *stage_paths)
+        problems += failed
     return 2 if config.strict and problems else 0

@@ -227,27 +227,29 @@ def _read_rows(
     """Yield ``(line number, row)`` for each line that ``parse`` accepts.
 
     Other non-blank lines, undecodable ones too, go to ``diagnostics`` as errors in
-    line order. Lines end at ``\\n`` only: JSON strings may hold U+2028 or NEL.
+    line order. The file is read one line at a time. Lines end at ``\\n`` only:
+    JSON strings may hold U+2028 or NEL.
     """
     try:
-        lines = Path(path).read_bytes().split(b"\n")
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    # without its \n, a truncated row's error points into the row itself
+                    line = raw.removesuffix(b"\n").decode("utf-8")
+                    if not line.strip():
+                        continue
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("row is not an object")
+                    row = parse(obj)
+                except KeyError as exc:
+                    diagnostics.append(LineDiagnostic(lineno, f"missing field {exc}"))
+                except (ValueError, TypeError) as exc:
+                    diagnostics.append(LineDiagnostic(lineno, str(exc)))
+                else:
+                    yield lineno, row
     except OSError as exc:
         raise CorpusError(f"cannot read {kind} file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("row is not an object")
-            row = parse(obj)
-        except KeyError as exc:
-            diagnostics.append(LineDiagnostic(lineno, f"missing field {exc}"))
-        except (ValueError, TypeError) as exc:
-            diagnostics.append(LineDiagnostic(lineno, str(exc)))
-        else:
-            yield lineno, row
 
 
 def load_corpus(path: str | Path) -> LoadResult:

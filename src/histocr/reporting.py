@@ -9,7 +9,7 @@ its id, since they are not comparable across tokenizers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .applier import emit_lexicon
@@ -47,24 +47,11 @@ class RunReport:
     decade_distribution: dict[int, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "words": self.words,
-            "tokens": self.tokens,
-            "tokenizer_id": self.tokenizer_id,
-            "newspapers": self.newspapers,
-            "year_range": list(self.year_range) if self.year_range else None,
-            "rows_without_year": self.rows_without_year,
-            "total_corrections": self.total_corrections,
-            "surface_forms": self.surface_forms,
-            "non_accent_surface_forms": self.non_accent_surface_forms,
-            "pct_ocr_error": self.pct_ocr_error,
-            "pct_hallucination": self.pct_hallucination,
-            "pct_surface_form": self.pct_surface_form,
-            "pct_content_policy_excluded": self.pct_content_policy_excluded,
-            "country_distribution": self.country_distribution,
-            "decade_distribution": {str(k): v for k, v in sorted(self.decade_distribution.items())},
-        }
+        """The fields in declaration order, as JSON takes them."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["year_range"] = list(self.year_range) if self.year_range else None
+        out["decade_distribution"] = {str(k): v for k, v in sorted(self.decade_distribution.items())}
+        return out
 
 
 def build_report(

@@ -111,6 +111,61 @@ class TestRunCommand:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"concurrency": 2,}', "Expecting property name enclosed in double quotes"),
+            (b'{"concurrency": \xff}', "can't decode byte 0xff"),
+        ],
+        ids=["malformed", "undecodable"],
+    )
+    def test_bad_config_file_is_named(self, pipeline_fixture, tmp_path, capsys, content, message):
+        corpus, _ = pipeline_fixture
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        out = tmp_path / "out"
+        code = main(["--config", str(config), "run", "--input", str(corpus), "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ")
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"three\tfields\tonly\n", "expected 7 tab-separated fields"),
+            (b"r1\t\xff\n", "can't decode byte 0xff"),
+        ],
+        ids=["malformed", "undecodable"],
+    )
+    def test_bad_rules_table_fails_before_any_model_call(
+        self, pipeline_fixture, tmp_path, monkeypatch, capsys, content, message
+    ):
+        corpus, fixtures = pipeline_fixture
+        rules = tmp_path / "rules.tsv"
+        rules.write_bytes(content)
+        calls = []
+
+        class CountingBackend(MockBackend):
+            def complete(self, prompt, text):
+                calls.append(text)
+                return super().complete(prompt, text)
+
+        monkeypatch.setattr(pipeline, "make_backend", lambda config: CountingBackend(config.mock_fixtures))
+        config = write_config(tmp_path / "config.json", corpus, fixtures)
+        run = ["--config", str(config), "run", "--input", str(corpus)]
+        out = tmp_path / "out"
+        assert main(run + ["--output", str(out), "--rules", str(rules)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rules}")
+        assert message in err
+        assert calls == []
+        assert not out.exists()
+        # the same run with the shipped table does reach the backend
+        assert main(run + ["--output", str(tmp_path / "good")]) == 0
+        assert calls
+
     def test_undecodable_corpus_line_costs_one_line(self, tmp_path, caplog):
         corpus = tmp_path / "corpus.jsonl"
         good = json.dumps({"id": "a", "text": "cinco palabras bien formadas aqui"}).encode()
@@ -289,6 +344,18 @@ class TestClassifyCommand:
                      "--rules", str(bad_rules)])
         assert code == 1
         assert "expected 7" in capsys.readouterr().err
+
+    def test_undecodable_rules_file_is_named(self, tmp_path, capsys):
+        corrected = self.corrected_row(tmp_path)
+        bad_rules = tmp_path / "bad.tsv"
+        bad_rules.write_bytes(b"# rules\nr1\tcaf\xff\n")
+        out = tmp_path / "out.jsonl"
+        code = main(["classify", "--input", str(corrected), "--output", str(out), "--rules", str(bad_rules)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad_rules}: ")
+        assert "can't decode byte 0xff" in err
+        assert not out.exists()
 
     def test_apply_on_stale_classified_file_is_a_clean_failure(self, tmp_path, capsys):
         corrected = self.corrected_row(tmp_path)

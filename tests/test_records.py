@@ -83,6 +83,18 @@ class TestLoadCorpus:
         assert [(d.line, d.severity) for d in result.diagnostics] == [(2, "error")]
         assert "'utf-8' codec can't decode byte 0xff" in result.errors[0].message
 
+    def test_truncated_row_error_points_into_the_row(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        good = json.dumps(make_records(1)[0].to_json_dict(), ensure_ascii=False).encode()
+        truncated = b'{"id": "x", "text": '
+        path.write_bytes(truncated + b"\n" + good + b"\n" + truncated)  # the last line has no \n
+        result = load_corpus(path)
+        assert [r.id for r in result.records] == ["r0"]
+        assert [str(d) for d in result.diagnostics] == [
+            "line 1: error: Expecting value: line 1 column 21 (char 20)",
+            "line 3: error: Expecting value: line 1 column 21 (char 20)",
+        ]
+
     def test_crlf_line_ends_load(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         records = make_records(3)
@@ -100,7 +112,7 @@ class TestLoadCorpus:
         assert result.diagnostics == []
 
     def test_missing_file_is_fatal(self, tmp_path):
-        with pytest.raises(CorpusError):
+        with pytest.raises(CorpusError, match="nope.jsonl"):
             load_corpus(tmp_path / "nope.jsonl")
 
     def test_duplicate_ids_are_fatal(self, tmp_path):
