@@ -1,8 +1,12 @@
 """Command-line entry point wiring the pipeline stages.
 
-Subcommands: run (full pipeline), clean, correct, diff, classify, apply,
-report. Exit codes: 0 success, 1 fatal error, 2 in strict mode when a stage
-skipped an input line or a record failed (the count every stage returns).
+Subcommands: run (full pipeline), the stages clean, correct, classify, apply
+and report, and the debug helper diff. ``run`` and every stage take ``--input
+FILE --output DIR``; a stage writes its artifacts into DIR under the names
+``run`` gives them (see :mod:`histocr.pipeline`). Each stage's flags are
+declared once, in a group, and ``run`` takes every group; every flag sets the
+config field named by its dest. Exit codes: 0 success, 1 fatal error, 2 in
+strict mode when a stage skipped an input line or a record failed.
 """
 
 from __future__ import annotations
@@ -21,28 +25,49 @@ from .diffing import diff_words, format_hunk, tokenize_words
 from .records import CorpusError
 
 
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=BACKEND_KINDS, default=None)
+def _clean_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--min-tokens", type=int)
+    parser.add_argument("--max-nonalpha", type=float)
     parser.add_argument(
-        "--fixtures", dest="mock_fixtures", default=None, help="mock backend fixture file"
-    )
-    parser.add_argument("--endpoint", default=None, help="http backend URL")
-    parser.add_argument("--model", default=None, help="http backend model name")
-    parser.add_argument("--api-key-env", default=None, help="env var holding the API key")
-    parser.add_argument("--concurrency", type=int, default=None)
-    parser.add_argument("--retry-attempts", type=int, default=None)
-    parser.add_argument("--max-chars", type=int, default=None)
-    parser.add_argument(
-        "--dry-run", action="store_true", help="skip backend calls (identity backend)"
+        "--count-whitespace",
+        action="store_true",
+        help="count whitespace in the non-alphabetic ratio denominator",
     )
 
 
-def _add_classify_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--rules", dest="rules_path", default=None, help="rules table file (default: shipped table)"
-    )
-    parser.add_argument("--ratio-threshold", type=float, default=None)
-    parser.add_argument("--max-words", dest="max_corrected_words", type=int, default=None)
+def _backend_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--backend", choices=BACKEND_KINDS)
+    parser.add_argument("--fixtures", dest="mock_fixtures", help="mock backend fixture file")
+    parser.add_argument("--endpoint", help="http backend URL")
+    parser.add_argument("--model", help="http backend model name")
+    parser.add_argument("--api-key-env", help="env var holding the API key")
+    parser.add_argument("--concurrency", type=int)
+    parser.add_argument("--retry-attempts", type=int)
+    parser.add_argument("--max-chars", type=int)
+
+
+def _classify_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--rules", dest="rules_path", help="rules table file (default: shipped table)")
+    parser.add_argument("--ratio-threshold", type=float)
+    parser.add_argument("--max-words", dest="max_corrected_words", type=int)
+
+
+def _apply_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--modernize", action="store_true", help="apply surface-form corrections too")
+
+
+# each command's help and the flag groups it takes
+_STAGE_COMMANDS = {
+    "run": (
+        "full pipeline: clean, correct, classify, apply, report",
+        (_clean_flags, _backend_flags, _classify_flags, _apply_flags),
+    ),
+    "clean": ("apply the three cleaning filters", (_clean_flags,)),
+    "correct": ("fetch corrected candidates from the backend", (_backend_flags,)),
+    "classify": ("diff and label corrections", (_classify_flags,)),
+    "apply": ("apply OCR-error corrections and emit the lexicon", (_apply_flags,)),
+    "report": ("compute run statistics", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,61 +77,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--verbose", action="store_true")
-    parser.add_argument(
-        "--strict", action="store_true", default=None, help="non-zero exit on partial failures"
-    )
+    parser.add_argument("--strict", action="store_true", default=None, help="non-zero exit on partial failures")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="full pipeline: clean, correct, classify, apply, report")
-    p.add_argument("--input", required=True)
-    p.add_argument(
-        "--output", dest="output_dir", required=True, help="output directory for all artifacts"
-    )
-    p.add_argument("--min-tokens", type=int, default=None)
-    p.add_argument("--max-nonalpha", type=float, default=None)
-    p.add_argument("--modernize", action="store_true", default=None)
-    _add_backend_flags(p)
-    _add_classify_flags(p)
-
-    p = sub.add_parser("clean", help="apply the three cleaning filters")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--removed", default=None, help="file for removed records")
-    p.add_argument("--report", default=None, help="cleaning report file")
-    p.add_argument("--min-tokens", type=int, default=None)
-    p.add_argument("--max-nonalpha", type=float, default=None)
-    p.add_argument(
-        "--count-whitespace",
-        action="store_true",
-        default=None,
-        help="count whitespace in the non-alphabetic ratio denominator",
-    )
-
-    p = sub.add_parser("correct", help="fetch corrected candidates from the backend")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    _add_backend_flags(p)
+    for name, (help_text, flag_groups) in _STAGE_COMMANDS.items():
+        # an unset flag stays off the namespace, so it overrides no config value
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--input", required=True, metavar="FILE", help="input JSONL file")
+        p.add_argument("--output", dest="output_dir", required=True, metavar="DIR", help="artifact directory")
+        for add_flags in flag_groups:
+            add_flags(p)
 
     p = sub.add_parser("diff", help="debug: print word-level hunks between two text files")
     p.add_argument("--original", required=True)
     p.add_argument("--corrected", required=True)
-
-    p = sub.add_parser("classify", help="diff and label corrections")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    _add_classify_flags(p)
-
-    p = sub.add_parser("apply", help="apply OCR-error corrections and emit the lexicon")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--lexicon-nonaccent", default=None)
-    p.add_argument("--modernize", action="store_true", default=None)
-
-    p = sub.add_parser("report", help="compute run statistics")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("text", "structured"), default="structured")
 
     return parser
 
@@ -114,10 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     # flags share their destination names with the config fields they set
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
-    if getattr(args, "dry_run", False):
-        overrides["backend"] = "identity"
-    return with_overrides(config, **overrides)
+    return with_overrides(config, **{f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)})
 
 
 def _fail(message: str) -> int:
@@ -172,25 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         _require_input(config.input)
         if args.command == "run":
             return pipeline.run_pipeline(config)
-        if args.command == "clean":
-            problems = pipeline.stage_clean(
-                config, args.input, args.output, removed_path=args.removed, report_path=args.report
-            )
-        elif args.command == "correct":
-            problems = pipeline.stage_correct(config, args.input, args.output)
-        elif args.command == "classify":
-            problems = pipeline.stage_classify(config, args.input, args.output)
-        elif args.command == "apply":
-            problems = pipeline.stage_apply(
-                config, args.input, args.output, args.lexicon, args.lexicon_nonaccent
-            )
-        else:  # report; the subparsers are required, so nothing else gets here
-            problems = pipeline.stage_report(
-                config,
-                args.input,
-                json_path=args.out if args.format == "structured" else None,
-                text_path=args.out if args.format == "text" else None,
-            )
+        problems = pipeline.run_stage(args.command, config)
     except (CorpusError, SpanIntegrityError, ValueError, OSError) as exc:
         return _fail(str(exc))
     return 2 if config.strict and problems else 0

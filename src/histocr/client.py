@@ -4,13 +4,13 @@ The prompt asks the model to return only the input text with spelling fixed,
 leaving grammar and proper names alone; the record text goes between
 triple-backtick fences, unescaped (embedded backticks are logged, not
 escaped). Backends: a generic HTTP chat-completion client and a
-deterministic mock driven by a fixture table; the identity echo for dry runs
-is the mock with no fixtures, which echoes every text. Per-record
-processing never raises; every outcome is encoded in the result. This module
-only fetches candidates: judging them, the whole-text rewrite check included,
-is the classify stage's job. ``requests`` is needed only by the HTTP
-backend and is imported only when one is built, so mock and dry runs never
-load it.
+deterministic mock driven by a fixture table; ``--backend identity`` is the
+mock with no fixtures, which echoes every text. Per-record processing never
+raises; every outcome is encoded in the result. This module only fetches
+candidates: judging them, the whole-text rewrite check included, is the
+classify stage's job. ``requests`` is needed only by the HTTP
+backend and is imported only when one is built, so mock and identity runs
+never load it.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class MockBackend:
         return output
 
 
-# the identity echo of dry runs: a mock with no fixtures echoes every text
+# ``--backend identity``: a mock with no fixtures echoes every text
 IdentityBackend = MockBackend
 
 

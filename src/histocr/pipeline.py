@@ -9,8 +9,12 @@ every artifact and reads none back. The stage commands (``stage_clean`` ...
 ``stage_report``) share one body that reads the input file, logs its line
 diagnostics, calls the core and returns the input lines skipped plus the
 records failed; strict mode exits 2 on any. So every stage stays resumable,
-and a re-run never repeats a slow, costly model call. Composing the stage
-commands by hand produces byte-identical artifacts to :func:`run_pipeline`.
+and a re-run never repeats a slow, costly model call. Every artifact path is
+a required argument. :func:`run_stage` runs one stage command by name, its
+artifacts in ``config.output_dir`` under the names :func:`run_pipeline` gives
+them (``_STAGE_ARTIFACTS``, the one table of names); chained through one
+directory, the stage commands produce byte-identical artifacts to
+:func:`run_pipeline`.
 
 ``correct`` writes what the backend returned and judges nothing: every
 threshold, ``hallucination_threshold`` included, is applied by ``classify``,
@@ -85,14 +89,14 @@ logger = logging.getLogger(__name__)
 OUTCOME_GLOBAL_HALLUCINATION = "global_hallucination"
 
 # each stage's artifacts, in the order its core takes their paths
-_STAGE_ARTIFACTS = (
-    ("cleaned.jsonl", "removed.jsonl", "cleaning_report.json"),
-    ("corrected.jsonl",),
-    ("classified.jsonl",),
-    ("final.jsonl", "lexicon.tsv", "lexicon_nonaccent.tsv"),
-    ("report.json", "report.txt"),
-)
-ARTIFACTS = tuple(name for names in _STAGE_ARTIFACTS for name in names)
+_STAGE_ARTIFACTS = {
+    "clean": ("cleaned.jsonl", "removed.jsonl", "cleaning_report.json"),
+    "correct": ("corrected.jsonl",),
+    "classify": ("classified.jsonl",),
+    "apply": ("final.jsonl", "lexicon.tsv", "lexicon_nonaccent.tsv"),
+    "report": ("report.json", "report.txt"),
+}
+ARTIFACTS = tuple(name for names in _STAGE_ARTIFACTS.values() for name in names)
 
 
 def make_backend(config: PipelineConfig) -> CorrectionBackend:
@@ -142,8 +146,8 @@ def clean_records(
     config: PipelineConfig,
     records: list[CorpusRecord],
     output_path: str | Path,
-    removed_path: str | Path | None = None,
-    report_path: str | Path | None = None,
+    removed_path: str | Path,
+    report_path: str | Path,
 ) -> tuple[list[CorpusRecord], int]:
     """Filter corpus records; write survivors, removed records and the report.
 
@@ -157,13 +161,8 @@ def clean_records(
         tokenizer=TOKENIZERS[config.tokenizer],
     )
     write_records(kept, output_path)
-    if removed_path is not None:
-        write_records(
-            [ProcessedRecord(record=r, status=STATUS_CLEANED_OUT) for r, _reason in removed],
-            removed_path,
-        )
-    if report_path is not None:
-        write_json(report.to_dict(), report_path)
+    write_records([ProcessedRecord(r, STATUS_CLEANED_OUT) for r, _reason in removed], removed_path)
+    write_json(report.to_dict(), report_path)
     logger.info(
         "cleaning: %d rows in, %d kept, %d removed",
         report.total_rows,
@@ -254,8 +253,8 @@ def apply_records(
     config: PipelineConfig,
     candidates: list[CandidateRecord],
     output_path: str | Path,
-    lexicon_path: str | Path | None = None,
-    lexicon_nonaccent_path: str | Path | None = None,
+    lexicon_path: str | Path,
+    lexicon_nonaccent_path: str | Path,
 ) -> tuple[list[ProcessedRecord], int]:
     """Assemble final texts (OCR errors applied) and emit the lexicon.
 
@@ -278,10 +277,8 @@ def apply_records(
         processed.append(item)
     write_records(processed, output_path)
     full, non_accent = emit_lexicon(all_corrections)
-    if lexicon_path is not None:
-        write_lexicon(full, lexicon_path)
-    if lexicon_nonaccent_path is not None:
-        write_lexicon(non_accent, lexicon_nonaccent_path)
+    write_lexicon(full, lexicon_path)
+    write_lexicon(non_accent, lexicon_nonaccent_path)
     logger.info(
         "applied corrections: %d records, %d surface forms (%d non-accent)",
         len(processed),
@@ -294,15 +291,13 @@ def apply_records(
 def report_records(
     config: PipelineConfig,
     processed: list[ProcessedRecord],
-    json_path: str | Path | None = None,
-    text_path: str | Path | None = None,
+    json_path: str | Path,
+    text_path: str | Path,
 ) -> tuple[list[ProcessedRecord], int]:
     """Compute run statistics over the final processed corpus; returns the records unchanged."""
     report = build_report(processed, tokenizer_id=config.tokenizer)
-    if json_path is not None:
-        write_report(report, json_path, fmt="structured")
-    if text_path is not None:
-        write_report(report, text_path, fmt="text")
+    write_report(report, json_path, fmt="structured")
+    write_report(report, text_path, fmt="text")
     return processed, 0
 
 
@@ -310,8 +305,8 @@ def stage_clean(
     config: PipelineConfig,
     input_path: str | Path,
     output_path: str | Path,
-    removed_path: str | Path | None = None,
-    report_path: str | Path | None = None,
+    removed_path: str | Path,
+    report_path: str | Path,
 ) -> int:
     """:func:`clean_records` on a corpus file; returns the input lines skipped."""
     return _stage(load_corpus, clean_records, config, input_path, output_path, removed_path, report_path)[1]
@@ -338,8 +333,8 @@ def stage_apply(
     config: PipelineConfig,
     input_path: str | Path,
     output_path: str | Path,
-    lexicon_path: str | Path | None = None,
-    lexicon_nonaccent_path: str | Path | None = None,
+    lexicon_path: str | Path,
+    lexicon_nonaccent_path: str | Path,
 ) -> int:
     """:func:`apply_records` on a classified file; returns the input lines skipped.
 
@@ -354,11 +349,25 @@ def stage_apply(
 def stage_report(
     config: PipelineConfig,
     input_path: str | Path,
-    json_path: str | Path | None = None,
-    text_path: str | Path | None = None,
+    json_path: str | Path,
+    text_path: str | Path,
 ) -> int:
     """:func:`report_records` on a processed file; returns the input lines skipped."""
     return _stage(load_processed, report_records, config, input_path, json_path, text_path)[1]
+
+
+def run_stage(name: str, config: PipelineConfig) -> int:
+    """Stage command ``name`` (``"clean"`` ... ``"report"``) on ``config.input``,
+    its artifacts written into ``config.output_dir``; returns its problem count."""
+    command = {
+        "clean": stage_clean,
+        "correct": stage_correct,
+        "classify": stage_classify,
+        "apply": stage_apply,
+        "report": stage_report,
+    }[name]
+    out = Path(config.output_dir)
+    return command(config, config.input, *(out / artifact for artifact in _STAGE_ARTIFACTS[name]))
 
 
 def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = None) -> int:
@@ -372,7 +381,7 @@ def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = Non
     """
     rules = rule_table(config)
     out = Path(config.output_dir)
-    paths = [[out / name for name in names] for names in _STAGE_ARTIFACTS]
+    paths = [[out / name for name in names] for names in _STAGE_ARTIFACTS.values()]
     records, problems = _stage(load_corpus, clean_records, config, config.input, *paths[0])
     cores = (
         partial(correct_records, backend=backend),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .classify import ClassifiedCorrection
+from .classify import HALLUCINATION, OCR_ERROR, SURFACE_FORM, ClassifiedCorrection
 
 STATUS_CLEANED_OUT = "cleaned_out"
 STATUS_EXCLUDED_CONTENT_POLICY = "excluded_content_policy"
@@ -170,7 +170,27 @@ def _correction_to_dict(c: ClassifiedCorrection) -> dict:
     }
 
 
+def _span(span: object, key: str) -> tuple[int, int]:
+    if not (isinstance(span, list) and len(span) == 2 and all(type(i) is int for i in span)):
+        raise ValueError(f"correction {key!r} must be two integers, got {span!r}")
+    return tuple(span)
+
+
 def _correction_from_dict(d: dict) -> ClassifiedCorrection:
+    """A stored correction; a field of the wrong type or value is a ``ValueError`` that names it."""
+    for key in ("original", "corrected", "original_raw", "corrected_raw", "rule"):
+        if not isinstance(d[key], str):
+            raise ValueError(f"correction {key!r} must be a string, got {d[key]!r}")
+    labels = (SURFACE_FORM, OCR_ERROR, HALLUCINATION)
+    if d["label"] not in labels:
+        raise ValueError(f"correction 'label' must be one of {labels}, got {d['label']!r}")
+    if d["ratio"] is not None and type(d["ratio"]) not in (int, float):
+        raise ValueError(f"correction 'ratio' must be null or a number, got {d['ratio']!r}")
+    if type(d["accent_only"]) is not bool:
+        raise ValueError(f"correction 'accent_only' must be a bool, got {d['accent_only']!r}")
+    frequency = d.get("frequency", 1)
+    if type(frequency) is not int or frequency < 1:
+        raise ValueError(f"correction 'frequency' must be an integer >= 1, got {frequency!r}")
     return ClassifiedCorrection(
         original=d["original"],
         corrected=d["corrected"],
@@ -178,11 +198,11 @@ def _correction_from_dict(d: dict) -> ClassifiedCorrection:
         rule=d["rule"],
         ratio=d["ratio"],
         accent_only=d["accent_only"],
-        original_span=tuple(d["position"]),
-        corrected_span=tuple(d.get("corrected_position", (0, 0))),
+        original_span=_span(d["position"], "position"),
+        corrected_span=_span(d.get("corrected_position", [0, 0]), "corrected_position"),
         original_raw=d["original_raw"],
         corrected_raw=d["corrected_raw"],
-        frequency=d.get("frequency", 1),
+        frequency=frequency,
     )
 
 

@@ -16,6 +16,24 @@ from histocr.config import PipelineConfig
 from histocr.pipeline import ARTIFACTS
 
 
+# the artifacts each stage command writes into its --output directory
+STAGE_LAYOUT = {
+    "clean": ("cleaned.jsonl", "removed.jsonl", "cleaning_report.json"),
+    "correct": ("corrected.jsonl",),
+    "classify": ("classified.jsonl",),
+    "apply": ("final.jsonl", "lexicon.tsv", "lexicon_nonaccent.tsv"),
+    "report": ("report.json", "report.txt"),
+}
+# the run artifact each stage command reads; clean reads the corpus
+STAGE_INPUTS = {
+    "clean": None,
+    "correct": "cleaned.jsonl",
+    "classify": "corrected.jsonl",
+    "apply": "classified.jsonl",
+    "report": "final.jsonl",
+}
+
+
 def write_config(path: Path, corpus: Path, fixtures: Path, **extra) -> Path:
     values = dict(
         backend="mock",
@@ -170,7 +188,7 @@ class TestRunCommand:
         corpus = tmp_path / "corpus.jsonl"
         good = json.dumps({"id": "a", "text": "cinco palabras bien formadas aqui"}).encode()
         corpus.write_bytes(b'{"id": "b", "text": "caf\xff"}\n' + good + b"\n")
-        run = ["run", "--input", str(corpus), "--output", str(tmp_path / "out"), "--dry-run"]
+        run = ["run", "--input", str(corpus), "--output", str(tmp_path / "out"), "--backend", "identity"]
         assert main(run) == 0
         assert f"{corpus}: line 1: error: 'utf-8' codec can't decode byte 0xff" in caplog.text
         (row,) = (tmp_path / "out" / "final.jsonl").read_text(encoding="utf-8").splitlines()
@@ -192,7 +210,7 @@ class TestRunCommand:
         config = write_config(tmp_path / "config.json", corpus, fixtures)
         out = tmp_path / "dry"
         assert main(["--config", str(config), "run", "--input", str(corpus),
-                     "--output", str(out), "--dry-run"]) == 0
+                     "--output", str(out), "--backend", "identity"]) == 0
         final = (out / "final.jsonl").read_text(encoding="utf-8")
         for line in final.splitlines():
             row = json.loads(line)
@@ -208,26 +226,28 @@ class TestStageCommands:
         assert main(["--config", str(config), "run", "--input", str(corpus),
                      "--output", str(out_run)]) == 0
 
-        out_st.mkdir()
-        base = ["--config", str(config)]
-        assert main(base + ["clean", "--input", str(corpus),
-                            "--output", str(out_st / "cleaned.jsonl"),
-                            "--removed", str(out_st / "removed.jsonl"),
-                            "--report", str(out_st / "cleaning_report.json")]) == 0
-        assert main(base + ["correct", "--input", str(out_st / "cleaned.jsonl"),
-                            "--output", str(out_st / "corrected.jsonl")]) == 0
-        assert main(base + ["classify", "--input", str(out_st / "corrected.jsonl"),
-                            "--output", str(out_st / "classified.jsonl")]) == 0
-        assert main(base + ["apply", "--input", str(out_st / "classified.jsonl"),
-                            "--output", str(out_st / "final.jsonl"),
-                            "--lexicon", str(out_st / "lexicon.tsv"),
-                            "--lexicon-nonaccent", str(out_st / "lexicon_nonaccent.tsv")]) == 0
-        assert main(base + ["report", "--input", str(out_st / "final.jsonl"),
-                            "--out", str(out_st / "report.json")]) == 0
-        assert main(base + ["report", "--input", str(out_st / "final.jsonl"),
-                            "--format", "text", "--out", str(out_st / "report.txt")]) == 0
+        # each stage reads the file the stage before it wrote into the one --output directory
+        for command, stage_in in STAGE_INPUTS.items():
+            assert main(["--config", str(config), command, "--output", str(out_st), "--input",
+                         str(corpus if stage_in is None else out_st / stage_in)]) == 0, command
+        assert sorted(p.name for p in out_st.iterdir()) == sorted(ARTIFACTS)
         for name in ARTIFACTS:
             assert (out_run / name).read_bytes() == (out_st / name).read_bytes(), name
+
+    def test_each_stage_writes_exactly_its_artifacts(self, pipeline_fixture, tmp_path):
+        corpus, fixtures = pipeline_fixture
+        config = write_config(tmp_path / "config.json", corpus, fixtures)
+        run = tmp_path / "run"
+        assert main(["--config", str(config), "run", "--input", str(corpus), "--output", str(run)]) == 0
+        assert tuple(name for names in STAGE_LAYOUT.values() for name in names) == ARTIFACTS
+        for command, stage_in in STAGE_INPUTS.items():
+            out = tmp_path / command
+            out.mkdir()
+            argv = ["--config", str(config), command, "--output", str(out), "--input",
+                    str(corpus if stage_in is None else run / stage_in)]
+            assert main(argv) == 0, command
+            # the stage's artifacts under the names run gives them, and no temporary file
+            assert sorted(p.name for p in out.iterdir()) == sorted(STAGE_LAYOUT[command]), command
 
     def test_clean_strict_exit_on_malformed_lines(self, tmp_path, caplog):
         corpus = tmp_path / "corpus.jsonl"
@@ -236,7 +256,7 @@ class TestStageCommands:
             + "\n{broken\n",
             encoding="utf-8",
         )
-        out = tmp_path / "cleaned.jsonl"
+        out = tmp_path / "out"
         assert main(["clean", "--input", str(corpus), "--output", str(out)]) == 0
         assert main(["--strict", "clean", "--input", str(corpus), "--output", str(out)]) == 2
         assert "line 2" in caplog.text
@@ -251,7 +271,7 @@ class TestStageCommands:
         src = Path(histocr.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "histocr.cli", "clean", "--input", str(corpus),
-             "--output", str(tmp_path / "cleaned.jsonl")],
+             "--output", str(tmp_path / "out")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0
@@ -266,13 +286,12 @@ class TestStageCommands:
         corpus.write_text(
             "\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8"
         )
-        out = tmp_path / "cleaned.jsonl"
-        report = tmp_path / "cleaning.json"
+        out = tmp_path / "out"
         assert main(["clean", "--input", str(corpus), "--output", str(out),
-                     "--min-tokens", "2", "--report", str(report)]) == 0
-        kept = out.read_text(encoding="utf-8").splitlines()
+                     "--min-tokens", "2"]) == 0
+        kept = (out / "cleaned.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(kept) == 2  # three tokens clears a min-tokens of 2
-        assert json.loads(report.read_text(encoding="utf-8"))["surviving"] == 2
+        assert json.loads((out / "cleaning_report.json").read_text(encoding="utf-8"))["surviving"] == 2
 
 
 class TestDiffCommand:
@@ -322,7 +341,7 @@ class TestClassifyCommand:
 
     def test_threshold_and_rules_flags(self, tmp_path):
         corrected = self.corrected_row(tmp_path)
-        out = tmp_path / "classified.jsonl"
+        out = tmp_path / "out"
         rules_copy = tmp_path / "rules.tsv"
         rules_copy.write_text(
             Path("src/histocr/data/rules.tsv").read_text(encoding="utf-8"),
@@ -331,7 +350,7 @@ class TestClassifyCommand:
         assert main(["classify", "--input", str(corrected), "--output", str(out),
                      "--rules", str(rules_copy), "--ratio-threshold", "0.6",
                      "--max-words", "3"]) == 0
-        rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+        rows = [json.loads(l) for l in (out / "classified.jsonl").read_text(encoding="utf-8").splitlines()]
         labels = {c["original"]: c["label"] for c in rows[0]["corrections"]}
         assert labels == {"sesion": "surface_form", "mui": "surface_form"}
 
@@ -340,7 +359,7 @@ class TestClassifyCommand:
         bad_rules = tmp_path / "bad.tsv"
         bad_rules.write_text("three\tfields\tonly\n", encoding="utf-8")
         code = main(["classify", "--input", str(corrected),
-                     "--output", str(tmp_path / "out.jsonl"),
+                     "--output", str(tmp_path / "out"),
                      "--rules", str(bad_rules)])
         assert code == 1
         assert "expected 7" in capsys.readouterr().err
@@ -349,7 +368,7 @@ class TestClassifyCommand:
         corrected = self.corrected_row(tmp_path)
         bad_rules = tmp_path / "bad.tsv"
         bad_rules.write_bytes(b"# rules\nr1\tcaf\xff\n")
-        out = tmp_path / "out.jsonl"
+        out = tmp_path / "out"
         code = main(["classify", "--input", str(corrected), "--output", str(out), "--rules", str(bad_rules)])
         assert code == 1
         err = capsys.readouterr().err
@@ -360,12 +379,11 @@ class TestClassifyCommand:
     def test_apply_on_stale_classified_file_is_a_clean_failure(self, tmp_path, capsys):
         corrected = self.corrected_row(tmp_path)
         classified = tmp_path / "classified.jsonl"
-        assert main(["classify", "--input", str(corrected), "--output", str(classified)]) == 0
+        assert main(["classify", "--input", str(corrected), "--output", str(tmp_path)]) == 0
         row = json.loads(classified.read_text(encoding="utf-8"))
         row["text"] = row["text"].replace("mui", "muy")  # text edited after classify
         classified.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
-        code = main(["apply", "--input", str(classified),
-                     "--output", str(tmp_path / "final.jsonl"), "--modernize"])
+        code = main(["apply", "--input", str(classified), "--output", str(tmp_path / "out"), "--modernize"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: stale correction")
@@ -374,7 +392,7 @@ class TestClassifyCommand:
     def test_apply_on_unclassified_file_is_a_clean_failure(self, tmp_path, capsys):
         corrected = self.corrected_row(tmp_path)
         final = tmp_path / "final.jsonl"
-        code = main(["apply", "--input", str(corrected), "--output", str(final)])
+        code = main(["apply", "--input", str(corrected), "--output", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -388,10 +406,10 @@ class TestClassifyCommand:
             {"id": "b", "text": "uno 1 dos 2 tres 3 cuatro 4"},  # 7/22 non-alpha
         ]
         corpus.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-        out = tmp_path / "cleaned.jsonl"
+        out = tmp_path / "out"
         assert main(["clean", "--input", str(corpus), "--output", str(out),
                      "--max-nonalpha", "0.1"]) == 0
-        kept = [json.loads(l)["id"] for l in out.read_text(encoding="utf-8").splitlines()]
+        kept = [json.loads(l)["id"] for l in (out / "cleaned.jsonl").read_text(encoding="utf-8").splitlines()]
         assert kept == ["a"]
 
 
@@ -409,8 +427,30 @@ PROCESSED_ROW = {
 }
 
 
+# classify's two surface forms of CORRECTED_ROW, as classified.jsonl stores them
+SESION = {
+    "original": "sesion", "corrected": "sesión", "label": "surface_form", "rule": "accent_only",
+    "ratio": None, "position": [1, 2], "corrected_position": [1, 2],
+    "original_raw": "sesion", "corrected_raw": "sesión", "accent_only": True, "frequency": 1,
+}
+MUI = {
+    **SESION, "original": "mui", "corrected": "muy", "rule": "table_i_y", "position": [3, 4],
+    "corrected_position": [3, 4], "original_raw": "mui", "corrected_raw": "muy", "accent_only": False,
+}
+# the same span labeled an OCR error, so apply rewrites it
+MUI_OCR = {**MUI, "label": "ocr_error"}
+
+
 def without(row: dict, key: str) -> dict:
     return {k: v for k, v in row.items() if k != key}
+
+
+def classified_line(*corrections: dict) -> str:
+    return json.dumps({**CORRECTED_ROW, "corrections": list(corrections)}, ensure_ascii=False)
+
+
+def processed_line(*corrections: dict) -> str:
+    return json.dumps({**PROCESSED_ROW, "corrections": list(corrections)}, ensure_ascii=False)
 
 
 MALFORMED_STAGE_ROWS = pytest.mark.parametrize(
@@ -420,8 +460,13 @@ MALFORMED_STAGE_ROWS = pytest.mark.parametrize(
         ("apply", {**CORRECTED_ROW, "corrections": []}, json.dumps(without(CORRECTED_ROW, "id"))),
         ("apply", {**CORRECTED_ROW, "corrections": []}, "[1,2]"),
         ("report", PROCESSED_ROW, "[1,2]"),
+        ("apply", {**CORRECTED_ROW, "corrections": []}, classified_line({**MUI_OCR, "position": ["3", "4"]})),
+        ("apply", {**CORRECTED_ROW, "corrections": []}, classified_line({**MUI_OCR, "position": [3, 4, 5]})),
+        ("report", PROCESSED_ROW, processed_line(SESION, {**MUI, "original": 5})),
+        ("report", PROCESSED_ROW, processed_line({**MUI, "label": "bogus"})),
     ],
-    ids=["classify-no-text", "apply-no-id", "apply-array", "report-array"],
+    ids=["classify-no-text", "apply-no-id", "apply-array", "report-array", "apply-string-position",
+         "apply-three-int-position", "report-int-original", "report-unknown-label"],
 )
 
 
@@ -430,8 +475,7 @@ def stage_argv(tmp_path: Path, command: str, good_row: dict, bad_line: str) -> l
     stage_in = tmp_path / "in.jsonl"
     good = json.dumps({**good_row, "id": "b"}, ensure_ascii=False)
     stage_in.write_text(bad_line + "\n" + good + "\n", encoding="utf-8")
-    out_flag = "--out" if command == "report" else "--output"
-    return [command, "--input", str(stage_in), out_flag, str(tmp_path / "out")]
+    return [command, "--input", str(stage_in), "--output", str(tmp_path / "out")]
 
 
 class TestMalformedStageRows:
@@ -443,9 +487,10 @@ class TestMalformedStageRows:
         assert main(stage_argv(tmp_path, command, good_row, bad_line)) == 0
         assert f"{stage_in}: line 1: error: " in caplog.text
         if command == "report":
-            assert json.loads(out.read_text(encoding="utf-8"))["rows"] == 1
+            assert json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"] == 1
         else:
-            assert [json.loads(line)["id"] for line in out.read_text(encoding="utf-8").splitlines()] == ["b"]
+            written = (out / STAGE_LAYOUT[command][0]).read_text(encoding="utf-8")
+            assert [json.loads(line)["id"] for line in written.splitlines()] == ["b"]
 
     @MALFORMED_STAGE_ROWS
     def test_bad_line_exits_2_in_strict_mode(self, tmp_path, command, good_row, bad_line):
@@ -463,7 +508,7 @@ class TestStrictCorrect:
             + "\n",
             encoding="utf-8",
         )
-        args = ["correct", "--input", str(corpus), "--output", str(tmp_path / "corrected.jsonl"),
+        args = ["correct", "--input", str(corpus), "--output", str(tmp_path),
                 "--backend", "mock", "--fixtures", str(fixtures), "--retry-attempts", "1"]
         assert main(args) == 0
         assert main(["--strict"] + args) == 2
@@ -475,7 +520,7 @@ class TestStrictCorrect:
         rows = [{"id": "a", "text": "la sesion era mui corta"}, {"id": "b", "text": ""}]
         corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         out = tmp_path / "corrected.jsonl"
-        args = ["correct", "--input", str(corpus), "--output", str(out), "--backend", "identity"]
+        args = ["correct", "--input", str(corpus), "--output", str(tmp_path), "--backend", "identity"]
         assert main(args) == 0
         assert main(["--strict"] + args) == 2
         written = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
@@ -499,7 +544,7 @@ class TestStrictCorrect:
 
         monkeypatch.setattr(pipeline, "make_backend", lambda config: CrashesOnce())
         out = tmp_path / "corrected.jsonl"
-        args = ["correct", "--input", str(corpus), "--output", str(out), "--concurrency", "2"]
+        args = ["correct", "--input", str(corpus), "--output", str(tmp_path), "--concurrency", "2"]
         assert main(args) == 0
         assert main(["--strict"] + args) == 2
         written = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
@@ -527,10 +572,10 @@ class TestStrictWholeTextReject:
     def test_correct_passes_and_classify_fails(self, tmp_path):
         corpus, fixtures = self.write_inputs(tmp_path)
         corrected, classified = tmp_path / "corrected.jsonl", tmp_path / "classified.jsonl"
-        assert main(["--strict", "correct", "--input", str(corpus), "--output", str(corrected),
+        assert main(["--strict", "correct", "--input", str(corpus), "--output", str(tmp_path),
                      "--backend", "mock", "--fixtures", str(fixtures)]) == 0
         assert json.loads(corrected.read_text(encoding="utf-8"))["llm_outcome"] == "ok"
-        classify = ["classify", "--input", str(corrected), "--output", str(classified)]
+        classify = ["classify", "--input", str(corrected), "--output", str(tmp_path)]
         assert main(classify) == 0
         assert main(["--strict"] + classify) == 2
         assert json.loads(classified.read_text(encoding="utf-8"))["llm_outcome"] == "global_hallucination"
@@ -564,7 +609,7 @@ class TestMalformedFixtures:
         # latin-1 writes "\xff" as the one byte 0xff and every other character here as itself
         fixtures.write_bytes((good + "\n" + bad_line + "\n").encode("latin-1"))
         out = tmp_path / "corrected.jsonl"
-        code = main(["correct", "--input", str(corpus), "--output", str(out),
+        code = main(["correct", "--input", str(corpus), "--output", str(tmp_path),
                      "--backend", "mock", "--fixtures", str(fixtures)])
         assert code == 1
         err = capsys.readouterr().err
@@ -589,7 +634,7 @@ class TestConfigOverrides:
             (RUN + ["--concurrency", "7"], "concurrency", 7),
             (RUN + ["--retry-attempts", "5"], "retry_attempts", 5),
             (RUN + ["--max-chars", "900"], "max_chars", 900),
-            (RUN + ["--dry-run", "--backend", "mock"], "backend", "identity"),
+            (RUN + ["--count-whitespace"], "count_whitespace", True),
             (RUN + ["--min-tokens", "2"], "min_tokens", 2),
             (RUN + ["--max-nonalpha", "0.3"], "max_nonalpha", 0.3),
             (RUN + ["--modernize"], "modernize", True),
@@ -602,6 +647,22 @@ class TestConfigOverrides:
     )
     def test_flag_lands_in_its_field(self, argv, field, value):
         config = _build_config(build_parser().parse_args(argv))
-        # run's --input and --output set input and output_dir; nothing else moves
-        base = PipelineConfig(input="corpus.jsonl", output_dir="out" if "run" in argv else "")
+        # --input and --output set input and output_dir; nothing else moves
+        base = PipelineConfig(input="corpus.jsonl", output_dir="out")
         assert config == replace(base, **{field: value})
+
+    def test_unset_flag_overrides_no_config_value(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"count_whitespace": True, "modernize": True, "min_tokens": 2}))
+        assert _build_config(build_parser().parse_args(["--config", str(config)] + RUN)) == PipelineConfig(
+            input="corpus.jsonl", output_dir="out", count_whitespace=True, modernize=True, min_tokens=2
+        )
+
+
+class TestParser:
+    def test_run_takes_every_stage_flag(self):
+        (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+        run_flags = {s for a in commands["run"]._actions for s in a.option_strings}
+        for command in STAGE_LAYOUT:
+            flags = {s for a in commands[command]._actions for s in a.option_strings}
+            assert flags - {"-h", "--help", "--input", "--output"} <= run_flags, command

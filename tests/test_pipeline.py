@@ -354,7 +354,9 @@ class TestRethreshold:
     def test_classify_rethresholds_without_touching_model_output(self, pipeline_fixture, tmp_path):
         corpus, fixtures = pipeline_fixture
         config = make_config(corpus, fixtures, tmp_path)
-        stage_clean(config, corpus, tmp_path / "cleaned.jsonl")
+        stage_clean(
+            config, corpus, tmp_path / "cleaned.jsonl", tmp_path / "removed.jsonl", tmp_path / "cleaning_report.json"
+        )
         backend = CountingBackend(fixtures)
         assert stage_correct(config, tmp_path / "cleaned.jsonl", tmp_path / "corrected.jsonl", backend=backend) == 2
         calls = backend.calls

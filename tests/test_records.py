@@ -291,3 +291,51 @@ class TestFieldTypes:
         result = load_corpus(path)
         assert result.records == []
         assert "year" in result.errors[0].message
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("position", ["1", "2"]),
+            ("position", [1, 2, 3]),
+            ("position", [True, 2]),
+            ("corrected_position", [1]),
+            ("original", 5),
+            ("corrected", None),
+            ("original_raw", 1),
+            ("corrected_raw", []),
+            ("rule", None),
+            ("label", "bogus"),
+            ("ratio", "0.5"),
+            ("ratio", True),
+            ("accent_only", 1),
+            ("frequency", 0),
+            ("frequency", 1.0),
+            ("frequency", True),
+        ],
+    )
+    def test_malformed_correction_costs_its_line(self, tmp_path, field, value):
+        good = ProcessedRecord(
+            make_records(1)[0], STATUS_CORRECTED, "texto", "texto", [make_correction()]
+        ).to_json_dict()
+        bad = {**good, "id": "bad", "corrections": [{**good["corrections"][0], field: value}]}
+        path = tmp_path / "final.jsonl"
+        path.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
+        result = load_processed(path)
+        assert [r.record.id for r in result.records] == ["r0"]
+        (error,) = result.errors
+        assert error.line == 1
+        assert error.message.startswith(f"correction {field!r} must be "), error.message
+        assert error.message.endswith(f", got {value!r}")
+
+    def test_correction_defaults_and_integer_ratio_load(self, tmp_path):
+        row = ProcessedRecord(
+            make_records(1)[0], STATUS_CORRECTED, "texto", "texto", [make_correction()]
+        ).to_json_dict()
+        stored = row["corrections"][0]
+        del stored["corrected_position"], stored["frequency"]
+        stored["ratio"] = 1
+        path = tmp_path / "final.jsonl"
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        (record,) = load_processed(path).records
+        (correction,) = record.corrections
+        assert (correction.corrected_span, correction.frequency, correction.ratio) == ((0, 0), 1, 1)
