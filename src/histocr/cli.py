@@ -88,9 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
         for add_flags in flag_groups:
             add_flags(p)
 
-    p = sub.add_parser("diff", help="debug: print word-level hunks between two text files")
+    p = sub.add_parser(
+        "diff", help="debug: print word-level hunks between two text files", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--original", required=True)
     p.add_argument("--corrected", required=True)
+    p.add_argument("--verbose", action="store_true", help="also print each hunk's label and rule")
+    _classify_flags(p)
 
     return parser
 

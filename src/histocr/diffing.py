@@ -16,9 +16,12 @@ this recursion with this tie order, so :func:`similarity_ratio` returns
 exactly difflib's ratio. The word diff maps each distinct word to one code
 point and makes one hunk of each gap between consecutive blocks; difflib
 merges adjacent blocks, but they leave no gap, so its opcodes give the same
-hunks. The longest block is found from sampled seeds (see
-:func:`_longest_block`), not by difflib's walk over every pair of equal
-elements, which costs roughly the cube of the length.
+hunks. The longest block is not found by difflib's walk over every pair of
+equal elements, which costs roughly the cube of the length, but by one of two
+searches (see :func:`_longest_block`): when both windows are short, one pass
+of substring tests over the first window; otherwise, sampled seeds extended
+to maximal blocks. Each search finds the same block with the same tie order,
+so the path taken never changes a result, only its cost.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 HunkKind = Literal["replace", "insert", "delete"]
+
+# longest window, on both sides, that _longest_block searches in one pass
+_SHORT_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -172,15 +178,37 @@ def _longest_block(
     Ties go to the smallest ``i``, then the smallest ``j``; ``size`` is 0
     when the windows share no character.
 
-    Seed lemma: let ``s + q = K + 1``. A common block of length at least K
-    starting at ``x`` in the ``a`` window ``[alo, ahi)`` has some
-    ``p = alo + t*s`` among ``x .. x+s-1``, and ``p + q <= x + K``, so it
-    contains the seed ``a[p:p+q]``. Extending every occurrence (``str.find``)
-    of every seed in the ``b`` window to its maximal block therefore finds
-    every block of length at least K, tied ones included. K starts at the
-    smallest of ``limit`` and the window lengths, and halves (or drops to the
-    longest block found so far) until a found block reaches it.
+    Two searches give the same answer. When both windows are at most
+    ``_SHORT_WINDOW`` long (word-group strings, the word codes of short
+    records, the tail windows of a long recursion), one pass over the ``a``
+    window asks at each ``i`` only whether ``a[i:i+best+1]`` occurs in the
+    ``b`` window, growing ``best`` while it does: one substring test per
+    start plus one per character ``best`` grows. Only a strictly longer
+    block replaces the best, and ``j`` is the winner's first occurrence, so
+    the tie order holds. Both windows must be short: the pass costs a Python
+    step per character of ``a``, and each test scans the ``b`` window.
+
+    Longer windows take the seed search. Seed lemma: let ``s + q = K + 1``.
+    A common block of length at least K starting at ``x`` in the ``a``
+    window ``[alo, ahi)`` has some ``p = alo + t*s`` among ``x .. x+s-1``,
+    and ``p + q <= x + K``, so it contains the seed ``a[p:p+q]``. Extending
+    every occurrence (``str.find``) of every seed in the ``b`` window to its
+    maximal block therefore finds every block of length at least K, tied
+    ones included. K starts at the smallest of ``limit`` and the window
+    lengths, and halves (or drops to the longest block found so far) until a
+    found block reaches it.
     """
+    if ahi - alo <= _SHORT_WINDOW and bhi - blo <= _SHORT_WINDOW:
+        window = b[blo:bhi]
+        best_i = i = alo
+        best = 0
+        while i + best < ahi:
+            if a[i : i + best + 1] in window:
+                best_i = i
+                best += 1
+            else:
+                i += 1
+        return best_i, blo + window.find(a[best_i : best_i + best]), best
     k = cap = min(limit, ahi - alo, bhi - blo)
     best_i, best_j, best = alo, blo, 0
     find = b.find

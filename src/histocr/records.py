@@ -111,7 +111,7 @@ class CandidateRecord:
             outcome=obj["llm_outcome"],
             detail=obj.get("llm_detail", ""),
             text_llm=obj.get("text_llm"),
-            corrections=None if corrections is None else [_correction_from_dict(c) for c in corrections],
+            corrections=None if corrections is None else _corrections_from_list(corrections),
         )
 
 
@@ -150,7 +150,7 @@ class ProcessedRecord:
             status=obj["status"],
             text_llm=obj.get("text_llm"),
             text_final=obj.get("text_final"),
-            corrections=[_correction_from_dict(c) for c in obj.get("corrections", [])],
+            corrections=_corrections_from_list(obj.get("corrections", [])),
         )
 
 
@@ -174,6 +174,16 @@ def _span(span: object, key: str) -> tuple[int, int]:
     if not (isinstance(span, list) and len(span) == 2 and all(type(i) is int for i in span)):
         raise ValueError(f"correction {key!r} must be two integers, got {span!r}")
     return tuple(span)
+
+
+def _corrections_from_list(rows: object) -> list[ClassifiedCorrection]:
+    """A row's stored corrections; anything but a list of objects is a ``ValueError`` that names the field."""
+    if not isinstance(rows, list):
+        raise ValueError(f"'corrections' must be a list, got {rows!r}")
+    for d in rows:
+        if not isinstance(d, dict):
+            raise ValueError(f"'corrections' items must be objects, got {d!r}")
+    return [_correction_from_dict(d) for d in rows]
 
 
 def _correction_from_dict(d: dict) -> ClassifiedCorrection:

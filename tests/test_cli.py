@@ -326,6 +326,22 @@ class TestDiffCommand:
         assert main(["diff", "--original", str(path_a), "--corrected", str(path_b)]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_rules_flag_sets_the_printed_labels(self, tmp_path, capsys):
+        original = tmp_path / "original.txt"
+        corrected = tmp_path / "corrected.txt"
+        original.write_text("la sesion era mui corta", encoding="utf-8")
+        corrected.write_text("la sesión era muy corta", encoding="utf-8")
+        shipped = Path("src/histocr/data/rules.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        without_i_y = tmp_path / "rules.tsv"
+        without_i_y.write_text("".join(l for l in shipped if not l.startswith("table_i_y\t")), encoding="utf-8")
+        argv = ["diff", "--verbose", "--original", str(original), "--corrected", str(corrected)]
+        assert main(argv) == 0
+        assert "  'mui' -> 'muy': surface_form via table_i_y" in capsys.readouterr().out.splitlines()
+        assert main(argv + ["--rules", str(without_i_y)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  'mui' -> 'muy': ocr_error via equal_length" in lines
+        assert "  'sesion' -> 'sesión': surface_form via accent_only" in lines
+
 
 class TestClassifyCommand:
     def corrected_row(self, tmp_path):

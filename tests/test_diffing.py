@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
 from histocr.diffing import (
+    _SHORT_WINDOW,
     ChangeHunk,
     diff_words,
     format_hunk,
@@ -102,6 +103,23 @@ def _shuffled_words(text: str, seed: int) -> str:
     return " ".join(words)
 
 
+# window lengths on both sides of the one-pass search's limit, for either string
+AROUND_SHORT_WINDOW = [
+    (m, n)
+    for m in (_SHORT_WINDOW - 1, _SHORT_WINDOW, _SHORT_WINDOW + 1)
+    for n in (_SHORT_WINDOW - 1, _SHORT_WINDOW, _SHORT_WINDOW + 1)
+]
+
+
+def _tiny_alphabet_pairs(m: int, n: int) -> list[tuple[str, str]]:
+    rng = random.Random(m * 1000 + n)
+    return [
+        ("".join(rng.choices(alphabet, k=m)), "".join(rng.choices(alphabet, k=n)))
+        for alphabet in ("ab", "abc")
+        for _ in range(10)
+    ]
+
+
 _LONG_SPANISH = " ".join([GOLDEN_ORIGINAL] * 2)
 ADVERSARIAL_PAIRS = {
     "alternating_shifted": ("ab" * 1500, "ba" * 1500),
@@ -117,6 +135,11 @@ ADVERSARIAL_PAIRS = {
     "empty_first": ("", GOLDEN_ORIGINAL),
     "empty_second": (GOLDEN_CORRECTED, ""),
     "single_char_in_text": ("x", "taxi"),
+    # equally long longest blocks whose choice changes M: only the smallest
+    # i, then the smallest j, gives difflib's ratio
+    "tie_in_j": ("aaab", "abab"),  # "ab" at (2, 0) and (2, 2)
+    "tie_in_i": ("aaac", "aaba"),  # "aa" at (0, 0) and (1, 0)
+    "tie_in_i_and_j": ("aaaa", "acaa"),  # "aa" at (0, 2), (1, 2) and (2, 2)
 }
 
 
@@ -263,6 +286,18 @@ class TestDiffWordsMatchesDifflib:
             corrected = rng.choices(vocabulary, k=rng.randint(0, 30))
             assert diff_words(original, corrected) == difflib_hunks(original, corrected)
 
+    @pytest.mark.parametrize("m, n", AROUND_SHORT_WINDOW)
+    def test_windows_around_the_short_limit(self, m, n):
+        for a, b in _tiny_alphabet_pairs(m, n):
+            original, corrected = list(a), list(b)  # one-letter words
+            assert diff_words(original, corrected) == difflib_hunks(original, corrected)
+
+    def test_short_window_ties(self):
+        # "x y" at (2, 0) and (2, 2): the earlier corrected match anchors
+        original, corrected = ["x", "x", "x", "y"], ["x", "y", "x", "y"]
+        expected = [ChangeHunk("x x", "", (0, 2), (0, 0), "delete"), ChangeHunk("", "x y", (4, 4), (2, 4), "insert")]
+        assert diff_words(original, corrected) == difflib_hunks(original, corrected) == expected
+
     @pytest.mark.parametrize("name", sorted(WORD_REPEAT_CASES))
     def test_word_repeat_cases_pinned(self, name):
         original, corrected, count, digest = WORD_REPEAT_CASES[name]
@@ -326,6 +361,11 @@ class TestSimilarityRatioMatchesDifflib:
         a, b = ADVERSARIAL_PAIRS[name]
         assert similarity_ratio(a, b) == difflib_ratio(a, b)
 
+    @pytest.mark.parametrize("m, n", AROUND_SHORT_WINDOW)
+    def test_windows_around_the_short_limit(self, m, n):
+        for a, b in _tiny_alphabet_pairs(m, n):
+            assert similarity_ratio(a, b) == difflib_ratio(a, b), (a, b)
+
     @given(st.text(alphabet="ab", max_size=40), st.text(alphabet="ab", max_size=40))
     @settings(max_examples=300)
     def test_two_letter_ties(self, a, b):
@@ -368,6 +408,13 @@ class TestSimilarityBelow:
     def test_adversarial_pairs(self, name, threshold):
         a, b = ADVERSARIAL_PAIRS[name]
         assert similarity_below(a, b, threshold) == (similarity_ratio(a, b) < threshold)
+
+    @pytest.mark.parametrize("m, n", AROUND_SHORT_WINDOW)
+    def test_windows_around_the_short_limit(self, m, n):
+        for a, b in _tiny_alphabet_pairs(m, n):
+            ratio = difflib_ratio(a, b)
+            for threshold in (ratio, math.nextafter(ratio, math.inf), 0.5, 0.7):
+                assert similarity_below(a, b, threshold) == (ratio < threshold), (a, b, threshold)
 
 
 class TestFormatHunk:

@@ -327,6 +327,35 @@ class TestFieldTypes:
         assert error.message.startswith(f"correction {field!r} must be "), error.message
         assert error.message.endswith(f", got {value!r}")
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (5, "'corrections' must be a list, got 5"),
+            ("ab", "'corrections' must be a list, got 'ab'"),
+            ({"original": "x"}, "'corrections' must be a list, got {'original': 'x'}"),
+            ([5], "'corrections' items must be objects, got 5"),
+            (["ab"], "'corrections' items must be objects, got 'ab'"),
+        ],
+        ids=["int", "string", "object", "int-item", "string-item"],
+    )
+    @pytest.mark.parametrize(
+        "load, row",
+        [
+            (load_candidates, CandidateRecord(make_records(1)[0], "ok", "", "texto", [make_correction()])),
+            (load_processed, ProcessedRecord(make_records(1)[0], STATUS_CORRECTED, "texto", "texto", [make_correction()])),
+        ],
+        ids=["candidate", "processed"],
+    )
+    def test_malformed_corrections_list_costs_its_line(self, tmp_path, load, row, value, message):
+        good = row.to_json_dict()
+        bad = {**good, "id": "bad", "corrections": value}
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
+        result = load(path)
+        assert [r.record.id for r in result.records] == ["r0"]
+        (error,) = result.errors
+        assert (error.line, error.message) == (1, message)
+
     def test_correction_defaults_and_integer_ratio_load(self, tmp_path):
         row = ProcessedRecord(
             make_records(1)[0], STATUS_CORRECTED, "texto", "texto", [make_correction()]
