@@ -1,12 +1,13 @@
 """Command-line entry point wiring the pipeline stages.
 
 Subcommands: run (full pipeline), the stages clean, correct, classify, apply
-and report, and the debug helper diff. ``run`` and every stage take ``--input
-FILE --output DIR``; a stage writes its artifacts into DIR under the names
-``run`` gives them (see :mod:`histocr.pipeline`). Each stage's flags are
-declared once, in a group, and ``run`` takes every group; every flag sets the
-config field named by its dest. Exit codes: 0 success, 1 fatal error, 2 in
-strict mode when a stage skipped an input line or a record failed.
+and report, and the debug helper diff, each a row of one table of flag groups.
+``run`` and every stage take ``--input FILE --output DIR``; a stage writes its
+artifacts into DIR under the names ``run`` gives them (see
+:mod:`histocr.pipeline`). Every flag sets the config field named by its dest;
+the global flags ``--config``, ``--verbose`` and ``--strict`` are accepted
+before or after the command. Exit codes: 0 success, 1 fatal error, 2 in strict
+mode when a stage skipped an input line or a record failed.
 """
 
 from __future__ import annotations
@@ -14,15 +15,31 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import pipeline
 from .applier import SpanIntegrityError
 from .classify import classify_hunks
-from .config import BACKEND_KINDS, PipelineConfig, load_config, with_overrides
+from .config import BACKEND_KINDS, PipelineConfig, load_config
 from .diffing import diff_words, format_hunk, tokenize_words
 from .records import CorpusError
+
+
+def _global_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--verbose", action="store_true", help="debug logging; diff also prints labels and rules")
+    parser.add_argument("--strict", action="store_true", help="non-zero exit on partial failures")
+
+
+def _io_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True, metavar="FILE", help="input JSONL file")
+    parser.add_argument("--output", dest="output_dir", required=True, metavar="DIR", help="artifact directory")
+
+
+def _diff_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--original", required=True)
+    parser.add_argument("--corrected", required=True)
 
 
 def _clean_flags(parser: argparse.ArgumentParser) -> None:
@@ -56,53 +73,39 @@ def _apply_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--modernize", action="store_true", help="apply surface-form corrections too")
 
 
-# each command's help and the flag groups it takes
-_STAGE_COMMANDS = {
-    "run": (
-        "full pipeline: clean, correct, classify, apply, report",
-        (_clean_flags, _backend_flags, _classify_flags, _apply_flags),
-    ),
-    "clean": ("apply the three cleaning filters", (_clean_flags,)),
-    "correct": ("fetch corrected candidates from the backend", (_backend_flags,)),
-    "classify": ("diff and label corrections", (_classify_flags,)),
-    "apply": ("apply OCR-error corrections and emit the lexicon", (_apply_flags,)),
-    "report": ("compute run statistics", ()),
+# each command's help and the flag groups it takes besides the global flags
+_COMMANDS = {
+    "run": ("full pipeline: clean, correct, classify, apply, report",
+            (_io_flags, _clean_flags, _backend_flags, _classify_flags, _apply_flags)),
+    "clean": ("apply the three cleaning filters", (_io_flags, _clean_flags)),
+    "correct": ("fetch corrected candidates from the backend", (_io_flags, _backend_flags)),
+    "classify": ("diff and label corrections", (_io_flags, _classify_flags)),
+    "apply": ("apply OCR-error corrections and emit the lexicon", (_io_flags, _apply_flags)),
+    "report": ("compute run statistics", (_io_flags,)),
+    "diff": ("debug: print word-level hunks between two text files", (_diff_flags, _classify_flags)),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # an unset flag stays off the namespace: it overrides no config value, nor a global flag given before the command
     parser = argparse.ArgumentParser(
         prog="histocr",
         description="Post-OCR correction and surface-form extraction for historical Spanish corpora.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--verbose", action="store_true")
-    parser.add_argument("--strict", action="store_true", default=None, help="non-zero exit on partial failures")
+    _global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, (help_text, flag_groups) in _STAGE_COMMANDS.items():
-        # an unset flag stays off the namespace, so it overrides no config value
+    for name, (help_text, flag_groups) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        p.add_argument("--input", required=True, metavar="FILE", help="input JSONL file")
-        p.add_argument("--output", dest="output_dir", required=True, metavar="DIR", help="artifact directory")
-        for add_flags in flag_groups:
+        for add_flags in (_global_flags, *flag_groups):
             add_flags(p)
-
-    p = sub.add_parser(
-        "diff", help="debug: print word-level hunks between two text files", argument_default=argparse.SUPPRESS
-    )
-    p.add_argument("--original", required=True)
-    p.add_argument("--corrected", required=True)
-    p.add_argument("--verbose", action="store_true", help="also print each hunk's label and rule")
-    _classify_flags(p)
-
     return parser
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    config = load_config(args.config) if args.config else PipelineConfig()
+    config = load_config(args.config) if "config" in args else PipelineConfig()
     # flags share their destination names with the config fields they set
-    return with_overrides(config, **{f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)})
+    return replace(config, **{f.name: getattr(args, f.name) for f in fields(PipelineConfig) if f.name in args})
 
 
 def _fail(message: str) -> int:
@@ -126,7 +129,7 @@ def _read_text(path: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
+        level=logging.DEBUG if "verbose" in args else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
@@ -147,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             hunks = diff_words(tokenize_words(original), tokenize_words(corrected))
             for hunk in hunks:
                 print(format_hunk(hunk))
-            if args.verbose:
+            if "verbose" in args:
                 rules = pipeline.rule_table(config)
                 for corr in classify_hunks(hunks, rules, pipeline.classifier_config(config)):
                     print(f"  {corr.original!r} -> {corr.corrected!r}: {corr.label} via {corr.rule}")

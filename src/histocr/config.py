@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .classify import ClassifierConfig
 from .cleaning import TOKENIZERS
+from .client import RetryPolicy
 
 BACKEND_KINDS = ("mock", "identity", "http")
 
@@ -30,8 +31,8 @@ class PipelineConfig:
     temperature: float = 0.0
     # request handling
     concurrency: int = 4
-    retry_attempts: int = 3
-    backoff_base: float = 0.5
+    retry_attempts: int = RetryPolicy.max_attempts
+    backoff_base: float = RetryPolicy.backoff_base
     max_chars: int = 12000
     hallucination_threshold: float = 0.5
     # cleaning
@@ -41,9 +42,9 @@ class PipelineConfig:
     tokenizer: str = "unicode_words"
     # classification
     rules_path: str | None = None
-    ratio_threshold: float = 0.55
-    max_corrected_words: int = 3
-    promote_min_frequency: int | None = None
+    ratio_threshold: float = ClassifierConfig.ratio_threshold
+    max_corrected_words: int = ClassifierConfig.max_corrected_words
+    promote_min_frequency: int | None = ClassifierConfig.promote_min_frequency
     # behavior
     modernize: bool = False
     strict: bool = False
@@ -112,8 +113,3 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     return PipelineConfig(**data)
 
-
-def with_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:
-    """Apply non-None overrides (CLI flags beat file values)."""
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **changes)

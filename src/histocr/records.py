@@ -238,14 +238,15 @@ def _parse_corpus_fields(obj: dict) -> CorpusRecord:
     year = obj.get("year")
     if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
         raise ValueError(f"'year' must be an integer, got {year!r}")
-    city = obj.get("city")
-    if city is not None and not isinstance(city, str):
-        raise ValueError(f"'city' must be a string, got {city!r}")
+    for key in ("newspaper", "country", "city"):
+        value = obj.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{key!r} must be a string, got {value!r}")
     return CorpusRecord(
         id=rec_id,
-        newspaper=str(obj.get("newspaper") or ""),
-        country=str(obj.get("country") or ""),
-        city=city,
+        newspaper=obj.get("newspaper") or "",
+        country=obj.get("country") or "",
+        city=obj.get("city"),
         year=year,
         text=text,
     )

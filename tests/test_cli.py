@@ -11,7 +11,8 @@ import histocr
 from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
 from histocr import pipeline
 from histocr.cli import _build_config, build_parser, main
-from histocr.client import TRANSPORT_ERROR_SENTINEL, MockBackend
+from histocr.classify import ClassifierConfig
+from histocr.client import TRANSPORT_ERROR_SENTINEL, MockBackend, RetryPolicy
 from histocr.config import PipelineConfig
 from histocr.pipeline import ARTIFACTS
 
@@ -659,6 +660,8 @@ class TestConfigOverrides:
             (RUN + ["--max-words", "2"], "max_corrected_words", 2),
             (["clean", "--input", "corpus.jsonl", "--output", "out", "--count-whitespace"],
              "count_whitespace", True),
+            (RUN + ["--strict"], "strict", True),
+            (["clean", "--input", "corpus.jsonl", "--output", "out", "--strict"], "strict", True),
         ],
     )
     def test_flag_lands_in_its_field(self, argv, field, value):
@@ -669,13 +672,36 @@ class TestConfigOverrides:
 
     def test_unset_flag_overrides_no_config_value(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"count_whitespace": True, "modernize": True, "min_tokens": 2}))
-        assert _build_config(build_parser().parse_args(["--config", str(config)] + RUN)) == PipelineConfig(
-            input="corpus.jsonl", output_dir="out", count_whitespace=True, modernize=True, min_tokens=2
-        )
+        config.write_text(json.dumps({"count_whitespace": True, "modernize": True, "min_tokens": 2, "strict": True}))
+        # --config before the command and after it
+        for argv in (["--config", str(config)] + RUN, RUN + ["--config", str(config)]):
+            assert _build_config(build_parser().parse_args(argv)) == PipelineConfig(
+                input="corpus.jsonl", output_dir="out", count_whitespace=True, modernize=True, min_tokens=2,
+                strict=True,
+            ), argv
+
+    def test_defaults_are_the_stage_settings_defaults(self):
+        assert pipeline.classifier_config(PipelineConfig()) == ClassifierConfig()
+        config, policy = PipelineConfig(), RetryPolicy()
+        assert (config.retry_attempts, config.backoff_base) == (policy.max_attempts, policy.backoff_base)
+
+
+COMMANDS = {
+    **{command: ["--input", "in.jsonl", "--output", "out"] for command in ["run", *STAGE_LAYOUT]},
+    "diff": ["--original", "a.txt", "--corrected", "b.txt"],
+}
 
 
 class TestParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_global_flags_after_the_command(self, command):
+        after = [command, *COMMANDS[command], "--verbose", "--strict"]
+        # given before the command, a global flag is not reset by its absence after it
+        before = ["--verbose", "--strict", command, *COMMANDS[command]]
+        for argv in (after, before):
+            args = build_parser().parse_args(argv)
+            assert "verbose" in args and _build_config(args).strict is True, argv
+
     def test_run_takes_every_stage_flag(self):
         (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
         run_flags = {s for a in commands["run"]._actions for s in a.option_strings}

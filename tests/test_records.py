@@ -141,6 +141,17 @@ class TestLoadCorpus:
         assert result.records[0].city is None
         assert result.records[0].year is None
 
+    @pytest.mark.parametrize("key", ["newspaper", "country"])
+    @pytest.mark.parametrize("value", [["La", "Nacion"], {"name": "La Nacion"}, True, 0])
+    def test_non_string_metadata_costs_its_line(self, tmp_path, key, value):
+        path = tmp_path / "corpus.jsonl"
+        rows = [{"id": "x", "text": "hola", key: value}, {"id": "y", "text": "hola", key: None}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        result = load_corpus(path)
+        # null stays "", as an absent value does
+        assert [(r.id, getattr(r, key)) for r in result.records] == [("y", "")]
+        assert [str(d) for d in result.diagnostics] == [f"line 1: error: {key!r} must be a string, got {value!r}"]
+
     def test_nul_in_text_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"id": "x", "text": "a\x00b"}) + "\n", encoding="utf-8")
