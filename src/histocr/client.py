@@ -22,17 +22,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol
 
-from .records import CorpusError, _read_rows
+from .records import (
+    OUTCOME_CONTENT_POLICY,
+    OUTCOME_OK,
+    OUTCOME_OVER_LENGTH,
+    OUTCOME_TRANSPORT_ERROR,
+    CorpusError,
+    _read_rows,
+)
 
 if TYPE_CHECKING:
     import requests
 
 logger = logging.getLogger(__name__)
-
-OUTCOME_OK = "ok"
-OUTCOME_CONTENT_POLICY = "content_policy_refusal"
-OUTCOME_TRANSPORT_ERROR = "transport_error"
-OUTCOME_OVER_LENGTH = "over_length"
 
 SPANISH_PROMPT = (
     "Dado el texto del siglo XIX entre ```, retorna únicamente el texto "

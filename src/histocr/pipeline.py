@@ -5,16 +5,20 @@ the previous stage's records, writes its artifacts and returns ``(records,
 problems)``: its own records and how many it failed (``correct``: records
 neither ``ok`` nor refused; ``classify``: wholesale rewrites; others: none).
 :func:`run_pipeline` loads the rules table, then chains the cores: it writes
-every artifact and reads none back. The stage commands (``stage_clean`` ...
-``stage_report``) share one body that reads the input file, logs its line
-diagnostics, calls the core and returns the input lines skipped plus the
-records failed; strict mode exits 2 on any. So every stage stays resumable,
-and a re-run never repeats a slow, costly model call. Every artifact path is
-a required argument. :func:`run_stage` runs one stage command by name, its
-artifacts in ``config.output_dir`` under the names :func:`run_pipeline` gives
-them (``_STAGE_ARTIFACTS``, the one table of names); chained through one
-directory, the stage commands produce byte-identical artifacts to
-:func:`run_pipeline`.
+every artifact and reads none back. It runs classify's per-record work
+(:func:`classify_candidate`) on each candidate as its response arrives,
+while later responses are still awaited, so after the last response only
+classify's corpus-wide tail is left. The stage commands (``stage_clean``
+... ``stage_report``) share one body that reads the input file, logs its
+line diagnostics, calls the core and returns the input lines skipped plus
+the records failed; strict mode exits 2 on any. So every stage stays
+resumable, and a re-run never repeats a slow, costly model call. Every
+artifact path is a required argument. :func:`run_stage` runs one stage
+command by name, its artifacts in ``config.output_dir`` under the names
+:func:`run_pipeline` gives them (``_STAGE_ARTIFACTS``, the one table of
+names); chained through one directory, the stage commands do the same work
+split in two (``correct``, then ``classify`` on every row it reads) and
+produce byte-identical artifacts to :func:`run_pipeline`.
 
 ``correct`` writes what the backend returned and judges nothing: every
 threshold, ``hallucination_threshold`` included, is applied by ``classify``,
@@ -42,8 +46,8 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
-from . import client as client_mod
 from .applier import apply_corrections, emit_lexicon, write_lexicon
 from .classify import (
     ClassifierConfig,
@@ -56,7 +60,6 @@ from .classify import (
 )
 from .cleaning import TOKENIZERS, clean_corpus
 from .client import (
-    OUTCOME_OK,
     BackendResult,
     CorrectionBackend,
     HttpChatBackend,
@@ -67,6 +70,9 @@ from .client import (
 from .config import PipelineConfig
 from .diffing import diff_words, similarity_below, tokenize_words
 from .records import (
+    OUTCOME_CONTENT_POLICY,
+    OUTCOME_GLOBAL_HALLUCINATION,
+    OUTCOME_OK,
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
     STATUS_EXCLUDED_CONTENT_POLICY,
@@ -76,17 +82,17 @@ from .records import (
     CorpusRecord,
     LoadResult,
     ProcessedRecord,
+    encode_row,
     load_candidates,
     load_corpus,
     load_processed,
+    write_artifact,
     write_json,
     write_records,
 )
 from .reporting import build_report, write_report
 
 logger = logging.getLogger(__name__)
-
-OUTCOME_GLOBAL_HALLUCINATION = "global_hallucination"
 
 # each stage's artifacts, in the order its core takes their paths
 _STAGE_ARTIFACTS = {
@@ -177,13 +183,18 @@ def correct_records(
     records: list[CorpusRecord],
     output_path: str | Path,
     backend: CorrectionBackend | None = None,
+    classify: Callable[[CandidateRecord], object] | None = None,
 ) -> tuple[list[CandidateRecord], int]:
     """Fetch a corrected candidate for every cleaned record and write it as returned.
 
-    Requests may run concurrently up to the configured limit; rows are
-    re-sequenced to input order before writing. Returns the candidates and
-    the number of records that ended in anything but ``ok`` or a
-    content-policy refusal.
+    Requests may run concurrently up to the configured limit; responses are
+    taken in input order as they arrive, and each candidate's row is written
+    then, as returned. ``classify``, if given, then runs on the candidate,
+    while later responses are still awaited. If ``classify`` raises, every
+    remaining response is still taken and the file written before the error
+    propagates, so no paid response is lost. Returns the candidates and the
+    number of records that ended in anything but ``ok`` or a content-policy
+    refusal.
     """
     backend = backend or make_backend(config)
     policy = RetryPolicy(max_attempts=config.retry_attempts, backoff_base=config.backoff_base)
@@ -196,51 +207,82 @@ def correct_records(
             max_chars=config.max_chars,
         )
 
-    if config.concurrency > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            results = list(pool.map(process, records))
-    else:
-        results = [process(r) for r in records]
+    candidates, outcomes, error = [], Counter(), None
 
-    candidates = [
-        CandidateRecord(r, res.outcome, res.detail, res.corrected_text) for r, res in zip(records, results)
-    ]
-    write_records(candidates, output_path)
-    outcomes = Counter(res.outcome for res in results)
+    def rows(results):
+        nonlocal error
+        for record, res in zip(records, results):
+            candidate = CandidateRecord(record, res.outcome, res.detail, res.corrected_text)
+            candidates.append(candidate)
+            outcomes[res.outcome] += 1
+            # the row as returned, before classify labels the candidate
+            yield encode_row(candidate)
+            if classify is not None and error is None:
+                try:
+                    classify(candidate)
+                except Exception as exc:
+                    error = exc
+
+    parallel = config.concurrency > 1 and len(records) > 1
+    # an executor starts no thread until its first request
+    pool = ThreadPoolExecutor(max_workers=config.concurrency)
+    try:
+        results = pool.map(process, records) if parallel else map(process, records)
+        write_artifact(output_path, rows(results))
+    finally:
+        # after an interrupt, no request that has not started is sent
+        pool.shutdown(cancel_futures=True)
+    if error is not None:
+        raise error
     logger.info("correction outcomes: %s", dict(sorted(outcomes.items())))
-    failed = sum(res.outcome not in (OUTCOME_OK, client_mod.OUTCOME_CONTENT_POLICY) for res in results)
+    failed = len(records) - outcomes[OUTCOME_OK] - outcomes[OUTCOME_CONTENT_POLICY]
     return candidates, failed
+
+
+def classify_candidate(
+    candidate: CandidateRecord, rules: RuleTable, cls_config: ClassifierConfig, threshold: float
+) -> CandidateRecord:
+    """Diff one corrected candidate against its original and label the changes.
+
+    Sets the candidate's ``corrections`` (and, for a rewrite, its outcome) in
+    place and returns it. A candidate whose whole-text similarity to the
+    original is below ``threshold`` rewrote the record wholesale: it is
+    marked ``global_hallucination`` and gets no corrections.
+    """
+    candidate.corrections = []
+    if candidate.outcome != OUTCOME_OK or candidate.text_llm is None:
+        return candidate
+    if similarity_below(candidate.record.text, candidate.text_llm, threshold):
+        candidate.outcome = OUTCOME_GLOBAL_HALLUCINATION
+        return candidate
+    hunks = diff_words(tokenize_words(candidate.record.text), tokenize_words(candidate.text_llm))
+    candidate.corrections = classify_hunks(hunks, rules, cls_config)
+    return candidate
 
 
 def classify_records(
     config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path, rules: RuleTable
 ) -> tuple[list[CandidateRecord], int]:
-    """Diff each corrected candidate against its original and label the changes.
-
-    Fills in each candidate's ``corrections`` (and, for a rewrite, its
-    outcome) in place. A candidate whose whole-text similarity to the
-    original is below ``hallucination_threshold`` rewrote the record
-    wholesale: it is marked ``global_hallucination`` and gets no
-    corrections. Returns the candidates and the number so marked.
-    """
+    """:func:`classify_candidate` on every candidate (``hallucination_threshold``
+    as its threshold), then :func:`_classify_tail`."""
     cls_config = classifier_config(config)
-
-    all_corrections = []
     for candidate in candidates:
-        candidate.corrections = []
-        if candidate.outcome != OUTCOME_OK or candidate.text_llm is None:
-            continue
-        if similarity_below(candidate.record.text, candidate.text_llm, config.hallucination_threshold):
-            candidate.outcome = OUTCOME_GLOBAL_HALLUCINATION
-            continue
-        hunks = diff_words(
-            tokenize_words(candidate.record.text), tokenize_words(candidate.text_llm)
-        )
-        candidate.corrections = classify_hunks(hunks, rules, cls_config)
-        all_corrections.extend(candidate.corrections)
+        classify_candidate(candidate, rules, cls_config, config.hallucination_threshold)
+    return _classify_tail(config, candidates, output_path)
 
+
+def _classify_tail(
+    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path
+) -> tuple[list[CandidateRecord], int]:
+    """Classify's corpus-level tail, on candidates already classified one by one.
+
+    Counts each correction's frequency across the corpus, promotes frequent
+    ones, writes the rows and returns them with the number of candidates
+    marked ``global_hallucination``.
+    """
+    all_corrections = [c for candidate in candidates for c in candidate.corrections]
     aggregate_frequencies(all_corrections)
-    promoted = apply_frequency_promotion(all_corrections, cls_config)
+    promoted = apply_frequency_promotion(all_corrections, classifier_config(config))
     if promoted:
         logger.info("frequency promotion: %d corrections relabeled", promoted)
 
@@ -270,7 +312,7 @@ def apply_records(
         if candidate.outcome == OUTCOME_OK:
             final = apply_corrections(record.text, corrections, modernize=config.modernize)
             item = ProcessedRecord(record, STATUS_CORRECTED, candidate.text_llm, final, corrections)
-        elif candidate.outcome == client_mod.OUTCOME_CONTENT_POLICY:
+        elif candidate.outcome == OUTCOME_CONTENT_POLICY:
             item = ProcessedRecord(record, STATUS_EXCLUDED_CONTENT_POLICY)
         else:  # transport_error, over_length, global_hallucination
             item = ProcessedRecord(record, STATUS_EXCLUDED_LLM_FAILURE, candidate.text_llm)
@@ -375,17 +417,25 @@ def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = Non
 
     The rules table is loaded first: a bad one raises before any model call
     or artifact. Each stage's output records go straight to the next stage:
-    every artifact is written, and none is read back. 0 on success, 1 on
-    fatal errors (checked by the CLI before calling), 2 when strict mode is
-    set and some lines were skipped or records failed.
+    every artifact is written, and none is read back. Each candidate is
+    classified (:func:`classify_candidate`) inside :func:`correct_records`
+    as its response arrives; :func:`_classify_tail` then finishes classify.
+    0 on success, 1 on fatal errors (checked by the CLI before calling), 2
+    when strict mode is set and some lines were skipped or records failed.
     """
     rules = rule_table(config)
     out = Path(config.output_dir)
     paths = [[out / name for name in names] for names in _STAGE_ARTIFACTS.values()]
     records, problems = _stage(load_corpus, clean_records, config, config.input, *paths[0])
+    classify = partial(
+        classify_candidate,
+        rules=rules,
+        cls_config=classifier_config(config),
+        threshold=config.hallucination_threshold,
+    )
     cores = (
-        partial(correct_records, backend=backend),
-        partial(classify_records, rules=rules),
+        partial(correct_records, backend=backend, classify=classify),
+        _classify_tail,
         apply_records,
         report_records,
     )

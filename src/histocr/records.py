@@ -31,6 +31,21 @@ STATUSES = (
     STATUS_CORRECTED,
 )
 
+# a candidate's ``llm_outcome``: the four backend outcomes, then the one
+# classify gives a wholesale rewrite (the client imports these from here)
+OUTCOME_OK = "ok"
+OUTCOME_CONTENT_POLICY = "content_policy_refusal"
+OUTCOME_TRANSPORT_ERROR = "transport_error"
+OUTCOME_OVER_LENGTH = "over_length"
+OUTCOME_GLOBAL_HALLUCINATION = "global_hallucination"
+OUTCOMES = (
+    OUTCOME_OK,
+    OUTCOME_CONTENT_POLICY,
+    OUTCOME_TRANSPORT_ERROR,
+    OUTCOME_OVER_LENGTH,
+    OUTCOME_GLOBAL_HALLUCINATION,
+)
+
 YEAR_RANGE = (1800, 1899)
 
 
@@ -91,8 +106,11 @@ class CandidateRecord:
     corrections: list[ClassifiedCorrection] | None = None
 
     def __post_init__(self) -> None:
-        if self.text_llm is not None and not isinstance(self.text_llm, str):
-            raise ValueError(f"'text_llm' must be a string, got {self.text_llm!r}")
+        if self.outcome not in OUTCOMES:
+            raise ValueError(f"'llm_outcome' must be one of {OUTCOMES}, got {self.outcome!r}")
+        if not isinstance(self.detail, str):
+            raise ValueError(f"'llm_detail' must be a string, got {self.detail!r}")
+        _check_optional_str(self.text_llm, "text_llm")
 
     def to_json_dict(self) -> dict:
         out = self.record.to_json_dict()
@@ -130,6 +148,8 @@ class ProcessedRecord:
     corrections: list[ClassifiedCorrection] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        _check_optional_str(self.text_llm, "text_llm")
+        _check_optional_str(self.text_final, "text_final")
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
         if (self.text_final is not None) != (self.status == STATUS_CORRECTED):
@@ -152,6 +172,11 @@ class ProcessedRecord:
             text_final=obj.get("text_final"),
             corrections=_corrections_from_list(obj.get("corrections", [])),
         )
+
+
+def _check_optional_str(value: object, key: str) -> None:
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{key!r} must be a string, got {value!r}")
 
 
 def _correction_to_dict(c: ClassifiedCorrection) -> dict:
@@ -239,9 +264,7 @@ def _parse_corpus_fields(obj: dict) -> CorpusRecord:
     if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
         raise ValueError(f"'year' must be an integer, got {year!r}")
     for key in ("newspaper", "country", "city"):
-        value = obj.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ValueError(f"{key!r} must be a string, got {value!r}")
+        _check_optional_str(obj.get(key), key)
     return CorpusRecord(
         id=rec_id,
         newspaper=obj.get("newspaper") or "",
@@ -348,9 +371,14 @@ def write_json(obj: dict, path: str | Path) -> None:
     write_artifact(path, [json.dumps(obj, ensure_ascii=False, indent=2) + "\n"])
 
 
+def encode_row(record) -> str:
+    """One record as its artifact line: stable field order, byte-identical across runs."""
+    return json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n"
+
+
 def write_records(records: Iterable, path: str | Path) -> None:
-    """One record per line, in order, stable field order, byte-identical across runs."""
-    write_artifact(path, (json.dumps(r.to_json_dict(), ensure_ascii=False) + "\n" for r in records))
+    """One record per line, in order (:func:`encode_row`)."""
+    write_artifact(path, map(encode_row, records))
 
 
 write_corpus = write_processed = write_records

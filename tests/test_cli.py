@@ -218,6 +218,27 @@ class TestRunCommand:
             if row["status"] == "corrected":
                 assert row["text_llm"] == row["text"]
 
+    def test_classify_error_is_one_error_line_after_every_response(self, pipeline_fixture, tmp_path, monkeypatch, capsys):
+        corpus, fixtures = pipeline_fixture
+        config = write_config(tmp_path / "config.json", corpus, fixtures, concurrency=4)
+        classify_hunks = pipeline.classify_hunks
+
+        def fails_on_p02(hunks, *args):
+            if any(hunk.original_segment == "jeneral" for hunk in hunks):  # only p02 holds this word
+                raise ValueError("cascade failed")
+            return classify_hunks(hunks, *args)
+
+        monkeypatch.setattr(pipeline, "classify_hunks", fails_on_p02)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "run", "--input", str(corpus), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: cascade failed"]
+        assert "Traceback" not in err
+        cleaned = (out / "cleaned.jsonl").read_text(encoding="utf-8").splitlines()
+        corrected = (out / "corrected.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["id"] for line in corrected] == [json.loads(line)["id"] for line in cleaned]
+        assert not (out / "classified.jsonl").exists()
+
 
 class TestStageCommands:
     def test_stagewise_composition_matches_run(self, pipeline_fixture, tmp_path):
@@ -481,9 +502,18 @@ MALFORMED_STAGE_ROWS = pytest.mark.parametrize(
         ("apply", {**CORRECTED_ROW, "corrections": []}, classified_line({**MUI_OCR, "position": [3, 4, 5]})),
         ("report", PROCESSED_ROW, processed_line(SESION, {**MUI, "original": 5})),
         ("report", PROCESSED_ROW, processed_line({**MUI, "label": "bogus"})),
+        *(("report", PROCESSED_ROW, json.dumps({**PROCESSED_ROW, "text_final": value}))
+          for value in (0, True, 1.5, ["x"], {"a": 1})),
+        ("report", PROCESSED_ROW, json.dumps({**PROCESSED_ROW, "text_llm": {"a": 1}})),
+        ("classify", CORRECTED_ROW, json.dumps({**CORRECTED_ROW, "llm_outcome": 5})),
+        ("classify", CORRECTED_ROW, json.dumps({**CORRECTED_ROW, "llm_detail": ["x"]})),
+        ("apply", {**CORRECTED_ROW, "corrections": []}, json.dumps({**CORRECTED_ROW, "llm_outcome": "bogus", "corrections": []})),
     ],
     ids=["classify-no-text", "apply-no-id", "apply-array", "report-array", "apply-string-position",
-         "apply-three-int-position", "report-int-original", "report-unknown-label"],
+         "apply-three-int-position", "report-int-original", "report-unknown-label",
+         "report-int-text_final", "report-bool-text_final", "report-float-text_final", "report-list-text_final",
+         "report-object-text_final", "report-object-text_llm", "classify-int-outcome", "classify-list-detail",
+         "apply-unknown-outcome"],
 )
 
 

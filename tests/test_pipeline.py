@@ -3,6 +3,9 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import time
+from collections import Counter
 from dataclasses import asdict
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
-from histocr import client, records
+from histocr import client, pipeline, records
 from histocr.client import MockBackend
 from histocr.config import PipelineConfig
 from histocr.pipeline import ARTIFACTS, run_pipeline, stage_apply, stage_classify, stage_clean, stage_correct, stage_report
@@ -234,6 +237,113 @@ class TestStageComposition:
         assert run_pipeline(make_config(corpus, fixtures, out)) == 0
         assert sorted(opened) == sorted([Path(corpus), Path(fixtures)])
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+
+
+class OutOfOrderBackend(MockBackend):
+    """Holds its first request until another has been answered, so responses finish out of order."""
+
+    def __init__(self, fixture_path):
+        super().__init__(fixture_path)
+        self.first = None
+        self.answered = threading.Event()
+        self.finished = []  # texts, in the order their responses finished
+        self.lock = threading.Lock()
+
+    def complete(self, prompt: str, text: str) -> str:
+        with self.lock:
+            if self.first is None:
+                self.first = text
+        if text == self.first:
+            assert self.answered.wait(10)
+        try:
+            return super().complete(prompt, text)
+        finally:
+            self.finished.append(text)
+            if text != self.first:
+                self.answered.set()
+
+
+class TestSchedules:
+    """Every schedule of the correct and classify work writes the pinned bytes."""
+
+    @pytest.mark.parametrize("schedule", ["concurrency-1", "concurrency-4-out-of-order", "stage-commands"])
+    def test_artifacts_are_the_pinned_bytes(self, pipeline_fixture, tmp_path, schedule):
+        corpus, fixtures = pipeline_fixture
+        out = tmp_path / "out"
+        if schedule == "concurrency-1":
+            assert run_pipeline(make_config(corpus, fixtures, out, concurrency=1)) == 0
+        elif schedule == "concurrency-4-out-of-order":
+            backend = OutOfOrderBackend(fixtures)
+            assert run_pipeline(make_config(corpus, fixtures, out, concurrency=4), backend=backend) == 0
+            assert backend.finished[0] != backend.first
+        else:
+            run_stages(make_config(corpus, fixtures, out), out)
+        for name in ARTIFACTS:
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == ARTIFACT_SHA256[name], name
+        corrected = {c.record.id: c.outcome for c in load_candidates(out / "corrected.jsonl").records}
+        classified = {c.record.id: c.outcome for c in load_candidates(out / "classified.jsonl").records}
+        assert set(corrected.values()) == {"ok", "content_policy_refusal", "transport_error", "over_length"}
+        # the wholesale rewrite is written as returned, and judged only in classified.jsonl
+        assert (corrected["p06"], classified["p06"]) == ("ok", "global_hallucination")
+
+
+class RecordingBackend(MockBackend):
+    def __init__(self, fixture_path):
+        super().__init__(fixture_path)
+        self.texts = []  # one entry per call
+
+    def complete(self, prompt: str, text: str) -> str:
+        self.texts.append(text)
+        return super().complete(prompt, text)
+
+
+class TestClassifyErrorInRun:
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_no_paid_response_is_lost(self, pipeline_fixture, tmp_path, monkeypatch, concurrency):
+        corpus, fixtures = pipeline_fixture
+        # one attempt per record, so every record reaching the backend is one call
+        ok, out = tmp_path / "ok", tmp_path / "failed"
+        assert run_pipeline(make_config(corpus, fixtures, ok, concurrency=concurrency, retry_attempts=1)) == 0
+        classify_calls = []
+
+        def fails_on_the_second_record(hunks, *args):
+            classify_calls.append(hunks)
+            if len(classify_calls) == 2:
+                raise ValueError("cascade failed")
+            return classify_hunks(hunks, *args)
+
+        classify_hunks = pipeline.classify_hunks
+        monkeypatch.setattr(pipeline, "classify_hunks", fails_on_the_second_record)
+        backend = RecordingBackend(fixtures)
+        config = make_config(corpus, fixtures, out, concurrency=concurrency, retry_attempts=1)
+        with pytest.raises(ValueError, match="cascade failed"):
+            run_pipeline(config, backend=backend)
+        assert len(classify_calls) == 2  # classify stopped at the error
+        assert (out / "corrected.jsonl").read_bytes() == (ok / "corrected.jsonl").read_bytes()
+        candidates = load_candidates(out / "corrected.jsonl").records
+        sent = [c.record.text for c in candidates if c.outcome != "over_length"]
+        assert Counter(backend.texts) == Counter(sent)
+        assert set(Counter(sent).values()) == {1}
+        written = sorted(p.name for p in out.iterdir())
+        assert written == ["cleaned.jsonl", "cleaning_report.json", "corrected.jsonl", "removed.jsonl"]
+
+    def test_interrupt_sends_no_further_request(self, pipeline_fixture, tmp_path, monkeypatch):
+        corpus, fixtures = pipeline_fixture
+
+        def interrupted(hunks, *args):
+            raise KeyboardInterrupt
+
+        class SlowBackend(RecordingBackend):
+            def complete(self, prompt: str, text: str) -> str:
+                time.sleep(0.05)
+                return super().complete(prompt, text)
+
+        monkeypatch.setattr(pipeline, "classify_hunks", interrupted)
+        backend = SlowBackend(fixtures)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(make_config(corpus, fixtures, tmp_path / "out", concurrency=2), backend=backend)
+        # the first candidate's classify is interrupted; only requests already running finish
+        assert len(backend.texts) <= 4
 
 
 class TestModes:

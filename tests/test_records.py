@@ -4,6 +4,7 @@ import pytest
 
 from histocr.classify import ClassifiedCorrection
 from histocr.records import (
+    OUTCOMES,
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
     CandidateRecord,
@@ -379,3 +380,49 @@ class TestFieldTypes:
         (record,) = load_processed(path).records
         (correction,) = record.corrections
         assert (correction.corrected_span, correction.frequency, correction.ratio) == ((0, 0), 1, 1)
+
+    @pytest.mark.parametrize("value", [0, True, 1.5, ["x"], {"a": 1}], ids=["int", "bool", "float", "list", "object"])
+    @pytest.mark.parametrize(
+        "load, row, key",
+        [
+            (load_processed, ProcessedRecord(make_records(1)[0], STATUS_CORRECTED, "texto", "texto"), "text_final"),
+            (load_processed, ProcessedRecord(make_records(1)[0], STATUS_CORRECTED, "texto", "texto"), "text_llm"),
+            (load_candidates, CandidateRecord(make_records(1)[0], "ok", "", "texto"), "text_llm"),
+        ],
+        ids=["processed-text_final", "processed-text_llm", "candidate-text_llm"],
+    )
+    def test_non_string_text_costs_its_line(self, tmp_path, load, row, key, value):
+        good = row.to_json_dict()
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps({**good, "id": "bad", key: value}) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
+        result = load(path)
+        assert [r.record.id for r in result.records] == ["r0"]
+        (error,) = result.errors
+        assert (error.line, error.message) == (1, f"{key!r} must be a string, got {value!r}")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("llm_outcome", 5, f"'llm_outcome' must be one of {OUTCOMES}, got 5"),
+            ("llm_outcome", "bogus", f"'llm_outcome' must be one of {OUTCOMES}, got 'bogus'"),
+            ("llm_outcome", None, f"'llm_outcome' must be one of {OUTCOMES}, got None"),
+            ("llm_detail", ["x"], "'llm_detail' must be a string, got ['x']"),
+            ("llm_detail", 5, "'llm_detail' must be a string, got 5"),
+            ("llm_detail", None, "'llm_detail' must be a string, got None"),
+        ],
+    )
+    def test_unknown_outcome_or_non_string_detail_costs_its_line(self, tmp_path, key, value, message):
+        good = CandidateRecord(make_records(1)[0], "ok", "", "texto").to_json_dict()
+        path = tmp_path / "corrected.jsonl"
+        path.write_text(json.dumps({**good, "id": "bad", key: value}) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
+        result = load_candidates(path)
+        assert [r.record.id for r in result.records] == ["r0"]
+        (error,) = result.errors
+        assert (error.line, error.message) == (1, message)
+
+    def test_every_outcome_loads(self, tmp_path):
+        rows = [CandidateRecord(make_records(1)[0], outcome, "", "texto" if outcome == "ok" else None) for outcome in OUTCOMES]
+        path = tmp_path / "classified.jsonl"
+        write_records(rows, path)
+        assert load_candidates(path).records == rows
+        assert OUTCOMES == ("ok", "content_policy_refusal", "transport_error", "over_length", "global_hallucination")
