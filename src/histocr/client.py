@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from .records import (
+    LONE_SURROGATE,
     OUTCOME_CONTENT_POLICY,
     OUTCOME_OK,
     OUTCOME_OVER_LENGTH,
@@ -263,8 +264,8 @@ def correct_text(
     :class:`FatalTransportError` is not retried. Before a retry it sleeps
     the backoff delay, or the server's ``Retry-After`` if that is longer,
     but never more than ``backoff_cap``. Any other exception from the
-    backend, or a response that is not a ``str``, is one ``transport_error``
-    whose detail names its type, and is not retried either.
+    backend, or a response that is not a ``str`` or holds a lone surrogate,
+    is one ``transport_error`` whose detail names the cause; none is retried.
     """
     if not text:
         return BackendResult(OUTCOME_TRANSPORT_ERROR, detail="empty text: nothing to correct")
@@ -300,6 +301,9 @@ def correct_text(
         if not isinstance(raw, str):
             detail = f"not retried: backend returned {type(raw).__name__}, not str"
             return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=detail)
+        if surrogate := LONE_SURROGATE.search(raw):
+            detail = f"not retried: response holds a lone surrogate at index {surrogate.start()}"
+            return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=f"{detail}, which UTF-8 cannot encode")
         return BackendResult(OUTCOME_OK, corrected_text=strip_fences(raw))
     return BackendResult(
         OUTCOME_TRANSPORT_ERROR,

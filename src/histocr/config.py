@@ -10,12 +10,13 @@ from pathlib import Path
 from .classify import ClassifierConfig
 from .cleaning import TOKENIZERS
 from .client import RetryPolicy
+from .records import BOOL, INTEGER, NULL, NUMBER, STRING, Field
 
 BACKEND_KINDS = ("mock", "identity", "http")
 
-# the JSON types each field annotation admits, matched exactly: a bool is no number
-_ADMITTED = {"str": (str,), "str | None": (str, type(None)), "int": (int,),
-             "int | None": (int, type(None)), "float": (int, float), "bool": (bool,)}
+# what each field annotation admits
+_ADMITTED = {"str": Field(STRING), "str | None": Field(STRING + NULL), "int": Field(INTEGER),
+             "int | None": Field(INTEGER + NULL), "float": Field(NUMBER), "bool": Field(BOOL)}
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,16 @@ class PipelineConfig:
     def validate(self) -> list[str]:
         """Collect every configuration problem instead of failing on the first.
 
-        Each field's type is checked first. The ranges are then checked with
-        the default in place of every wrong-typed value, so a wrong type hides
-        no other problem.
+        Each field's type is checked first, as row fields are. The ranges are
+        then checked with the default in place of every wrong-typed value, so a
+        wrong type hides no other problem.
         """
         errors, defaults = [], {}
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) not in _ADMITTED[f.type]:
-                errors.append(f"{f.name} must be {f.type}, got {value!r}")
+            try:
+                _ADMITTED[f.type].check(f.name, getattr(self, f.name))
+            except ValueError as exc:
+                errors.append(str(exc))
                 defaults[f.name] = f.default
         c = replace(self, **defaults)
         errors += ClassifierConfig.range_errors(c.ratio_threshold, c.max_corrected_words)

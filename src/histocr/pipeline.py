@@ -4,39 +4,32 @@ Every stage has a core (``clean_records`` ... ``report_records``) that takes
 the previous stage's records, writes its artifacts and returns ``(records,
 problems)``: its own records and how many it failed (``correct``: records
 neither ``ok`` nor refused; ``classify``: wholesale rewrites; others: none).
-:func:`run_pipeline` loads the rules table, then chains the cores: it writes
-every artifact and reads none back. It runs classify's per-record work
-(:func:`classify_candidate`) on each candidate as its response arrives,
-while later responses are still awaited, so after the last response only
+From ``correct`` on, a record is one row (:class:`CandidateRecord`) that
+each core fills in place; each artifact is the row's projection onto that
+artifact's keys (:mod:`histocr.records`). :func:`run_pipeline` loads the
+rules table, then chains the cores: it writes every artifact and reads none
+back. It runs classify's per-record work (:func:`classify_candidate`) on
+each candidate as its response arrives, so after the last response only
 classify's corpus-wide tail is left. The stage commands (``stage_clean``
 ... ``stage_report``) share one body that reads the input file, logs its
 line diagnostics, calls the core and returns the input lines skipped plus
 the records failed; strict mode exits 2 on any. So every stage stays
-resumable, and a re-run never repeats a slow, costly model call. Every
-artifact path is a required argument. :func:`run_stage` runs one stage
-command by name, its artifacts in ``config.output_dir`` under the names
-:func:`run_pipeline` gives them (``_STAGE_ARTIFACTS``, the one table of
-names); chained through one directory, the stage commands do the same work
-split in two (``correct``, then ``classify`` on every row it reads) and
-produce byte-identical artifacts to :func:`run_pipeline`.
+resumable, and a re-run never repeats a slow, costly model call.
+:func:`run_stage` runs one stage command by name, its artifacts in
+``config.output_dir`` under the names :func:`run_pipeline` gives them
+(``_STAGE_ARTIFACTS``, the one table of names); chained through one
+directory, the stage commands produce byte-identical artifacts to
+:func:`run_pipeline`. ``correct`` writes what the backend returned and
+judges nothing: every threshold, ``hallucination_threshold`` included, is
+applied by ``classify``, so re-tuning one never repeats a model call.
 
-``correct`` writes what the backend returned and judges nothing: every
-threshold, ``hallucination_threshold`` included, is applied by ``classify``,
-so re-tuning one never repeats a model call.
-
-Row schemas and file handling live in :mod:`histocr.records`. Stage
-artifacts (fixed names inside the output directory):
-
-- ``cleaned.jsonl``         surviving corpus records
-- ``removed.jsonl``         records dropped by cleaning (status ``cleaned_out``)
-- ``cleaning_report.json``  per-filter removal counts and percentages
-- ``corrected.jsonl``       candidate records: backend outcome and output
-- ``classified.jsonl``      candidate records plus labeled corrections; a
-                            wholesale rewrite reads ``global_hallucination``
-- ``final.jsonl``           processed records (final text, one status each)
-- ``lexicon.tsv``           surface-form lexicon (full)
-- ``lexicon_nonaccent.tsv`` surface forms that are not accent-only
-- ``report.json`` / ``report.txt``  run statistics
+Artifacts: ``cleaned.jsonl`` (surviving corpus records), ``removed.jsonl``
+(status ``cleaned_out``), ``cleaning_report.json`` (per-filter counts),
+``corrected.jsonl`` (backend outcome and output), ``classified.jsonl`` (plus
+labeled corrections; a wholesale rewrite reads ``global_hallucination``),
+``final.jsonl`` (final text, one status each), ``lexicon.tsv`` and
+``lexicon_nonaccent.tsv`` (surface forms; all, and not accent-only), and
+``report.json`` / ``report.txt`` (run statistics).
 """
 
 from __future__ import annotations
@@ -293,49 +286,46 @@ def _classify_tail(
 
 def apply_records(
     config: PipelineConfig,
-    candidates: list[CandidateRecord],
+    rows: list[CandidateRecord],
     output_path: str | Path,
     lexicon_path: str | Path,
     lexicon_nonaccent_path: str | Path,
-) -> tuple[list[ProcessedRecord], int]:
-    """Assemble final texts (OCR errors applied) and emit the lexicon.
+) -> tuple[list[CandidateRecord], int]:
+    """Set each row's status and final text (OCR errors applied) in place, and emit the lexicon.
 
-    Every candidate must carry the corrections that classify adds. Returns
-    the processed records and no problem.
+    Every row must carry the corrections that classify adds; the lexicon
+    counts them all. An excluded row then keeps no corrections, and a refused
+    one no ``text_llm``. Returns the rows and no problem.
     """
-    processed: list[ProcessedRecord] = []
     all_corrections = []
-    for candidate in candidates:
-        record = candidate.record
-        corrections = candidate.corrections
-        all_corrections.extend(corrections)
-        if candidate.outcome == OUTCOME_OK:
-            final = apply_corrections(record.text, corrections, modernize=config.modernize)
-            item = ProcessedRecord(record, STATUS_CORRECTED, candidate.text_llm, final, corrections)
-        elif candidate.outcome == OUTCOME_CONTENT_POLICY:
-            item = ProcessedRecord(record, STATUS_EXCLUDED_CONTENT_POLICY)
+    for row in rows:
+        all_corrections.extend(row.corrections)
+        if row.outcome == OUTCOME_OK:
+            final = apply_corrections(row.record.text, row.corrections, modernize=config.modernize)
+            row.status, row.text_final = STATUS_CORRECTED, final
+        elif row.outcome == OUTCOME_CONTENT_POLICY:
+            row.status, row.text_llm, row.corrections = STATUS_EXCLUDED_CONTENT_POLICY, None, []
         else:  # transport_error, over_length, global_hallucination
-            item = ProcessedRecord(record, STATUS_EXCLUDED_LLM_FAILURE, candidate.text_llm)
-        processed.append(item)
-    write_records(processed, output_path)
+            row.status, row.corrections = STATUS_EXCLUDED_LLM_FAILURE, []
+    write_records(rows, output_path)
     full, non_accent = emit_lexicon(all_corrections)
     write_lexicon(full, lexicon_path)
     write_lexicon(non_accent, lexicon_nonaccent_path)
     logger.info(
         "applied corrections: %d records, %d surface forms (%d non-accent)",
-        len(processed),
+        len(rows),
         len(full),
         len(non_accent),
     )
-    return processed, 0
+    return rows, 0
 
 
 def report_records(
     config: PipelineConfig,
-    processed: list[ProcessedRecord],
+    processed: list[CandidateRecord],
     json_path: str | Path,
     text_path: str | Path,
-) -> tuple[list[ProcessedRecord], int]:
+) -> tuple[list[CandidateRecord], int]:
     """Compute run statistics over the final processed corpus; returns the records unchanged."""
     report = build_report(processed, tokenizer_id=config.tokenizer)
     write_report(report, json_path, fmt="structured")

@@ -1,22 +1,32 @@
-"""Line-delimited records: the row schemas, loading, validation and persistence.
+"""Line-delimited records: one row type, read and written through one field table.
 
-One JSON object per line, UTF-8, in one of three row schemas: corpus rows
-(:class:`CorpusRecord`: the input corpus, ``cleaned.jsonl``), candidate rows
-(:class:`CandidateRecord`: ``corrected.jsonl``, ``classified.jsonl``) and
-processed rows (:class:`ProcessedRecord`: ``removed.jsonl``, ``final.jsonl``).
-Field order is fixed so repeated writes of the same data are byte-identical.
-Every artifact goes through :func:`write_artifact`, which writes a temporary
-file beside the target and then renames it over the target, so a failed or
-killed write never leaves a truncated file for the next stage.
+A record is a frozen :class:`CorpusRecord` until cleaning keeps it. From
+``correct`` on it is one mutable row, :class:`CandidateRecord`, that holds
+the corpus record as ``record`` and that each stage fills in place:
+``correct`` sets the outcome, detail and ``text_llm``, ``classify`` the
+``corrections`` (and ``global_hallucination`` for a wholesale rewrite),
+``apply`` the ``status`` and ``text_final``. :data:`FIELDS` gives each JSON
+key its attribute, admitted JSON types and allowed values. Each artifact is
+a projection of the row, a fixed key list over that table: :data:`CORPUS`
+(the input, ``cleaned.jsonl``), :data:`CORRECTED`, :data:`CLASSIFIED` and
+:data:`PROCESSED` (``removed.jsonl``, ``final.jsonl``), with
+:data:`CORRECTION` for each correction. Rows are written in key order, so
+the same data gives the same bytes, and read field by field, so a wrong
+field costs its own line. :func:`write_artifact` writes a temporary file
+beside the target and renames it over the target, so a failed or killed
+write never leaves a truncated file for the next stage.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from functools import cache
+from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .classify import HALLUCINATION, OCR_ERROR, SURFACE_FORM, ClassifiedCorrection
 
@@ -47,6 +57,135 @@ OUTCOMES = (
 )
 
 YEAR_RANGE = (1800, 1899)
+
+# a code point UTF-8 cannot encode; JSON's "\ud800" escape reads as one
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+# JSON types, matched exactly (a bool is no integer, an integer is a number);
+# a field's first type names it in diagnostics
+STRING, INTEGER, NUMBER, BOOL, ARRAY, NULL = (str,), (int,), (float, int), (bool,), (list,), (type(None),)
+_TYPE_WORDS = {str: "a string", int: "an integer", float: "a number", bool: "a bool", list: "a list"}
+REQUIRED = object()  # the default of a key that must be present
+
+
+class Where(NamedTuple):
+    """The allowed values of a field: those that pass ``test``."""
+
+    wording: str
+    test: Callable[[object], bool]
+
+
+def one_of(values: tuple) -> Where:
+    return Where(f"one of {values}", values.__contains__)
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, cut to 80 characters: a diagnostic need not echo a whole text."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+class Field(NamedTuple):
+    """One JSON key: its admitted JSON types, the attribute it fills (if not
+    the key's name), its default (none: required; null, where admitted, reads
+    as the default too), its allowed values and the reader of its items.
+    """
+
+    types: tuple[type, ...]
+    attr: str | None = None
+    default: object = REQUIRED
+    allowed: Where | None = None
+    items: Callable[[object], object] | None = None
+
+    def check(self, name: str, value: object) -> None:
+        """A ``ValueError`` naming ``name`` unless this field admits ``value``;
+        as in JSON text, a float is finite and a string holds no lone surrogate."""
+        kind, allowed = type(value), self.allowed
+        if kind not in self.types or kind is float and not isfinite(value) or allowed and not allowed.test(value):
+            wording = allowed.wording if allowed else _TYPE_WORDS[self.types[0]]
+            raise ValueError(f"{name} must be {wording}, got {_shown(value)}")
+        if kind is str and not value.isascii() and (surrogate := LONE_SURROGATE.search(value)):
+            raise ValueError(f"{name} holds a lone surrogate at index {surrogate.start()}, which UTF-8 cannot encode")
+
+
+# each artifact's keys, in the order its rows hold them
+CORPUS = ("id", "newspaper", "country", "city", "year", "text")
+CORRECTED = CORPUS + ("llm_outcome", "llm_detail", "text_llm")
+CLASSIFIED = CORRECTED + ("corrections",)
+PROCESSED = CORPUS + ("status", "text_llm", "text_final", "corrections")
+CORRECTION = (
+    "original", "corrected", "label", "rule", "ratio", "position", "corrected_position",
+    "original_raw", "corrected_raw", "accent_only", "frequency",
+)
+
+
+def _read(obj: dict, keys: tuple[str, ...], prefix: str = "") -> dict:
+    """The attribute values of ``keys`` in one JSON object, each checked by its field.
+
+    A wrong value is a ``ValueError`` that names its key; an absent required
+    key is a ``KeyError``.
+    """
+    values = {}
+    for key in keys:
+        f = FIELDS[key]
+        if key not in obj and f.default is not REQUIRED:
+            values[f.attr or key] = f.default
+            continue
+        value = obj[key]
+        f.check(f"{prefix}{key!r}", value)
+        if value is None:
+            value = None if f.default is REQUIRED else f.default
+        elif f.items:
+            value = [f.items(item) for item in value]
+        elif type(value) is list:
+            value = tuple(value)
+        values[f.attr or key] = value
+    return values
+
+
+def _correction(item: object) -> ClassifiedCorrection:
+    if type(item) is not dict:
+        raise ValueError(f"'corrections' items must be objects, got {_shown(item)}")
+    return ClassifiedCorrection(**_read(item, CORRECTION, "correction "))
+
+
+_SPAN = Where("two integers", lambda span: len(span) == 2 and all(type(i) is int for i in span))
+FIELDS = {
+    # the corpus record
+    "id": Field(STRING, allowed=Where("a non-empty string", bool)),
+    "newspaper": Field(STRING + NULL, default=""),
+    "country": Field(STRING + NULL, default=""),
+    "city": Field(STRING + NULL, default=None),
+    "year": Field(INTEGER + NULL, default=None),
+    "text": Field(STRING, allowed=Where("a string without NUL characters", lambda text: "\x00" not in text)),
+    # what correct, classify and apply add; corrections stay null until classify
+    "llm_outcome": Field(STRING, "outcome", allowed=one_of(OUTCOMES)),
+    "llm_detail": Field(STRING, "detail", default=""),
+    "text_llm": Field(STRING + NULL, default=None),
+    "corrections": Field(ARRAY + NULL, default=None, items=_correction),
+    "status": Field(STRING, allowed=one_of(STATUSES)),
+    "text_final": Field(STRING + NULL, default=None),
+    # one correction
+    "original": Field(STRING),
+    "corrected": Field(STRING),
+    "label": Field(STRING, allowed=one_of((SURFACE_FORM, OCR_ERROR, HALLUCINATION))),
+    "rule": Field(STRING),
+    "ratio": Field(NUMBER + NULL),
+    "position": Field(ARRAY, "original_span", allowed=_SPAN),
+    "corrected_position": Field(ARRAY, "corrected_span", default=(0, 0), allowed=_SPAN),
+    "original_raw": Field(STRING),
+    "corrected_raw": Field(STRING),
+    "accent_only": Field(BOOL),
+    "frequency": Field(INTEGER, default=1, allowed=Where("an integer >= 1", lambda n: n >= 1)),
+}
+
+
+@cache
+def _to_dict(keys: tuple[str, ...]) -> Callable[[object], dict]:
+    """Reads the attributes that ``keys`` fill off one object into its JSON object: one
+    dict display compiled per key list, three times as fast as ``dict(zip(...))``."""
+    items = ", ".join(f"{key!r}: obj.{FIELDS[key].attr or key}" for key in keys)
+    return eval(f"lambda obj: {{{items}}}")
 
 
 class CorpusError(Exception):
@@ -81,198 +220,64 @@ class CorpusRecord:
         return self.year - self.year % 10
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "newspaper": self.newspaper,
-            "country": self.country,
-            "city": self.city,
-            "year": self.year,
-            "text": self.text,
-        }
+        return _to_dict(CORPUS)(self)
 
 
 @dataclass
 class CandidateRecord:
-    """A corpus record with the model's outcome and candidate correction.
+    """One record from ``correct`` to ``report``: the corpus record and what each stage sets.
 
     ``corrections`` stays ``None`` until classify has diffed the candidate
-    against the original; from then on the row carries the labeled list.
+    against the original, and ``status`` until apply has judged the row.
     """
 
     record: CorpusRecord
-    outcome: str
+    outcome: str | None
     detail: str = ""
     text_llm: str | None = None
     corrections: list[ClassifiedCorrection] | None = None
-
-    def __post_init__(self) -> None:
-        if self.outcome not in OUTCOMES:
-            raise ValueError(f"'llm_outcome' must be one of {OUTCOMES}, got {self.outcome!r}")
-        if not isinstance(self.detail, str):
-            raise ValueError(f"'llm_detail' must be a string, got {self.detail!r}")
-        _check_optional_str(self.text_llm, "text_llm")
+    status: str | None = None
+    text_final: str | None = None
 
     def to_json_dict(self) -> dict:
+        """The row as the last artifact it has reached projects it: processed
+        once it has a status, classified once it has corrections, else corrected."""
+        keys = PROCESSED if self.status is not None else CLASSIFIED if self.corrections is not None else CORRECTED
         out = self.record.to_json_dict()
-        out["llm_outcome"] = self.outcome
-        out["llm_detail"] = self.detail
-        out["text_llm"] = self.text_llm
-        if self.corrections is not None:
-            out["corrections"] = [_correction_to_dict(c) for c in self.corrections]
+        out.update(_to_dict(keys[len(CORPUS):])(self))
+        if out.get("corrections") is not None:
+            out["corrections"] = list(map(_to_dict(CORRECTION), out["corrections"]))
         return out
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> CandidateRecord:
-        corrections = obj.get("corrections")
-        return cls(
-            record=_parse_corpus_fields(obj),
-            outcome=obj["llm_outcome"],
-            detail=obj.get("llm_detail", ""),
-            text_llm=obj.get("text_llm"),
-            corrections=None if corrections is None else _corrections_from_list(corrections),
-        )
 
-
-@dataclass
-class ProcessedRecord:
-    """A corpus record after the pipeline, with exactly one status.
+def ProcessedRecord(
+    record: CorpusRecord, status: str, text_llm: str | None = None, text_final: str | None = None,
+    corrections: list[ClassifiedCorrection] | None = None,
+) -> CandidateRecord:
+    """A row as apply leaves it, with exactly one status.
 
     ``text_final`` is present if and only if the record was corrected; it has
-    the OCR errors applied and the surface forms left untouched.
+    the OCR errors applied and the surface forms left untouched. No
+    ``corrections`` is an empty list.
     """
-
-    record: CorpusRecord
-    status: str
-    text_llm: str | None = None
-    text_final: str | None = None
-    corrections: list[ClassifiedCorrection] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        _check_optional_str(self.text_llm, "text_llm")
-        _check_optional_str(self.text_final, "text_final")
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if (self.text_final is not None) != (self.status == STATUS_CORRECTED):
-            raise ValueError("text_final must be present exactly when status is corrected")
-
-    def to_json_dict(self) -> dict:
-        out = self.record.to_json_dict()
-        out["status"] = self.status
-        out["text_llm"] = self.text_llm
-        out["text_final"] = self.text_final
-        out["corrections"] = [_correction_to_dict(c) for c in self.corrections]
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> ProcessedRecord:
-        return cls(
-            record=_parse_corpus_fields(obj),
-            status=obj["status"],
-            text_llm=obj.get("text_llm"),
-            text_final=obj.get("text_final"),
-            corrections=_corrections_from_list(obj.get("corrections", [])),
-        )
+    FIELDS["status"].check("'status'", status)
+    if (text_final is not None) != (status == STATUS_CORRECTED):
+        raise ValueError("text_final must be present exactly when status is corrected")
+    return CandidateRecord(record, None, "", text_llm, [] if corrections is None else corrections, status, text_final)
 
 
-def _check_optional_str(value: object, key: str) -> None:
-    if value is not None and not isinstance(value, str):
-        raise ValueError(f"{key!r} must be a string, got {value!r}")
-
-
-def _correction_to_dict(c: ClassifiedCorrection) -> dict:
-    return {
-        "original": c.original,
-        "corrected": c.corrected,
-        "label": c.label,
-        "rule": c.rule,
-        "ratio": c.ratio,
-        "position": list(c.original_span),
-        "corrected_position": list(c.corrected_span),
-        "original_raw": c.original_raw,
-        "corrected_raw": c.corrected_raw,
-        "accent_only": c.accent_only,
-        "frequency": c.frequency,
-    }
-
-
-def _span(span: object, key: str) -> tuple[int, int]:
-    if not (isinstance(span, list) and len(span) == 2 and all(type(i) is int for i in span)):
-        raise ValueError(f"correction {key!r} must be two integers, got {span!r}")
-    return tuple(span)
-
-
-def _corrections_from_list(rows: object) -> list[ClassifiedCorrection]:
-    """A row's stored corrections; anything but a list of objects is a ``ValueError`` that names the field."""
-    if not isinstance(rows, list):
-        raise ValueError(f"'corrections' must be a list, got {rows!r}")
-    for d in rows:
-        if not isinstance(d, dict):
-            raise ValueError(f"'corrections' items must be objects, got {d!r}")
-    return [_correction_from_dict(d) for d in rows]
-
-
-def _correction_from_dict(d: dict) -> ClassifiedCorrection:
-    """A stored correction; a field of the wrong type or value is a ``ValueError`` that names it."""
-    for key in ("original", "corrected", "original_raw", "corrected_raw", "rule"):
-        if not isinstance(d[key], str):
-            raise ValueError(f"correction {key!r} must be a string, got {d[key]!r}")
-    labels = (SURFACE_FORM, OCR_ERROR, HALLUCINATION)
-    if d["label"] not in labels:
-        raise ValueError(f"correction 'label' must be one of {labels}, got {d['label']!r}")
-    if d["ratio"] is not None and type(d["ratio"]) not in (int, float):
-        raise ValueError(f"correction 'ratio' must be null or a number, got {d['ratio']!r}")
-    if type(d["accent_only"]) is not bool:
-        raise ValueError(f"correction 'accent_only' must be a bool, got {d['accent_only']!r}")
-    frequency = d.get("frequency", 1)
-    if type(frequency) is not int or frequency < 1:
-        raise ValueError(f"correction 'frequency' must be an integer >= 1, got {frequency!r}")
-    return ClassifiedCorrection(
-        original=d["original"],
-        corrected=d["corrected"],
-        label=d["label"],
-        rule=d["rule"],
-        ratio=d["ratio"],
-        accent_only=d["accent_only"],
-        original_span=_span(d["position"], "position"),
-        corrected_span=_span(d.get("corrected_position", [0, 0]), "corrected_position"),
-        original_raw=d["original_raw"],
-        corrected_raw=d["corrected_raw"],
-        frequency=frequency,
-    )
+def _corpus_record(obj: dict) -> CorpusRecord:
+    return CorpusRecord(**_read(obj, CORPUS))
 
 
 @dataclass
 class LoadResult:
-    records: list  # CorpusRecord, CandidateRecord or ProcessedRecord
+    records: list  # CorpusRecord or CandidateRecord
     diagnostics: list[LineDiagnostic]
 
     @property
     def errors(self) -> list[LineDiagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
-
-
-def _parse_corpus_fields(obj: dict) -> CorpusRecord:
-    rec_id = obj.get("id")
-    if not isinstance(rec_id, str) or not rec_id:
-        raise ValueError("missing or empty 'id'")
-    text = obj.get("text")
-    if not isinstance(text, str):
-        raise ValueError("missing or non-string 'text'")
-    if "\x00" in text:
-        raise ValueError("text contains NUL characters")
-    year = obj.get("year")
-    if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
-        raise ValueError(f"'year' must be an integer, got {year!r}")
-    for key in ("newspaper", "country", "city"):
-        _check_optional_str(obj.get(key), key)
-    return CorpusRecord(
-        id=rec_id,
-        newspaper=obj.get("newspaper") or "",
-        country=obj.get("country") or "",
-        city=obj.get("city"),
-        year=year,
-        text=text,
-    )
 
 
 def _read_rows(
@@ -306,6 +311,14 @@ def _read_rows(
         raise CorpusError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
+def _load(path: str | Path, kind: str, build: Callable[..., CandidateRecord], keys: tuple[str, ...]) -> LoadResult:
+    """The rows of ``keys`` in a file: each its corpus record, then the rest of ``keys``, for ``build``."""
+    diagnostics: list[LineDiagnostic] = []
+    tail = keys[len(CORPUS):]
+    rows = _read_rows(path, kind, lambda obj: build(_corpus_record(obj), **_read(obj, tail)), diagnostics)
+    return LoadResult([row for _, row in rows], diagnostics)
+
+
 def load_corpus(path: str | Path) -> LoadResult:
     """Load corpus records in file order.
 
@@ -313,39 +326,29 @@ def load_corpus(path: str | Path) -> LoadResult:
     with a year outside the target range are accepted with a warning.
     Duplicate ids abort the load (downstream joins would be ambiguous).
     """
-    records: list[CorpusRecord] = []
-    diagnostics: list[LineDiagnostic] = []
+    result = LoadResult([], [])
     seen: dict[str, int] = {}
-    for lineno, record in _read_rows(path, "corpus", _parse_corpus_fields, diagnostics):
+    for lineno, record in _read_rows(path, "corpus", _corpus_record, result.diagnostics):
         if record.id in seen:
             raise CorpusError(
                 f"{path}:{lineno}: duplicate id {record.id!r} (first seen on line {seen[record.id]})"
             )
         seen[record.id] = lineno
         if record.year is not None and not YEAR_RANGE[0] <= record.year <= YEAR_RANGE[1]:
-            diagnostics.append(
-                LineDiagnostic(
-                    lineno,
-                    f"year {record.year} outside target range {YEAR_RANGE[0]}-{YEAR_RANGE[1]}",
-                    severity="warning",
-                )
-            )
-        records.append(record)
-    return LoadResult(records, diagnostics)
+            message = f"year {record.year} outside target range {YEAR_RANGE[0]}-{YEAR_RANGE[1]}"
+            result.diagnostics.append(LineDiagnostic(lineno, message, severity="warning"))
+        result.records.append(record)
+    return result
 
 
 def load_candidates(path: str | Path) -> LoadResult:
-    """Load candidate records (``corrected.jsonl`` or ``classified.jsonl``)."""
-    diagnostics: list[LineDiagnostic] = []
-    rows = _read_rows(path, "candidate", CandidateRecord.from_json_dict, diagnostics)
-    return LoadResult([record for _, record in rows], diagnostics)
+    """Load candidate rows (``corrected.jsonl`` or ``classified.jsonl``)."""
+    return _load(path, "candidate", CandidateRecord, CLASSIFIED)
 
 
 def load_processed(path: str | Path) -> LoadResult:
-    """Load processed records (the pipeline output schema)."""
-    diagnostics: list[LineDiagnostic] = []
-    rows = _read_rows(path, "processed", ProcessedRecord.from_json_dict, diagnostics)
-    return LoadResult([record for _, record in rows], diagnostics)
+    """Load processed rows (the pipeline output schema)."""
+    return _load(path, "processed", ProcessedRecord, PROCESSED)
 
 
 def write_artifact(path: str | Path, chunks: Iterable[str]) -> None:
@@ -371,7 +374,7 @@ def write_json(obj: dict, path: str | Path) -> None:
     write_artifact(path, [json.dumps(obj, ensure_ascii=False, indent=2) + "\n"])
 
 
-def encode_row(record) -> str:
+def encode_row(record: CorpusRecord | CandidateRecord) -> str:
     """One record as its artifact line: stable field order, byte-identical across runs."""
     return json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n"
 

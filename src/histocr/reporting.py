@@ -19,7 +19,7 @@ from .records import (
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
     STATUS_EXCLUDED_CONTENT_POLICY,
-    ProcessedRecord,
+    CandidateRecord,
     write_artifact,
     write_json,
 )
@@ -55,7 +55,7 @@ class RunReport:
 
 
 def build_report(
-    processed: list[ProcessedRecord],
+    processed: list[CandidateRecord],
     tokenizer_id: str = "unicode_words",
 ) -> RunReport:
     """Aggregate statistics over processed records.

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +98,9 @@ class TestRunCommand:
             ("max_chars", 500.0),  # a float is no int
             ("strict", 1),
             ("mock_fixtures", ["a.jsonl"]),
+            ("backoff_base", math.nan),  # json.dumps writes NaN, which is not JSON
+            ("temperature", math.inf),
+            ("ratio_threshold", -math.inf),
         ],
     )
     def test_wrong_typed_config_value_is_config_error(
@@ -195,6 +199,27 @@ class TestRunCommand:
         (row,) = (tmp_path / "out" / "final.jsonl").read_text(encoding="utf-8").splitlines()
         assert json.loads(row)["id"] == "a"
         assert main(["--strict"] + run) == 2
+
+    def test_lone_surrogate_in_a_corpus_row_costs_its_line(self, pipeline_fixture, tmp_path, caplog):
+        corpus, fixtures = pipeline_fixture
+        config = write_config(tmp_path / "config.json", corpus, fixtures)
+        with_bad_row = tmp_path / "corpus.jsonl"
+        bad = json.dumps({"id": "bad", "text": "la sesion \ud800 era corta"})
+        with_bad_row.write_text(bad + "\n" + corpus.read_text(encoding="utf-8"), encoding="utf-8")
+        out, reference = tmp_path / "out", tmp_path / "reference"
+        assert main(["--config", str(config), "run", "--input", str(with_bad_row), "--output", str(out)]) == 0
+        assert f"{with_bad_row}: line 1: error: 'text' holds a lone surrogate at index 10" in caplog.text
+        assert main(["--config", str(config), "run", "--input", str(corpus), "--output", str(reference)]) == 0
+        for name in ARTIFACTS:
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+    def test_non_finite_flag_value_is_config_error(self, pipeline_fixture, tmp_path, capsys):
+        corpus, _ = pipeline_fixture
+        out = tmp_path / "out"
+        code = main(["run", "--input", str(corpus), "--output", str(out), "--ratio-threshold", "nan"])
+        assert code == 1
+        assert "config error: ratio_threshold must be a number, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, pipeline_fixture, tmp_path):
         corpus, fixtures = pipeline_fixture
@@ -542,6 +567,111 @@ class TestMalformedStageRows:
     @MALFORMED_STAGE_ROWS
     def test_bad_line_exits_2_in_strict_mode(self, tmp_path, command, good_row, bad_line):
         assert main(["--strict"] + stage_argv(tmp_path, command, good_row, bad_line)) == 2
+
+
+# one value of each JSON type, then the two that JSON text cannot hold: a
+# non-finite number and a lone surrogate (json.dumps writes NaN and "\ud800")
+WRONG_VALUE_SAMPLES = {
+    "null": None, "bool": True, "int": 0, "float": 1.5, "string": "x", "array": [], "object": {},
+    "nan": math.nan, "lone-surrogate": "\ud800",
+}
+# the samples each field admits, written out here independently of the code's table;
+# every other sample must cost its line
+CORPUS_ADMITS = {
+    "id": {"string"}, "newspaper": {"null", "string"}, "country": {"null", "string"},
+    "city": {"null", "string"}, "year": {"null", "int"}, "text": {"string"},
+}
+CANDIDATE_ADMITS = {**CORPUS_ADMITS, "llm_outcome": set(), "llm_detail": {"string"}, "text_llm": {"null", "string"}}
+# a null corrections is an unclassified row, which apply refuses as a whole file
+CLASSIFIED_ADMITS = {**CANDIDATE_ADMITS, "corrections": {"null", "array"}}
+# text_final must be a string in PROCESSED_ROW, whose status is corrected
+PROCESSED_ADMITS = {
+    **CORPUS_ADMITS, "status": set(), "text_llm": {"null", "string"}, "text_final": {"string"},
+    "corrections": {"null", "array"},
+}
+CORRECTION_ADMITS = {
+    "original": {"string"}, "corrected": {"string"}, "label": set(), "rule": {"string"},
+    "ratio": {"null", "int", "float"}, "position": set(), "corrected_position": set(),
+    "original_raw": {"string"}, "corrected_raw": {"string"}, "accent_only": {"bool"}, "frequency": set(),
+}
+CORPUS_ROW = {key: CORRECTED_ROW[key] for key in CORPUS_ADMITS}
+CLASSIFIED_ROW = {**CORRECTED_ROW, "corrections": []}
+
+
+def wrong_field_cases():
+    schemas = [
+        ("corpus", "clean", CORPUS_ROW, CORPUS_ADMITS, None),
+        ("candidate", "classify", CORRECTED_ROW, CANDIDATE_ADMITS, None),
+        ("classified", "apply", CLASSIFIED_ROW, CLASSIFIED_ADMITS, None),
+        ("processed", "report", PROCESSED_ROW, PROCESSED_ADMITS, None),
+        ("classified-correction", "apply", {**CORRECTED_ROW, "corrections": [MUI_OCR]}, CORRECTION_ADMITS, MUI_OCR),
+        ("processed-correction", "report", {**PROCESSED_ROW, "corrections": [MUI]}, CORRECTION_ADMITS, MUI),
+    ]
+    for schema, command, row, admits, correction in schemas:
+        for key, admitted in admits.items():
+            for sample, value in WRONG_VALUE_SAMPLES.items():
+                if sample in admitted:
+                    continue
+                if correction is None:
+                    bad = {**row, key: value}
+                else:
+                    bad = {**row, "corrections": [{**correction, key: value}]}
+                good = row if correction is None else {**row, "corrections": []}
+                yield pytest.param(command, key, good, json.dumps(bad), id=f"{schema}-{key}-{sample}")
+
+
+class TestEveryWrongField:
+    """Every field of every row schema, set to every value it does not admit, costs its own line."""
+
+    @pytest.mark.parametrize("command, key, good_row, bad_line", wrong_field_cases())
+    def test_costs_its_line(self, tmp_path, caplog, capsys, command, key, good_row, bad_line):
+        out = tmp_path / "out"
+        assert main(["--strict"] + stage_argv(tmp_path, command, good_row, bad_line)) == 2
+        diagnostics = [line for line in caplog.text.splitlines() if f"{tmp_path / 'in.jsonl'}: line 1: error: " in line]
+        assert len(diagnostics) == 1 and key in diagnostics[0], caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        if command == "report":
+            assert json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"] == 1
+        else:
+            written = (out / STAGE_LAYOUT[command][0]).read_text(encoding="utf-8")
+            assert [json.loads(line)["id"] for line in written.splitlines()] == ["b"]
+
+
+class TestApplyKeepsRowBytes:
+    """apply writes the final row of any row the reader accepts as it always has."""
+
+    def test_excluded_rows_and_a_correction_without_defaults(self, tmp_path):
+        base = {"id": "a", "newspaper": None, "country": "Peru", "city": None, "year": 1850, "text": "la sesion era mui corta"}
+        rows = [
+            {**base, "id": "refused", "llm_outcome": "content_policy_refusal", "llm_detail": "flagged",
+             "text_llm": "la sesión era muy corta", "corrections": [MUI]},
+            {**base, "id": "failed", "llm_outcome": "transport_error", "llm_detail": "boom",
+             "text_llm": "la sesión era muy corta", "corrections": [MUI]},
+            {**base, "id": "rewrite", "llm_outcome": "global_hallucination", "text_llm": "otra cosa",
+             "corrections": [{**MUI, "ratio": 1, "frequency": 3}]},
+            {**base, "id": "ok", "llm_outcome": "ok", "text_llm": None, "extra": 1,
+             "corrections": [without({**MUI_OCR, "ratio": 0.5}, "corrected_position")]},
+        ]
+        classified = tmp_path / "classified.jsonl"
+        classified.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+        assert main(["--strict", "apply", "--input", str(classified), "--output", str(tmp_path)]) == 0
+        expected = [
+            ("refused", "excluded_content_policy", None, None, []),
+            ("failed", "excluded_llm_failure", "la sesión era muy corta", None, []),
+            ("rewrite", "excluded_llm_failure", "otra cosa", None, []),
+            ("ok", "corrected", None, "la sesion era muy corta", [{**MUI_OCR, "ratio": 0.5, "corrected_position": [0, 0]}]),
+        ]
+        expected = [
+            {**base, "id": rid, "newspaper": "", "status": status, "text_llm": text_llm, "text_final": text_final,
+             "corrections": corrections}
+            for rid, status, text_llm, text_final, corrections in expected
+        ]
+        # json.dumps keeps each dict's key order, so this pins the bytes
+        lines = (tmp_path / "final.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines == [json.dumps(row, ensure_ascii=False) for row in expected]
+        # the lexicon counts every row's corrections, the excluded rows' too
+        lexicon = (tmp_path / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+        assert lexicon == ["original\tmodern\trule\tfrequency\taccent_only", "mui\tmuy\ttable_i_y\t3\tfalse"]
 
 
 class TestStrictCorrect:

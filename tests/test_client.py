@@ -250,6 +250,14 @@ class TestCorrectText:
         assert result.detail == f"not retried: backend returned {type(response).__name__}, not str"
         assert backend.calls == 1
 
+    def test_lone_surrogate_response_is_one_transport_error(self):
+        # JSON's "\ud800" escape decodes to a code point no artifact could encode as UTF-8
+        backend = FlakyBackend(failures=0, response="hola \ud800 mundo")
+        result = correct_text("hola", backend, self.policy(attempts=3))
+        assert result.outcome == OUTCOME_TRANSPORT_ERROR
+        assert result.detail == "not retried: response holds a lone surrogate at index 5, which UTF-8 cannot encode"
+        assert backend.calls == 1
+
 
 class FakeResponse:
     def __init__(self, status_code=200, body=None, text="", headers=None):

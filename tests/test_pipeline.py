@@ -297,6 +297,34 @@ class RecordingBackend(MockBackend):
         return super().complete(prompt, text)
 
 
+class TestLoneSurrogateResponse:
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_costs_one_record(self, pipeline_fixture, tmp_path, concurrency):
+        corpus, fixtures = pipeline_fixture
+        ok, out = tmp_path / "ok", tmp_path / "out"
+        # three attempts each: a response with a lone surrogate must not be retried
+        clean_backend = RecordingBackend(fixtures)
+        assert run_pipeline(make_config(corpus, fixtures, ok, concurrency=concurrency, retry_attempts=3), clean_backend) == 0
+        rows = (ok / "corrected.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        target = next(i for i, line in enumerate(rows) if json.loads(line)["llm_outcome"] == "ok")
+        text = json.loads(rows[target])["text"]
+        # a later fixture row for the same text wins
+        bad_fixtures = tmp_path / "fixtures.jsonl"
+        entry = json.dumps({"input_hash": MockBackend.hash_text(text), "output": text + " \ud800"})
+        bad_fixtures.write_text(fixtures.read_text(encoding="utf-8") + entry + "\n", encoding="utf-8")
+        backend = RecordingBackend(bad_fixtures)
+        config = make_config(corpus, bad_fixtures, out, concurrency=concurrency, retry_attempts=3)
+        assert run_pipeline(config, backend=backend) == 0
+        written = (out / "corrected.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert written[:target] + written[target + 1:] == rows[:target] + rows[target + 1:]
+        row = json.loads(written[target])
+        assert (row["llm_outcome"], row["text_llm"]) == ("transport_error", None)
+        assert row["llm_detail"].startswith("not retried: response holds a lone surrogate at index ")
+        assert Counter(backend.texts) == Counter(clean_backend.texts)
+        assert Counter(backend.texts)[text] == 1
+        assert set(ARTIFACTS) <= {p.name for p in out.iterdir()}
+
+
 class TestClassifyErrorInRun:
     @pytest.mark.parametrize("concurrency", [1, 4])
     def test_no_paid_response_is_lost(self, pipeline_fixture, tmp_path, monkeypatch, concurrency):
