@@ -395,27 +395,25 @@ def _align_normalized(
 
     o_into = _groups_into([strip_accents(w) for w in o_norm], o_core)
     c_into = _groups_into([strip_accents(w) for w in c_norm], c_core)
-    # best[i][j] = (score, groups, source cell), None while unreachable
-    best: list[list[tuple[float, int, tuple[int, int] | None] | None]] = [[None] * (m + 1) for _ in range(n + 1)]
-    best[0][0] = (0.0, 0, None)
+    # best[i][j] = (score, groups, -si, -sj) of source cell (si, sj): the largest wins; None while unreachable
+    best: list[list[tuple[float, int, int, int] | None]] = [[None] * (m + 1) for _ in range(n + 1)]
+    best[0][0] = (0.0, 0, 0, 0)
     for ti in range(1, n + 1):
         for tj in range(1, m + 1):
-            preds = []
-            for si, o_text, o_len in o_into[ti]:
-                row = best[si]
-                for sj, c_text, c_len in c_into[tj]:
-                    here = row[sj]
-                    if here is not None:
-                        bound = here[0] + 2.0 * min(o_len, c_len) / (o_len + c_len)
-                        preds.append((bound, si, sj, o_text, c_text))
+            # (si, sj) is unique, so the sort never compares the stored ``here`` tuples
+            preds = [
+                (here[0] + 2.0 * (o_len if o_len < c_len else c_len) / (o_len + c_len), si, sj, o_text, c_text, here)
+                for si, o_text, o_len in o_into[ti]
+                for sj, c_text, c_len in c_into[tj]
+                if (here := best[si][sj]) is not None
+            ]
             preds.sort(reverse=True)
             win = None
-            for bound, si, sj, o_text, c_text in preds:
+            for bound, si, sj, o_text, c_text, (score, groups, _, _) in preds:
                 if win is not None and bound < win[0]:
                     break
-                score, groups, _ = best[si][sj]
-                cand = (score + similarity_ratio(o_text, c_text), groups + 1, (si, sj))
-                if win is None or cand[:2] > win[:2] or (cand[:2] == win[:2] and cand[2] < win[2]):
+                cand = (score + similarity_ratio(o_text, c_text), groups + 1, -si, -sj)
+                if win is None or cand > win:
                     win = cand
             best[ti][tj] = win
 
@@ -423,10 +421,11 @@ def _align_normalized(
         return None
     # walk back through the DP to recover group boundaries in core indices
     bounds: list[tuple[int, int]] = []
-    state: tuple[int, int] | None = (n, m)
-    while state is not None and state != (0, 0):
+    state = (n, m)
+    while state != (0, 0):
         bounds.append(state)
-        state = best[state[0]][state[1]][2]
+        _, _, si, sj = best[state[0]][state[1]]
+        state = (-si, -sj)
     bounds.append((0, 0))
     bounds.reverse()
     if len(bounds) <= 2:  # a single group is the whole hunk

@@ -17,21 +17,21 @@ exactly difflib's ratio. The word diff maps each distinct word to one code
 point and makes one hunk of each gap between consecutive blocks; difflib
 merges adjacent blocks, but they leave no gap, so its opcodes give the same
 hunks. The longest block is not found by difflib's walk over every pair of
-equal elements, which costs roughly the cube of the length, but by one of two
-searches (see :func:`_longest_block`): when both windows are short, one pass
-of substring tests over the first window; otherwise, sampled seeds extended
-to maximal blocks. Each search finds the same block with the same tie order,
-so the path taken never changes a result, only its cost.
+equal elements, which costs roughly the cube of the length. A pair of short
+windows runs its whole sub-recursion in one loop of substring tests
+(:func:`_short_blocks`); longer windows extend sampled seeds to maximal
+blocks (:func:`_longest_block`). Both find the same blocks with the same tie
+order, so the path taken never changes a result, only its cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 HunkKind = Literal["replace", "insert", "delete"]
 
-# longest window, on both sides, that _longest_block searches in one pass
+# longest window, on both sides, that _short_blocks searches in one pass
 _SHORT_WINDOW = 64
 
 
@@ -128,7 +128,8 @@ def similarity_below(a: str, b: str, threshold: float) -> bool:
     answer is yes at once when even ``M = min(len(a), len(b))`` falls short,
     and no as soon as the blocks matched so far reach the threshold; both
     shortcuts give the answer the full ratio gives. Otherwise the blocks are
-    found exactly as :func:`similarity_ratio` finds them.
+    found exactly as :func:`similarity_ratio` finds them; a pair of short windows
+    gets all its blocks in one loop, so the early stop falls between such pairs.
     """
     total = len(a) + len(b)
     if not total:
@@ -152,14 +153,22 @@ def _matches(a: str, b: str, total: int, stop_at: float | None = None) -> int:
     return matches
 
 
-def _blocks(a: str, b: str) -> Iterator[tuple[int, int, int]]:
-    """Yield the Gestalt recursion's blocks ``(i, j, size)``, in no set order.
+def _blocks(a: str, b: str) -> Iterable[tuple[int, int, int]]:
+    """The Gestalt recursion's blocks ``(i, j, size)``, in no set order."""
+    if len(a) <= _SHORT_WINDOW and len(b) <= _SHORT_WINDOW:
+        return _short_blocks(a, b, 0, len(a), 0, len(b))  # a list: no generator to make
+    return _long_blocks(a, b)
 
-    A flank's blocks are blocks of its enclosing window too, so ``size`` bounds them.
-    """
+
+def _long_blocks(a: str, b: str) -> Iterator[tuple[int, int, int]]:
+    """Yield the blocks: two short windows take :func:`_short_blocks`, others :func:`_longest_block`.
+    A flank's blocks are blocks of its enclosing window too, so ``size`` bounds them."""
     stack = [(0, len(a), 0, len(b), min(len(a), len(b)))]
     while stack:
         alo, ahi, blo, bhi, limit = stack.pop()
+        if ahi - alo <= _SHORT_WINDOW and bhi - blo <= _SHORT_WINDOW:
+            yield from _short_blocks(a, b, alo, ahi, blo, bhi)
+            continue
         i, j, size = _longest_block(a, b, alo, ahi, blo, bhi, limit)
         if size:
             yield i, j, size
@@ -169,26 +178,44 @@ def _blocks(a: str, b: str) -> Iterator[tuple[int, int, int]]:
                 stack.append((i + size, ahi, j + size, bhi, size))
 
 
-def _longest_block(
-    a: str, b: str, alo: int, ahi: int, blo: int, bhi: int, limit: int
-) -> tuple[int, int, int]:
+def _short_blocks(a: str, b: str, alo: int, ahi: int, blo: int, bhi: int) -> list[tuple[int, int, int]]:
+    """The Gestalt recursion's blocks on two windows of at most ``_SHORT_WINDOW``, in one loop.
+
+    Per window pair, one pass over ``a`` grows ``size`` while ``a[start:start+size+1]`` occurs
+    in the ``b`` window (each test scans it), else moves ``start`` on. Only a longer block
+    replaces the best, and ``j`` is its first occurrence: ties go to the smallest ``i``, then ``j``.
+    """
+    blocks, stack = [], [(alo, ahi, blo, bhi)]
+    while stack:
+        alo, ahi, blo, bhi = stack.pop()
+        window = b[blo:bhi]
+        i = start = alo
+        size = 0
+        while start + size < ahi:
+            if a[start : start + size + 1] in window:
+                i = start
+                size += 1
+            else:
+                start += 1
+        if size:
+            j = blo + window.find(a[i : i + size])
+            blocks.append((i, j, size))
+            if alo < i and blo < j:
+                stack.append((alo, i, blo, j))
+            if i + size < ahi and j + size < bhi:
+                stack.append((i + size, ahi, j + size, bhi))
+    return blocks
+
+
+def _longest_block(a: str, b: str, alo: int, ahi: int, blo: int, bhi: int, limit: int) -> tuple[int, int, int]:
     """Longest common block ``(i, j, size)`` of ``a[alo:ahi]`` and ``b[blo:bhi]``.
 
     The caller guarantees that no common block is longer than ``limit``.
     Ties go to the smallest ``i``, then the smallest ``j``; ``size`` is 0
     when the windows share no character.
 
-    Two searches give the same answer. When both windows are at most
-    ``_SHORT_WINDOW`` long (word-group strings, the word codes of short
-    records, the tail windows of a long recursion), one pass over the ``a``
-    window asks at each ``i`` only whether ``a[i:i+best+1]`` occurs in the
-    ``b`` window, growing ``best`` while it does: one substring test per
-    start plus one per character ``best`` grows. Only a strictly longer
-    block replaces the best, and ``j`` is the winner's first occurrence, so
-    the tie order holds. Both windows must be short: the pass costs a Python
-    step per character of ``a``, and each test scans the ``b`` window.
-
-    Longer windows take the seed search. Seed lemma: let ``s + q = K + 1``.
+    This is the seed search, which :func:`_long_blocks` runs on window pairs with
+    a side longer than ``_SHORT_WINDOW``. Seed lemma: let ``s + q = K + 1``.
     A common block of length at least K starting at ``x`` in the ``a``
     window ``[alo, ahi)`` has some ``p = alo + t*s`` among ``x .. x+s-1``,
     and ``p + q <= x + K``, so it contains the seed ``a[p:p+q]``. Extending
@@ -198,17 +225,6 @@ def _longest_block(
     lengths, and halves (or drops to the longest block found so far) until a
     found block reaches it.
     """
-    if ahi - alo <= _SHORT_WINDOW and bhi - blo <= _SHORT_WINDOW:
-        window = b[blo:bhi]
-        best_i = i = alo
-        best = 0
-        while i + best < ahi:
-            if a[i : i + best + 1] in window:
-                best_i = i
-                best += 1
-            else:
-                i += 1
-        return best_i, blo + window.find(a[best_i : best_i + best]), best
     k = cap = min(limit, ahi - alo, bhi - blo)
     best_i, best_j, best = alo, blo, 0
     find = b.find

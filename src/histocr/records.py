@@ -60,6 +60,7 @@ YEAR_RANGE = (1800, 1899)
 
 # a code point UTF-8 cannot encode; JSON's "\ud800" escape reads as one
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+_RULE_NAMES = {"isfinite": isfinite, "surrogate": LONE_SURROGATE.search}  # what Field.rule calls
 
 # JSON types, matched exactly (a bool is no integer, an integer is a number);
 # a field's first type names it in diagnostics
@@ -97,15 +98,29 @@ class Field(NamedTuple):
     allowed: Where | None = None
     items: Callable[[object], object] | None = None
 
+    def rule(self, v: str, types: str, allowed: str) -> tuple[str, str]:
+        """The admission rule of :meth:`check` and the readers, as two conditions over the
+        names given for the value, ``types`` and ``allowed.test``: a type not admitted, a
+        non-finite float (JSON has none) or a value not allowed; a lone surrogate's match."""
+        wrong = [f"type({v}) not in {types}"]
+        wrong += [f"type({v}) is float and not isfinite({v})"] if float in self.types else []
+        wrong += [f"not {allowed}({v})"] if self.allowed else []
+        return " or ".join(wrong), f"type({v}) is str and not {v}.isascii() and surrogate({v})"
+
     def check(self, name: str, value: object) -> None:
-        """A ``ValueError`` naming ``name`` unless this field admits ``value``;
-        as in JSON text, a float is finite and a string holds no lone surrogate."""
-        kind, allowed = type(value), self.allowed
-        if kind not in self.types or kind is float and not isfinite(value) or allowed and not allowed.test(value):
-            wording = allowed.wording if allowed else _TYPE_WORDS[self.types[0]]
+        """A ``ValueError`` naming ``name`` unless this field admits ``value``."""
+        wrong, lone = map(_condition, self.rule("v", "types", "allowed"))
+        args = value, self.types, self.allowed and self.allowed.test
+        if wrong(*args):
+            wording = self.allowed.wording if self.allowed else _TYPE_WORDS[self.types[0]]
             raise ValueError(f"{name} must be {wording}, got {_shown(value)}")
-        if kind is str and not value.isascii() and (surrogate := LONE_SURROGATE.search(value)):
+        if surrogate := lone(*args):
             raise ValueError(f"{name} holds a lone surrogate at index {surrogate.start()}, which UTF-8 cannot encode")
+
+
+@cache
+def _condition(source: str) -> Callable[..., object]:
+    return eval(f"lambda v, types, allowed: {source}", _RULE_NAMES)
 
 
 # each artifact's keys, in the order its rows hold them
@@ -119,37 +134,35 @@ CORRECTION = (
 )
 
 
-def _read(obj: dict, keys: tuple[str, ...], prefix: str = "") -> dict:
-    """The attribute values of ``keys`` in one JSON object, each checked by its field.
-
-    A wrong value is a ``ValueError`` that names its key; an absent required
-    key is a ``KeyError``.
-    """
-    values = {}
-    for key in keys:
-        f = FIELDS[key]
-        if key not in obj and f.default is not REQUIRED:
-            values[f.attr or key] = f.default
-            continue
-        value = obj[key]
-        f.check(f"{prefix}{key!r}", value)
-        if value is None:
-            value = None if f.default is REQUIRED else f.default
-        elif f.items:
-            value = [f.items(item) for item in value]
-        elif type(value) is list:
-            value = tuple(value)
-        values[f.attr or key] = value
-    return values
+@cache
+def _reader(keys: tuple[str, ...], prefix: str = "", build: Callable[..., object] = dict) -> Callable[[dict], object]:
+    """Reads ``keys`` off one JSON object into ``build``'s keyword arguments, compiled once per key
+    list as :func:`_to_dict` is: a value :meth:`Field.rule` refuses goes to ``Field.check``."""
+    ns: dict = {**_RULE_NAMES, "build": build}
+    code = ["def read(obj):"]
+    for n, key in enumerate(keys):
+        f, v = FIELDS[key], f"v{n}"
+        ns.update({f"f{n}": f, f"t{n}": f.types, f"a{n}": f.allowed and f.allowed.test, f"i{n}": f.items})
+        ns[f"d{n}"] = None if f.default is REQUIRED else f.default
+        code += [f"    if {key!r} in obj:", f"        {v} = obj[{key!r}]"]
+        code += [f"        if {' or '.join(f.rule(v, f't{n}', f'a{n}'))}: f{n}.check({prefix + repr(key)!r}, {v})"]
+        code += [f"        if {v} is None: {v} = d{n}"] if type(None) in f.types else []
+        if list in f.types:
+            convert = f"[i{n}(x) for x in {v}]" if f.items else f"tuple({v})"
+            code += [f"        if type({v}) is list: {v} = {convert}"]
+        code += ["    else: " + (f"raise KeyError({key!r})" if f.default is REQUIRED else f"{v} = d{n}")]
+    items = ", ".join(f"{FIELDS[key].attr or key}=v{n}" for n, key in enumerate(keys))
+    exec("\n".join(code + [f"    return build({items})"]), ns)
+    return ns["read"]
 
 
 def _correction(item: object) -> ClassifiedCorrection:
     if type(item) is not dict:
         raise ValueError(f"'corrections' items must be objects, got {_shown(item)}")
-    return ClassifiedCorrection(**_read(item, CORRECTION, "correction "))
+    return _reader(CORRECTION, "correction ", ClassifiedCorrection)(item)
 
 
-_SPAN = Where("two integers", lambda span: len(span) == 2 and all(type(i) is int for i in span))
+_SPAN = Where("two integers", lambda span: len(span) == 2 and type(span[0]) is type(span[1]) is int)
 FIELDS = {
     # the corpus record
     "id": Field(STRING, allowed=Where("a non-empty string", bool)),
@@ -266,10 +279,6 @@ def ProcessedRecord(
     return CandidateRecord(record, None, "", text_llm, [] if corrections is None else corrections, status, text_final)
 
 
-def _corpus_record(obj: dict) -> CorpusRecord:
-    return CorpusRecord(**_read(obj, CORPUS))
-
-
 @dataclass
 class LoadResult:
     records: list  # CorpusRecord or CandidateRecord
@@ -314,8 +323,8 @@ def _read_rows(
 def _load(path: str | Path, kind: str, build: Callable[..., CandidateRecord], keys: tuple[str, ...]) -> LoadResult:
     """The rows of ``keys`` in a file: each its corpus record, then the rest of ``keys``, for ``build``."""
     diagnostics: list[LineDiagnostic] = []
-    tail = keys[len(CORPUS):]
-    rows = _read_rows(path, kind, lambda obj: build(_corpus_record(obj), **_read(obj, tail)), diagnostics)
+    corpus, read = _reader(CORPUS, "", CorpusRecord), _reader(keys[len(CORPUS):])
+    rows = _read_rows(path, kind, lambda obj: build(corpus(obj), **read(obj)), diagnostics)
     return LoadResult([row for _, row in rows], diagnostics)
 
 
@@ -328,7 +337,7 @@ def load_corpus(path: str | Path) -> LoadResult:
     """
     result = LoadResult([], [])
     seen: dict[str, int] = {}
-    for lineno, record in _read_rows(path, "corpus", _corpus_record, result.diagnostics):
+    for lineno, record in _read_rows(path, "corpus", _reader(CORPUS, "", CorpusRecord), result.diagnostics):
         if record.id in seen:
             raise CorpusError(
                 f"{path}:{lineno}: duplicate id {record.id!r} (first seen on line {seen[record.id]})"

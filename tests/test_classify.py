@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -377,6 +379,17 @@ class TestAlignGroupsDP:
         expected = [((0, 1), (0, 1)), ((1, 3), (1, 2))]
         assert reference_align_groups(o_words, c_words) == expected
         assert _align_groups(o_words, c_words) == expected
+
+    def test_ratio_calls_pinned(self, monkeypatch):
+        # which ratios the pruning computes, and in what order, is bookkeeping
+        # that no result shows; pin both on one hunk of 19 x 16 words
+        o_words = "ocasion. En seguida se leyó y aprobó la acta de la se sion anterior , y el Sr. Presidente".split()
+        c_words = "ocasión. Enseguida se leyo y aprobo el acta de la sesión anterior, y el señor Presidente".split()
+        calls = []
+        monkeypatch.setattr(classify, "similarity_ratio", lambda a, b: calls.append((a, b)) or similarity_ratio(a, b))
+        assert _align_groups(o_words, c_words) == reference_align_groups(o_words, c_words)
+        assert len(calls) == 420
+        assert hashlib.sha256(repr(calls).encode()).hexdigest() == "941bbe858ea393a08a9f7e268461a43166c7be19d3d3a168c4f241be04b94415"
 
     def test_cell_cap_edge(self):
         o_words = [w for w in GOLDEN_ORIGINAL.split() if normalize_segment(w)][:21]

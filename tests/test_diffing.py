@@ -120,6 +120,27 @@ def _tiny_alphabet_pairs(m: int, n: int) -> list[tuple[str, str]]:
     ]
 
 
+# a window with one character on a side, that character two to four times on
+# the other: the whole pair, between short anchors, and after a long anchor
+# (a first window over _SHORT_WINDOW, so the seed search hands the flank on)
+_LONG_ANCHOR = "".join(chr(0x100 + k) for k in range(_SHORT_WINDOW + 6))
+ONE_CHAR_WINDOW_PAIRS = [
+    pair
+    for n in range(2, 7)
+    for other in map("".join, itertools.product("ab", repeat=n))
+    if 2 <= other.count("a") <= 4
+    for one, many in (("a", other), ("a", "x" + other), ("a", other + "x"))
+    for forward in (
+        (one, many),
+        ("XY" + one + "ZW", "XY" + many + "ZW"),
+        ("X" + one + "a", "X" + many + "a"),
+        (_LONG_ANCHOR + one, _LONG_ANCHOR + many),
+        (one + _LONG_ANCHOR + one, many + _LONG_ANCHOR + many),
+    )
+    for pair in (forward, forward[::-1])
+]
+
+
 _LONG_SPANISH = " ".join([GOLDEN_ORIGINAL] * 2)
 ADVERSARIAL_PAIRS = {
     "alternating_shifted": ("ab" * 1500, "ba" * 1500),
@@ -292,6 +313,12 @@ class TestDiffWordsMatchesDifflib:
             original, corrected = list(a), list(b)  # one-letter words
             assert diff_words(original, corrected) == difflib_hunks(original, corrected)
 
+    def test_one_character_windows(self):
+        # the one-character side's block is the first occurrence in the other side
+        for a, b in ONE_CHAR_WINDOW_PAIRS:
+            original, corrected = list(a), list(b)  # one-letter words
+            assert diff_words(original, corrected) == difflib_hunks(original, corrected), (a, b)
+
     def test_short_window_ties(self):
         # "x y" at (2, 0) and (2, 2): the earlier corrected match anchors
         original, corrected = ["x", "x", "x", "y"], ["x", "y", "x", "y"]
@@ -366,6 +393,10 @@ class TestSimilarityRatioMatchesDifflib:
         for a, b in _tiny_alphabet_pairs(m, n):
             assert similarity_ratio(a, b) == difflib_ratio(a, b), (a, b)
 
+    def test_one_character_windows(self):
+        for a, b in ONE_CHAR_WINDOW_PAIRS:
+            assert similarity_ratio(a, b) == difflib_ratio(a, b), (a, b)
+
     @given(st.text(alphabet="ab", max_size=40), st.text(alphabet="ab", max_size=40))
     @settings(max_examples=300)
     def test_two_letter_ties(self, a, b):
@@ -414,6 +445,12 @@ class TestSimilarityBelow:
         for a, b in _tiny_alphabet_pairs(m, n):
             ratio = difflib_ratio(a, b)
             for threshold in (ratio, math.nextafter(ratio, math.inf), 0.5, 0.7):
+                assert similarity_below(a, b, threshold) == (ratio < threshold), (a, b, threshold)
+
+    def test_one_character_windows(self):
+        for a, b in ONE_CHAR_WINDOW_PAIRS:
+            ratio = difflib_ratio(a, b)
+            for threshold in (ratio, math.nextafter(ratio, math.inf), 0.5):
                 assert similarity_below(a, b, threshold) == (ratio < threshold), (a, b, threshold)
 
 
