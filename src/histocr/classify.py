@@ -53,6 +53,12 @@ _MAX_GROUP = 4
 # hunks larger than this (content words, original x corrected) skip
 # decomposition and classify whole
 _MAX_DP_CELLS = 400
+# decomposition tables of at least this many cells (content words, original
+# x corrected) first walk one greedy path for a floor on the optimum
+_FLOOR_MIN_CELLS = 20
+# margin under the floor, far above the rounding in sums of at most 20
+# ratios; a wider margin only skips fewer cells
+_FLOOR_SLACK = 1e-9
 # segments longer than any plausible word skip the substitution matcher;
 # bounds the backtracking search on degenerate hunks
 _MAX_SUBSTITUTION_LEN = 60
@@ -344,15 +350,47 @@ def _joined(norm: list[str]) -> str:
 
 
 def _groups_into(stripped: list[str], core: list[int]) -> list[list[tuple[int, str, int]]]:
-    """``into[t]`` holds ``(s, key, len(key))`` for each group of at most
-    ``_MAX_GROUP`` content words ending before content index ``t``; ``key``
-    joins the words of ``core[s:t]``."""
+    """``into[t][d - 1]`` is ``(t - d, key, len(key))`` for the group of the
+    ``d`` (at most ``_MAX_GROUP``) content words ending before content index
+    ``t``; ``key`` joins the words of ``core[t - d:t]``."""
     into: list[list[tuple[int, str, int]]] = [[] for _ in range(len(core) + 1)]
     for t in range(1, len(core) + 1):
-        for s in range(max(0, t - _MAX_GROUP), t):
+        for s in range(t - 1, max(0, t - _MAX_GROUP) - 1, -1):
             key = " ".join(stripped[k] for k in core[s:t])
             into[t].append((s, key, len(key)))
     return into
+
+
+def _greedy_floor(o_into: list[list[tuple[int, str, int]]], c_into: list[list[tuple[int, str, int]]]) -> float:
+    """The score of one legal grouping, summed in path order as the DP sums
+    it, less ``_FLOOR_SLACK``; ``-inf`` when the walk cannot reach the end.
+
+    Each step takes the best-ratio group of shape 1:1, 2:1 or 1:2 (first
+    listed on a tie), a two-word side only while a word would remain on it.
+    Once a side has one content word left, one group closes the path.
+    """
+    n, m = len(o_into) - 1, len(c_into) - 1
+    i = j = 0
+    score = 0.0
+    while n - i > 1 and m - j > 1:
+        _, o1, o1_len = o_into[i + 1][0]
+        _, c1, c1_len = c_into[j + 1][0]
+        ratio, di, dj = similarity_ratio(o1, c1), 1, 1
+        # a two-word group replaces the step only with a strictly higher
+        # ratio, so one whose bound (as in the DP) cannot beat it gets none
+        if n - i > 2:
+            _, o2, o2_len = o_into[i + 2][1]
+            if 2.0 * min(o2_len, c1_len) / (o2_len + c1_len) > ratio and (r := similarity_ratio(o2, c1)) > ratio:
+                ratio, di, dj = r, 2, 1
+        if m - j > 2:
+            _, c2, c2_len = c_into[j + 2][1]
+            if 2.0 * min(o1_len, c2_len) / (o1_len + c2_len) > ratio and (r := similarity_ratio(o1, c2)) > ratio:
+                ratio, di, dj = r, 1, 2
+        score += ratio
+        i, j = i + di, j + dj
+    if n - i > _MAX_GROUP or m - j > _MAX_GROUP:
+        return float("-inf")
+    return score + similarity_ratio(o_into[n][n - i - 1][1], c_into[m][m - j - 1][1]) - _FLOOR_SLACK
 
 
 def _align_groups(o_words: list[str], c_words: list[str]) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
@@ -386,6 +424,29 @@ def _align_normalized(
     that score still gets its ratio, because it may tie. The winner is the
     maximum ``(score, groups)``, ties going to the smallest source ``(i,
     j)``: the first maximum a row-major scan of the sources would meet.
+
+    A floor skips whole cells, as Ukkonen's cutoff does in edit-distance
+    tables. On tables of at least ``_FLOOR_MIN_CELLS`` cells,
+    :func:`_greedy_floor` first walks one legal path and sums its ratios in
+    path order, as the DP does. Float addition is monotone, so the DP's
+    score is the largest of all paths' scores, and the walk's score L is at
+    most that. A group takes at least one content word per side and scores
+    at most 1, so a path through ``(ti, tj)`` scores at most its prefix's
+    score plus ``rest = min(n - ti, m - tj)``; the prefix scores at most
+    ``min(ti, tj)``, and at most the bound of the predecessor it comes from.
+    A cell whose ``min(ti, tj) + rest``, or a predecessor whose ``bound +
+    rest``, falls strictly below L less ``_FLOOR_SLACK`` lies on no path that
+    reaches L, so it gets no ratio; a cell left with no candidate stays None.
+
+    Why the result cannot change: a cell's value differs from the unpruned
+    DP's only where every path through its unpruned value misses L, and every
+    value built on such a cell misses L too. The winning path reaches L, so
+    each of its cells keeps its value, and no candidate built on a changed
+    cell can reach or tie it there: the same path wins, with the same group
+    count and the same earliest-source tie-break. A path that scores exactly
+    L still counts, so the comparison stays strict. On every table, cells
+    from which ``(n, m)`` is out of reach in groups of at most ``_MAX_GROUP``
+    words lie on no path at all and are skipped.
     """
     o_core = [i for i, w in enumerate(o_norm) if w]
     c_core = [i for i, w in enumerate(c_norm) if w]
@@ -395,11 +456,21 @@ def _align_normalized(
 
     o_into = _groups_into([strip_accents(w) for w in o_norm], o_core)
     c_into = _groups_into([strip_accents(w) for w in c_norm], c_core)
+    floor = _greedy_floor(o_into, c_into) if n * m >= _FLOOR_MIN_CELLS else float("-inf")
     # best[i][j] = (score, groups, -si, -sj) of source cell (si, sj): the largest wins; None while unreachable
     best: list[list[tuple[float, int, int, int] | None]] = [[None] * (m + 1) for _ in range(n + 1)]
     best[0][0] = (0.0, 0, 0, 0)
     for ti in range(1, n + 1):
+        ri = n - ti
         for tj in range(1, m + 1):
+            rj = m - tj
+            if ri > _MAX_GROUP * rj or rj > _MAX_GROUP * ri:
+                continue  # (n, m) is out of reach
+            rest = ri if ri < rj else rj
+            # a bound below ``cut`` reaches neither the floor nor, once one is found, the best score here
+            cut = floor - rest
+            if (ti if ti < tj else tj) < cut:
+                continue
             # (si, sj) is unique, so the sort never compares the stored ``here`` tuples
             preds = [
                 (here[0] + 2.0 * (o_len if o_len < c_len else c_len) / (o_len + c_len), si, sj, o_text, c_text, here)
@@ -410,11 +481,13 @@ def _align_normalized(
             preds.sort(reverse=True)
             win = None
             for bound, si, sj, o_text, c_text, (score, groups, _, _) in preds:
-                if win is not None and bound < win[0]:
+                if bound < cut:
                     break
                 cand = (score + similarity_ratio(o_text, c_text), groups + 1, -si, -sj)
                 if win is None or cand > win:
                     win = cand
+                    if cand[0] > cut:
+                        cut = cand[0]
             best[ti][tj] = win
 
     if best[n][m] is None:
@@ -461,7 +534,7 @@ def classify_hunks(
         o_norm = [normalize_segment(w) for w in o_words]
         c_norm = [normalize_segment(w) for w in c_words]
         groups = None
-        if len(o_words) > 1 or len(c_words) > 1:
+        if len(o_words) > 1 and len(c_words) > 1:  # a one-word side admits only the whole hunk
             groups = _align_normalized(o_norm, c_norm)
         if groups is None:
             whole = hunk.original_segment, hunk.corrected_segment, _joined(o_norm), _joined(c_norm)

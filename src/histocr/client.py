@@ -23,13 +23,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from .records import (
-    LONE_SURROGATE,
     OUTCOME_CONTENT_POLICY,
     OUTCOME_OK,
     OUTCOME_OVER_LENGTH,
     OUTCOME_TRANSPORT_ERROR,
     CorpusError,
     _read_rows,
+    lone_surrogate,
 )
 
 if TYPE_CHECKING:
@@ -301,7 +301,7 @@ def correct_text(
         if not isinstance(raw, str):
             detail = f"not retried: backend returned {type(raw).__name__}, not str"
             return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=detail)
-        if surrogate := LONE_SURROGATE.search(raw):
+        if surrogate := lone_surrogate(raw):
             detail = f"not retried: response holds a lone surrogate at index {surrogate.start()}"
             return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=f"{detail}, which UTF-8 cannot encode")
         return BackendResult(OUTCOME_OK, corrected_text=strip_fences(raw))

@@ -60,7 +60,19 @@ YEAR_RANGE = (1800, 1899)
 
 # a code point UTF-8 cannot encode; JSON's "\ud800" escape reads as one
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
-_RULE_NAMES = {"isfinite": isfinite, "surrogate": LONE_SURROGATE.search}  # what Field.rule calls
+
+
+def lone_surrogate(text: str) -> re.Match | None:
+    """The first lone surrogate in ``text``, if any. ``str.encode`` refuses
+    exactly these and is four times as fast as the search, so it goes first."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return LONE_SURROGATE.search(text)
+    return None
+
+
+_RULE_NAMES = {"isfinite": isfinite, "surrogate": lone_surrogate}  # what Field.rule calls
 
 # JSON types, matched exactly (a bool is no integer, an integer is a number);
 # a field's first type names it in diagnostics

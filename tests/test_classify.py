@@ -320,12 +320,12 @@ LARGE_SIDE = st.lists(st.sampled_from(GOLDEN_WORDS + REPEATED_WORDS), min_size=1
 
 
 @st.composite
-def damaged_copy(draw, side=DP_SIDE):
+def damaged_copy(draw, side=DP_SIDE, edits=("keep", "accents", "merge", "split", "drop", "insert")):
     """An original side and a corrected side made from it by word edits."""
     original = draw(side)
     corrected = []
     for word in original:
-        edit = draw(st.sampled_from(["keep", "accents", "merge", "split", "drop", "insert"]))
+        edit = draw(st.sampled_from(edits))
         if edit == "accents":
             corrected.append(strip_accents(word))
         elif edit == "merge" and corrected:
@@ -355,6 +355,13 @@ class TestAlignGroupsDP:
         o_words, c_words = sides
         assert _align_groups(o_words, c_words) == reference_align_groups(o_words, c_words)
 
+    # most words merged or split: the greedy floor's walk and the optimum part ways
+    @given(damaged_copy(LARGE_SIDE, edits=("merge", "split", "merge", "split", "accents", "keep")))
+    @settings(max_examples=12, deadline=None)
+    def test_matches_unpruned_reference_on_densely_damaged_runs(self, sides):
+        o_words, c_words = sides
+        assert _align_groups(o_words, c_words) == reference_align_groups(o_words, c_words)
+
     @pytest.mark.parametrize(
         "o_words, c_words",
         [
@@ -380,6 +387,29 @@ class TestAlignGroupsDP:
         assert reference_align_groups(o_words, c_words) == expected
         assert _align_groups(o_words, c_words) == expected
 
+    def test_path_scoring_the_floor_wins_on_more_groups(self):
+        # the greedy walk takes "aa b" -> "ab", "ba" -> "ba", "ab" -> "aa b"
+        # and "ba" -> "ba": 4 groups scoring 2/3 + 1 + 2/3 + 1. Word by word
+        # scores 1/2 + 2/3 + 1/2 + 2/3 + 1, the same float, in 5 groups, so it
+        # wins; its cells' bounds meet the floor exactly and must not be cut
+        o_words, c_words = ["aa", "b", "ba", "ab", "ba"], ["ab", "ba", "aa", "b", "ba"]
+        into = [classify._groups_into(words, list(range(5))) for words in (o_words, c_words)]
+        assert classify._greedy_floor(*into) + classify._FLOOR_SLACK == sum(map(similarity_ratio, o_words, c_words))
+        expected = [((k, k + 1), (k, k + 1)) for k in range(5)]
+        assert reference_align_groups(o_words, c_words) == expected
+        assert _align_groups(o_words, c_words) == expected
+
+    def test_greedy_walk_that_cannot_finish_leaves_no_floor(self):
+        # steps of at most two words per side leave 6 corrected words for the
+        # last original one; groups of up to four words still decompose it
+        o_words = ["ocasion", "enseguida", "leyose"]
+        c_words = ["o", "ca", "sion", "en", "se", "gui", "da", "le", "yo", "se"]
+        into = [classify._groups_into(words, list(range(len(words)))) for words in (o_words, c_words)]
+        assert classify._greedy_floor(*into) == float("-inf")
+        expected = [((0, 1), (0, 3)), ((1, 2), (3, 7)), ((2, 3), (7, 10))]
+        assert reference_align_groups(o_words, c_words) == expected
+        assert _align_groups(o_words, c_words) == expected
+
     def test_ratio_calls_pinned(self, monkeypatch):
         # which ratios the pruning computes, and in what order, is bookkeeping
         # that no result shows; pin both on one hunk of 19 x 16 words
@@ -388,8 +418,8 @@ class TestAlignGroupsDP:
         calls = []
         monkeypatch.setattr(classify, "similarity_ratio", lambda a, b: calls.append((a, b)) or similarity_ratio(a, b))
         assert _align_groups(o_words, c_words) == reference_align_groups(o_words, c_words)
-        assert len(calls) == 420
-        assert hashlib.sha256(repr(calls).encode()).hexdigest() == "941bbe858ea393a08a9f7e268461a43166c7be19d3d3a168c4f241be04b94415"
+        assert len(calls) == 51
+        assert hashlib.sha256(repr(calls).encode()).hexdigest() == "a345ce1603eb0005e903d95172845200adb7043852ba934c9682a1ea494e1aee"
 
     def test_cell_cap_edge(self):
         o_words = [w for w in GOLDEN_ORIGINAL.split() if normalize_segment(w)][:21]
