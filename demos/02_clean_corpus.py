@@ -36,7 +36,7 @@ for record, reason in removed:
     print(f"  {record.id}: {reason}")
 print()
 print("cleaning report:")
-for key, value in report.to_dict().items():
+for key, value in report.items():
     if isinstance(value, float):
         print(f"  {key}: {value:.2f}")
     else:

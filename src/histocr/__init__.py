@@ -26,7 +26,6 @@ from .classify import (
     strip_accents,
 )
 from .cleaning import (
-    CleaningReport,
     clean_corpus,
     filter_duplicates_and_empty,
     filter_non_alphabetic,
@@ -36,7 +35,6 @@ from .cleaning import (
 from .client import (
     BackendResult,
     HttpChatBackend,
-    IdentityBackend,
     MockBackend,
     PromptTemplate,
     RetryPolicy,
@@ -59,56 +57,6 @@ from .records import (
     write_corpus,
     write_processed,
 )
-from .reporting import RunReport, build_report
+from .reporting import build_report
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BackendResult",
-    "ChangeHunk",
-    "ClassifiedCorrection",
-    "ClassifierConfig",
-    "CleaningReport",
-    "CorpusRecord",
-    "HALLUCINATION",
-    "HttpChatBackend",
-    "IdentityBackend",
-    "MockBackend",
-    "OCR_ERROR",
-    "PipelineConfig",
-    "ProcessedRecord",
-    "PromptTemplate",
-    "RetryPolicy",
-    "RuleTable",
-    "RunReport",
-    "SURFACE_FORM",
-    "SurfaceFormEntry",
-    "aggregate_frequencies",
-    "apply_corrections",
-    "build_report",
-    "classify_hunk",
-    "classify_hunks",
-    "classify_pair",
-    "clean_corpus",
-    "correct_text",
-    "default_rules",
-    "diff_words",
-    "emit_lexicon",
-    "filter_duplicates_and_empty",
-    "filter_non_alphabetic",
-    "filter_short",
-    "load_config",
-    "load_corpus",
-    "load_processed",
-    "load_rules",
-    "normalize_segment",
-    "reconstruct_words",
-    "run_pipeline",
-    "similarity_ratio",
-    "strip_accents",
-    "tokenize_words",
-    "word_tokens",
-    "write_corpus",
-    "write_lexicon",
-    "write_processed",
-]

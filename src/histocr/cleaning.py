@@ -8,7 +8,6 @@ removal counts and percentages against the original row total.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .records import CorpusRecord
@@ -36,33 +35,6 @@ TOKENIZERS: dict[str, Tokenizer] = {
     "unicode_words": word_tokens,
     "whitespace": str.split,
 }
-
-
-@dataclass(frozen=True)
-class CleaningReport:
-    total_rows: int
-    removed_duplicate_or_empty: int
-    removed_non_alpha: int
-    removed_short: int
-    surviving: int
-
-    def to_dict(self) -> dict:
-        """The counts, each removal also as a percentage of ``total_rows``."""
-        total = self.total_rows
-
-        def pct(n: int) -> float:
-            return 100.0 * n / total if total else 0.0
-
-        return {
-            "total_rows": total,
-            "removed_duplicate_or_empty": self.removed_duplicate_or_empty,
-            "pct_duplicate_or_empty": pct(self.removed_duplicate_or_empty),
-            "removed_non_alpha": self.removed_non_alpha,
-            "pct_non_alpha": pct(self.removed_non_alpha),
-            "removed_short": self.removed_short,
-            "pct_short": pct(self.removed_short),
-            "surviving": self.surviving,
-        }
 
 
 def _partition(
@@ -139,8 +111,12 @@ def clean_corpus(
     max_nonalpha: float = 0.5,
     count_whitespace: bool = False,
     tokenizer: Tokenizer = word_tokens,
-) -> tuple[list[CorpusRecord], list[tuple[CorpusRecord, str]], CleaningReport]:
-    """Run the three filters in order; return survivors, removals with reasons, report."""
+) -> tuple[list[CorpusRecord], list[tuple[CorpusRecord, str]], dict]:
+    """Run the three filters in order; return survivors, removals with reasons, report.
+
+    The report is what ``cleaning_report.json`` holds: the counts, each removal
+    also as a percentage of ``total_rows``.
+    """
     kept, dup_removed = filter_duplicates_and_empty(records)
     kept, alpha_removed = filter_non_alphabetic(kept, max_nonalpha, count_whitespace)
     kept, short_removed = filter_short(kept, min_tokens, tokenizer)
@@ -149,11 +125,19 @@ def clean_corpus(
         + [(r, REASON_NON_ALPHABETIC) for r in alpha_removed]
         + [(r, REASON_TOO_SHORT) for r in short_removed]
     )
-    report = CleaningReport(
-        total_rows=len(records),
-        removed_duplicate_or_empty=len(dup_removed),
-        removed_non_alpha=len(alpha_removed),
-        removed_short=len(short_removed),
-        surviving=len(kept),
-    )
+    total = len(records)
+
+    def pct(n: int) -> float:
+        return 100.0 * n / total if total else 0.0
+
+    report = {
+        "total_rows": total,
+        "removed_duplicate_or_empty": len(dup_removed),
+        "pct_duplicate_or_empty": pct(len(dup_removed)),
+        "removed_non_alpha": len(alpha_removed),
+        "pct_non_alpha": pct(len(alpha_removed)),
+        "removed_short": len(short_removed),
+        "pct_short": pct(len(short_removed)),
+        "surviving": len(kept),
+    }
     return kept, removed, report

@@ -138,10 +138,6 @@ class MockBackend:
         return output
 
 
-# ``--backend identity``: a mock with no fixtures echoes every text
-IdentityBackend = MockBackend
-
-
 def _fixture_row(obj: dict) -> tuple[str, str]:
     input_hash, output = obj["input_hash"], obj["output"]
     if not isinstance(input_hash, str) or not isinstance(output, str):

@@ -86,11 +86,11 @@ class PipelineConfig:
             if not c.model:
                 errors.append("http backend requires a model name")
         if c.backend == "mock" and c.mock_fixtures and not Path(c.mock_fixtures).exists():
-            errors.append(f"mock fixtures file not found: {c.mock_fixtures}")
+            errors.append(f"mock_fixtures file not found: {c.mock_fixtures}")
         if c.tokenizer not in TOKENIZERS:
             errors.append(f"tokenizer must be one of {sorted(TOKENIZERS)}, got {c.tokenizer!r}")
         if c.rules_path and not Path(c.rules_path).exists():
-            errors.append(f"rules file not found: {c.rules_path}")
+            errors.append(f"rules_path file not found: {c.rules_path}")
         return errors
 
     @property

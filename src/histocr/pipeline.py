@@ -161,12 +161,12 @@ def clean_records(
     )
     write_records(kept, output_path)
     write_records([ProcessedRecord(r, STATUS_CLEANED_OUT) for r, _reason in removed], removed_path)
-    write_json(report.to_dict(), report_path)
+    write_json(report, report_path)
     logger.info(
         "cleaning: %d rows in, %d kept, %d removed",
-        report.total_rows,
-        report.surviving,
-        report.total_rows - report.surviving,
+        report["total_rows"],
+        report["surviving"],
+        report["total_rows"] - report["surviving"],
     )
     return kept, 0
 

@@ -362,9 +362,18 @@ def load_corpus(path: str | Path) -> LoadResult:
     return result
 
 
+def _candidate(record: CorpusRecord, outcome: str, **rest) -> CandidateRecord:
+    if outcome == OUTCOME_GLOBAL_HALLUCINATION and rest["corrections"] is None:
+        raise ValueError(f"'llm_outcome' {outcome!r} comes from classify, but the row has no 'corrections'")
+    return CandidateRecord(record, outcome, **rest)
+
+
 def load_candidates(path: str | Path) -> LoadResult:
-    """Load candidate rows (``corrected.jsonl`` or ``classified.jsonl``)."""
-    return _load(path, "candidate", CandidateRecord, CLASSIFIED)
+    """Load candidate rows (``corrected.jsonl`` or ``classified.jsonl``).
+
+    Only a classified row, one with ``corrections``, may read ``global_hallucination``.
+    """
+    return _load(path, "candidate", _candidate, CLASSIFIED)
 
 
 def load_processed(path: str | Path) -> LoadResult:

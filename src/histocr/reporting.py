@@ -9,7 +9,6 @@ its id, since they are not comparable across tokenizers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .applier import emit_lexicon
@@ -27,38 +26,11 @@ from .records import (
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class RunReport:
-    rows: int
-    words: int
-    tokens: int
-    tokenizer_id: str
-    newspapers: int
-    year_range: tuple[int, int] | None
-    rows_without_year: int
-    total_corrections: int
-    surface_forms: int
-    non_accent_surface_forms: int
-    pct_ocr_error: float
-    pct_hallucination: float
-    pct_surface_form: float
-    pct_content_policy_excluded: float
-    country_distribution: dict[str, float] = field(default_factory=dict)
-    decade_distribution: dict[int, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """The fields in declaration order, as JSON takes them."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["year_range"] = list(self.year_range) if self.year_range else None
-        out["decade_distribution"] = {str(k): v for k, v in sorted(self.decade_distribution.items())}
-        return out
-
-
 def build_report(
     processed: list[CandidateRecord],
     tokenizer_id: str = "unicode_words",
-) -> RunReport:
-    """Aggregate statistics over processed records.
+) -> dict:
+    """Aggregate statistics over processed records, as ``report.json`` holds them.
 
     Rows that were cleaned out are ignored; the row universe is everything
     that entered the correction stage. Text measures use the final corrected
@@ -114,64 +86,65 @@ def build_report(
         country: pct(count, len(rows))
         for country, count in sorted(country_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     }
-    return RunReport(
-        rows=len(rows),
-        words=words,
-        tokens=tokens,
-        tokenizer_id=tokenizer_id,
-        newspapers=len(newspapers),
-        year_range=(min(years), max(years)) if years else None,
-        rows_without_year=rows_without_year,
-        total_corrections=total_corrections,
-        surface_forms=len(surface_forms),
-        non_accent_surface_forms=len(non_accent_surface_forms),
-        pct_ocr_error=pct(label_counts[OCR_ERROR], total_corrections),
-        pct_hallucination=pct(label_counts[HALLUCINATION], total_corrections),
-        pct_surface_form=pct(label_counts[SURFACE_FORM], total_corrections),
-        pct_content_policy_excluded=pct(refused, len(rows)),
-        country_distribution=country_distribution,
-        decade_distribution=decade_counts,
-    )
+    return {
+        "rows": len(rows),
+        "words": words,
+        "tokens": tokens,
+        "tokenizer_id": tokenizer_id,
+        "newspapers": len(newspapers),
+        "year_range": [min(years), max(years)] if years else None,
+        "rows_without_year": rows_without_year,
+        "total_corrections": total_corrections,
+        "surface_forms": len(surface_forms),
+        "non_accent_surface_forms": len(non_accent_surface_forms),
+        "pct_ocr_error": pct(label_counts[OCR_ERROR], total_corrections),
+        "pct_hallucination": pct(label_counts[HALLUCINATION], total_corrections),
+        "pct_surface_form": pct(label_counts[SURFACE_FORM], total_corrections),
+        "pct_content_policy_excluded": pct(refused, len(rows)),
+        "country_distribution": country_distribution,
+        # numeric decade order; JSON object keys are strings
+        "decade_distribution": {str(d): n for d, n in sorted(decade_counts.items())},
+    }
 
 
-def render_text(report: RunReport) -> str:
-    """Human-readable rendering; the JSON form carries the same fields."""
+def render_text(report: dict) -> str:
+    """Human-readable rendering of :func:`build_report`'s dict; decades in its stored order."""
     lines = [
         "corpus report",
         "=============",
-        f"rows:                        {report.rows}",
-        f"words:                       {report.words}",
-        f"tokens ({report.tokenizer_id}): {report.tokens}",
-        f"newspapers:                  {report.newspapers}",
+        f"rows:                        {report['rows']}",
+        f"words:                       {report['words']}",
+        f"tokens ({report['tokenizer_id']}): {report['tokens']}",
+        f"newspapers:                  {report['newspapers']}",
     ]
-    if report.year_range:
-        lines.append(f"years:                       {report.year_range[0]} - {report.year_range[1]}")
-    if report.rows_without_year:
-        lines.append(f"rows without year:           {report.rows_without_year}")
+    if report["year_range"]:
+        lines.append(f"years:                       {report['year_range'][0]} - {report['year_range'][1]}")
+    if report["rows_without_year"]:
+        lines.append(f"rows without year:           {report['rows_without_year']}")
     lines += [
-        f"total corrections:           {report.total_corrections}",
-        f"surface forms:               {report.surface_forms}",
-        f"non-accent surface forms:    {report.non_accent_surface_forms}",
-        f"% OCR error corrections:     {report.pct_ocr_error:.2f}",
-        f"% hallucinations detected:   {report.pct_hallucination:.2f}",
-        f"% surface form corrections:  {report.pct_surface_form:.2f}",
-        f"% content-policy excluded:   {report.pct_content_policy_excluded:.2f}",
+        f"total corrections:           {report['total_corrections']}",
+        f"surface forms:               {report['surface_forms']}",
+        f"non-accent surface forms:    {report['non_accent_surface_forms']}",
+        f"% OCR error corrections:     {report['pct_ocr_error']:.2f}",
+        f"% hallucinations detected:   {report['pct_hallucination']:.2f}",
+        f"% surface form corrections:  {report['pct_surface_form']:.2f}",
+        f"% content-policy excluded:   {report['pct_content_policy_excluded']:.2f}",
         "",
         "country distribution (%):",
     ]
-    for country, share in report.country_distribution.items():
+    for country, share in report["country_distribution"].items():
         lines.append(f"  {country}: {share:.2f}")
     lines.append("")
     lines.append("decade distribution (rows):")
-    for decade in sorted(report.decade_distribution):
-        lines.append(f"  {decade}: {report.decade_distribution[decade]}")
+    for decade, count in report["decade_distribution"].items():
+        lines.append(f"  {decade}: {count}")
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: RunReport, path: str | Path, fmt: str = "structured") -> None:
+def write_report(report: dict, path: str | Path, fmt: str = "structured") -> None:
     """Write the report as JSON ("structured") or plain text."""
     if fmt == "structured":
-        write_json(report.to_dict(), path)
+        write_json(report, path)
     elif fmt == "text":
         write_artifact(path, [render_text(report)])
     else:

@@ -88,11 +88,11 @@ def test_criterion_4_cleaning_fixture_counts():
     """100-record fixture with known composition; exact counts, boundary kept."""
     records, expected = build_cleaning_fixture()
     kept, _removed, report = clean_corpus(records)
-    assert report.total_rows == expected["total_rows"]
-    assert report.removed_duplicate_or_empty == expected["removed_duplicate_or_empty"]
-    assert report.removed_non_alpha == expected["removed_non_alpha"]
-    assert report.removed_short == expected["removed_short"]
-    assert report.surviving == expected["surviving"]
+    assert report["total_rows"] == expected["total_rows"]
+    assert report["removed_duplicate_or_empty"] == expected["removed_duplicate_or_empty"]
+    assert report["removed_non_alpha"] == expected["removed_non_alpha"]
+    assert report["removed_short"] == expected["removed_short"]
+    assert report["surviving"] == expected["surviving"]
     assert any(r.text == "1234 abc 567 de fg" for r in kept)  # exact-50% row kept
 
 
@@ -257,16 +257,16 @@ def test_criterion_8_dataset_scale_figures_not_reproduced():
         corrections=corrections,
     )
     report = build_report([record])
-    assert report.total_corrections == 10
-    assert report.pct_hallucination == pytest.approx(60.0)
-    assert report.pct_ocr_error == pytest.approx(20.0)
-    assert report.pct_surface_form == pytest.approx(20.0)
-    total = report.pct_hallucination + report.pct_ocr_error + report.pct_surface_form
+    assert report["total_corrections"] == 10
+    assert report["pct_hallucination"] == pytest.approx(60.0)
+    assert report["pct_ocr_error"] == pytest.approx(20.0)
+    assert report["pct_surface_form"] == pytest.approx(20.0)
+    total = report["pct_hallucination"] + report["pct_ocr_error"] + report["pct_surface_form"]
     assert total == pytest.approx(100.0, abs=0.01)
-    assert sum(report.country_distribution.values()) == pytest.approx(100.0, abs=0.01)
+    assert sum(report["country_distribution"].values()) == pytest.approx(100.0, abs=0.01)
     for key in ("rows", "words", "tokens", "newspapers", "year_range",
                 "total_corrections", "surface_forms", "non_accent_surface_forms",
                 "pct_ocr_error", "pct_hallucination", "pct_surface_form",
                 "pct_content_policy_excluded", "country_distribution",
                 "decade_distribution"):
-        assert key in report.to_dict()
+        assert key in report

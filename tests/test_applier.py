@@ -8,6 +8,8 @@ from histocr.applier import (
     write_lexicon,
 )
 from histocr.classify import (
+    OCR_ERROR,
+    ClassifiedCorrection,
     ClassifierConfig,
     aggregate_frequencies,
     classify_hunks,
@@ -84,6 +86,24 @@ class TestApplyCorrections:
         corrections = corrections_for(original, "cada semana, y constará")
         with pytest.raises(SpanIntegrityError):
             apply_corrections("cada", corrections)
+
+    @staticmethod
+    def ocr_error(original_span, original_raw, corrected_raw):
+        return ClassifiedCorrection(
+            original=original_raw, corrected=corrected_raw, label=OCR_ERROR, rule="ratio_threshold",
+            ratio=0.6, accent_only=False, original_span=original_span, corrected_span=original_span,
+            original_raw=original_raw, corrected_raw=corrected_raw,
+        )
+
+    def test_insertion_raises(self):
+        insertion = self.ocr_error((1, 1), "", "nueva")
+        with pytest.raises(SpanIntegrityError, match=r"cannot apply insertion/deletion at words \[1,1\)"):
+            apply_corrections("cada se mana", [insertion])
+
+    def test_overlapping_corrections_raise(self):
+        corrections = [self.ocr_error((1, 3), "se mana", "semana"), self.ocr_error((0, 2), "cada se", "cadase")]
+        with pytest.raises(SpanIntegrityError, match=r"overlapping correction at words \[0,2\)"):
+            apply_corrections("cada se mana", corrections)
 
     def test_idempotent_fixpoint_on_fixture(self):
         original = "cada se mana la sesion abrió á las dore"

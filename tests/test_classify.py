@@ -27,6 +27,7 @@ from histocr.classify import (
     RuleTable,
     SubstitutionRule,
     _align_groups,
+    _match_enclitic,
     _match_substitutions,
 )
 from histocr.diffing import ChangeHunk, diff_words, similarity_ratio, tokenize_words
@@ -108,6 +109,12 @@ class TestCascade:
         got = classify_pair("senor", "señor", rules, config)
         assert got.rule == "table_n_ñ"
         assert got.rule != "equal_length"
+
+    def test_enclitic_shape_with_another_stem_is_no_enclitic(self, rules, config):
+        # "se" moved in front, but "acercó" became "acerca": the ratio decides
+        assert _match_enclitic("acercóse", "se acerca", rules.enclitic_pronouns) is None
+        got = classify_pair("acercóse", "se acerca", rules, config)
+        assert (got.label, got.rule) == (OCR_ERROR, "ratio_threshold")
 
     def test_accent_only_flag_implies_surface_form(self, rules, config):
         got = classify_pair("ocasion", "ocasión", rules, config)
@@ -206,6 +213,20 @@ class TestRuleTableSelfTest:
         path.write_text("only_three\tfields\there\n", encoding="utf-8")
         with pytest.raises(ValueError, match="expected 7"):
             load_rules(path)
+
+    @pytest.mark.parametrize(
+        "direction, label, message",
+        [
+            ("both_ways", "surface_form", "rules.tsv:2: unknown direction 'both_ways'"),
+            ("two_way", "modern_form", "rules.tsv:2: unknown label 'modern_form'"),
+        ],
+    )
+    def test_loader_rejects_unknown_direction_and_label(self, tmp_path, direction, label, message):
+        path = tmp_path / "rules.tsv"
+        path.write_text(f"# rules\nr1\tj\tg\t{direction}\tjeneral\tgeneral\t{label}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_rules(path)
+        assert str(exc.value) == f"{tmp_path}/{message}"
 
 
 class TestDecomposition:

@@ -113,11 +113,11 @@ class TestCleanCorpus:
     def test_fixture_composition(self):
         records, expected = build_cleaning_fixture()
         kept, removed, report = clean_corpus(records)
-        assert report.total_rows == expected["total_rows"]
-        assert report.removed_duplicate_or_empty == expected["removed_duplicate_or_empty"]
-        assert report.removed_non_alpha == expected["removed_non_alpha"]
-        assert report.removed_short == expected["removed_short"]
-        assert report.surviving == expected["surviving"]
+        assert report["total_rows"] == expected["total_rows"]
+        assert report["removed_duplicate_or_empty"] == expected["removed_duplicate_or_empty"]
+        assert report["removed_non_alpha"] == expected["removed_non_alpha"]
+        assert report["removed_short"] == expected["removed_short"]
+        assert report["surviving"] == expected["surviving"]
         assert len(kept) == expected["surviving"]
         # the 50% boundary row survived
         assert any(r.text == "1234 abc 567 de fg" for r in kept)
@@ -126,18 +126,17 @@ class TestCleanCorpus:
         records, _ = build_cleaning_fixture()
         kept, removed, report = clean_corpus(records)
         assert len(kept) + len(removed) == len(records)
-        assert report.surviving + report.removed_duplicate_or_empty + \
-            report.removed_non_alpha + report.removed_short == report.total_rows
+        assert report["surviving"] + report["removed_duplicate_or_empty"] + \
+            report["removed_non_alpha"] + report["removed_short"] == report["total_rows"]
 
     def test_percentages(self):
         records, _ = build_cleaning_fixture()
         _, _, report = clean_corpus(records)
-        pcts = report.to_dict()
-        assert pcts["pct_duplicate_or_empty"] == pytest.approx(15.0)
-        assert pcts["pct_non_alpha"] == pytest.approx(8.0)
-        assert pcts["pct_short"] == pytest.approx(6.0)
+        assert report["pct_duplicate_or_empty"] == pytest.approx(15.0)
+        assert report["pct_non_alpha"] == pytest.approx(8.0)
+        assert report["pct_short"] == pytest.approx(6.0)
         for name in ("pct_duplicate_or_empty", "pct_non_alpha", "pct_short"):
-            assert 0.0 <= pcts[name] <= 100.0
+            assert 0.0 <= report[name] <= 100.0
 
     def test_removal_reasons(self):
         records, _ = build_cleaning_fixture()
@@ -148,8 +147,8 @@ class TestCleanCorpus:
     def test_empty_input(self):
         kept, removed, report = clean_corpus([])
         assert (kept, removed) == ([], [])
-        assert report.total_rows == 0
-        assert report.to_dict()["pct_short"] == 0.0
+        assert report["total_rows"] == 0
+        assert report["pct_short"] == 0.0
 
     @given(st.lists(st.text(alphabet="ab1 ", max_size=12), max_size=20))
     @settings(max_examples=100)

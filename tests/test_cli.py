@@ -118,6 +118,33 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            ({"max_nonalpha": 1.5}, "config error: max_nonalpha must be in [0, 1], got 1.5"),
+            ({"hallucination_threshold": -0.1}, "config error: hallucination_threshold must be in [0, 1], got -0.1"),
+            ({"min_tokens": -1}, "config error: min_tokens must be >= 0, got -1"),
+            ({"retry_attempts": 0}, "config error: retry_attempts must be >= 1, got 0"),
+            ({"max_chars": 0}, "config error: max_chars must be >= 1, got 0"),
+            ({"tokenizer": "bpe"}, "config error: tokenizer must be one of ['unicode_words', 'whitespace'], got 'bpe'"),
+            ({"backend": "mock", "mock_fixtures": "TMP/missing.jsonl"},
+             "config error: mock_fixtures file not found: TMP/missing.jsonl"),
+            ({"rules_path": "TMP/missing.tsv"}, "config error: rules_path file not found: TMP/missing.tsv"),
+            (["max_chars", 0], "error: TMP/config.json: config must be a JSON object"),
+        ],
+        ids=["max_nonalpha", "hallucination_threshold", "min_tokens", "retry_attempts", "max_chars",
+             "tokenizer", "mock_fixtures", "rules_path", "not-an-object"],
+    )
+    def test_out_of_range_config_value_is_config_error(self, pipeline_fixture, tmp_path, capsys, content, expected):
+        corpus, _ = pipeline_fixture
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content).replace("TMP", str(tmp_path)), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["--config", str(config), "run", "--input", str(corpus), "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [expected.replace("TMP", str(tmp_path))]
+        assert not out.exists()
+
     def test_int_accepted_where_float_expected(self, pipeline_fixture, tmp_path):
         corpus, fixtures = pipeline_fixture
         config = write_config(tmp_path / "config.json", corpus, fixtures,
@@ -439,6 +466,18 @@ class TestClassifyCommand:
         assert "can't decode byte 0xff" in err
         assert not out.exists()
 
+    def test_rewrite_outcome_needs_corrections(self, tmp_path, caplog):
+        # only classify gives global_hallucination; a corrected.jsonl row claiming it was never judged
+        stage_in, out = tmp_path / "corrected.jsonl", tmp_path / "out"
+        rows = [{**CORRECTED_ROW, "llm_outcome": "global_hallucination"},
+                {**CORRECTED_ROW, "id": "b", "llm_outcome": "global_hallucination", "corrections": None}]
+        stage_in.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+        assert main(["classify", "--input", str(stage_in), "--output", str(out)]) == 0
+        message = "'llm_outcome' 'global_hallucination' comes from classify, but the row has no 'corrections'"
+        assert f"{stage_in}: line 1: error: {message}" in caplog.text
+        assert f"{stage_in}: line 2: error: {message}" in caplog.text
+        assert (out / "classified.jsonl").read_text(encoding="utf-8") == ""
+
     def test_apply_on_stale_classified_file_is_a_clean_failure(self, tmp_path, capsys):
         corrected = self.corrected_row(tmp_path)
         classified = tmp_path / "classified.jsonl"
@@ -533,12 +572,13 @@ MALFORMED_STAGE_ROWS = pytest.mark.parametrize(
         ("classify", CORRECTED_ROW, json.dumps({**CORRECTED_ROW, "llm_outcome": 5})),
         ("classify", CORRECTED_ROW, json.dumps({**CORRECTED_ROW, "llm_detail": ["x"]})),
         ("apply", {**CORRECTED_ROW, "corrections": []}, json.dumps({**CORRECTED_ROW, "llm_outcome": "bogus", "corrections": []})),
+        ("classify", CORRECTED_ROW, json.dumps({**CORRECTED_ROW, "llm_outcome": "global_hallucination"})),
     ],
     ids=["classify-no-text", "apply-no-id", "apply-array", "report-array", "apply-string-position",
          "apply-three-int-position", "report-int-original", "report-unknown-label",
          "report-int-text_final", "report-bool-text_final", "report-float-text_final", "report-list-text_final",
          "report-object-text_final", "report-object-text_llm", "classify-int-outcome", "classify-list-detail",
-         "apply-unknown-outcome"],
+         "apply-unknown-outcome", "classify-rewrite-before-classify"],
 )
 
 
@@ -775,8 +815,10 @@ class TestMalformedFixtures:
             ("[1]", "row is not an object"),
             ("{bad", "Expecting property name"),
             ('{"input_hash": "x", "output": "caf\xff"}', "can't decode byte 0xff"),
+            ('{"input_hash": 5, "output": "x"}', "'input_hash' and 'output' must be strings"),
+            ('{"input_hash": "x", "output": null}', "'input_hash' and 'output' must be strings"),
         ],
-        ids=["missing-output", "array", "broken-json", "not-utf-8"],
+        ids=["missing-output", "array", "broken-json", "not-utf-8", "number-hash", "null-output"],
     )
     def test_bad_fixture_row_is_a_clean_failure(self, tmp_path, capsys, bad_line, message):
         corpus = tmp_path / "cleaned.jsonl"

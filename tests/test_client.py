@@ -12,7 +12,6 @@ from histocr.client import (
     BackendResult,
     ContentPolicyRefusal,
     HttpChatBackend,
-    IdentityBackend,
     MockBackend,
     PromptTemplate,
     RetryPolicy,
@@ -99,6 +98,10 @@ class TestStripFences:
     def test_interior_content_not_normalized(self):
         assert strip_fences("```\nhola  mundo\n```") == "hola  mundo"
 
+    def test_fenced_block_on_one_line(self):
+        assert strip_fences(" ```hola  mundo``` ") == "hola  mundo"
+        assert strip_fences("``` hola ```") == "hola"
+
 
 class TestMockBackend:
     def test_identity_fallback(self):
@@ -157,7 +160,7 @@ class TestCorrectText:
         return RetryPolicy(max_attempts=attempts, backoff_base=0.0, sleep=lambda _: None)
 
     def test_identity_backend_echoes(self):
-        result = correct_text("hola mundo", IdentityBackend(), self.policy())
+        result = correct_text("hola mundo", MockBackend(), self.policy())
         assert result.outcome == OUTCOME_OK
         assert result.corrected_text == "hola mundo"
 

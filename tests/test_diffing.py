@@ -217,6 +217,17 @@ class TestDiffWords:
         hunks = diff_words(["a", "b", "a"], ["a"])
         assert hunks == [ChangeHunk("b a", "", (1, 3), (1, 1), "delete")]
 
+    def test_hunk_kind_must_fit_its_segments(self):
+        with pytest.raises(ValueError, match="insert hunk with non-empty original segment"):
+            ChangeHunk("a", "b", (0, 1), (0, 1), "insert")
+        with pytest.raises(ValueError, match="delete hunk with non-empty corrected segment"):
+            ChangeHunk("a", "b", (0, 1), (0, 1), "delete")
+
+    def test_reconstruct_rejects_overlapping_hunks(self):
+        hunks = [ChangeHunk("a b", "x", (0, 2), (0, 1), "replace"), ChangeHunk("b", "y", (1, 2), (1, 2), "replace")]
+        with pytest.raises(ValueError, match=r"overlapping hunk at \(1, 2\)"):
+            reconstruct_words(["a", "b", "c"], hunks)
+
     def test_deterministic(self):
         a = tokenize_words("uno dos tres cuatro cinco")
         b = tokenize_words("uno tres dos cinco seis")

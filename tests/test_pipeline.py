@@ -522,8 +522,8 @@ class TestRethreshold:
 
 
 class TestBackendConstruction:
-    def test_http_backend_wired_from_config(self, monkeypatch):
-        from histocr.client import HttpChatBackend, IdentityBackend, MockBackend
+    def test_http_backend_wired_from_config(self, monkeypatch, pipeline_fixture):
+        from histocr.client import HttpChatBackend
         from histocr.pipeline import make_backend
 
         monkeypatch.setenv("HISTOCR_API_KEY", "sekrit")
@@ -534,8 +534,13 @@ class TestBackendConstruction:
         assert backend.endpoint == "https://example.test/v1"
         assert backend.model == "modelo"
         assert backend.api_key == "sekrit"
-        assert isinstance(make_backend(PipelineConfig(backend="identity")), IdentityBackend)
         assert isinstance(make_backend(PipelineConfig(backend="mock")), MockBackend)
+        # identity is a mock that ignores its fixtures, so it echoes every text
+        _corpus, fixtures = pipeline_fixture
+        assert make_backend(PipelineConfig(backend="mock", mock_fixtures=str(fixtures))).table
+        identity = make_backend(PipelineConfig(backend="identity", mock_fixtures=str(fixtures)))
+        assert isinstance(identity, MockBackend)
+        assert identity.table == {}
 
     def test_http_without_endpoint_fails_validation(self):
         config = PipelineConfig(backend="http")

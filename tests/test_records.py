@@ -105,6 +105,15 @@ class TestLoadCorpus:
         assert result.records == records
         assert result.diagnostics == []
 
+    def test_blank_lines_are_skipped_silently(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        records = make_records(2)
+        first, second = (json.dumps(r.to_json_dict(), ensure_ascii=False) for r in records)
+        path.write_text(f"\n{first}\n  \t\n\n{second}\n \n", encoding="utf-8")
+        result = load_corpus(path)
+        assert result.records == records
+        assert result.diagnostics == []
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("", encoding="utf-8")
@@ -421,7 +430,9 @@ class TestFieldTypes:
         assert (error.line, error.message) == (1, message)
 
     def test_every_outcome_loads(self, tmp_path):
-        rows = [CandidateRecord(make_records(1)[0], outcome, "", "texto" if outcome == "ok" else None) for outcome in OUTCOMES]
+        # only classify gives global_hallucination, so its row carries classify's corrections
+        rows = [CandidateRecord(make_records(1)[0], outcome, "", "texto" if outcome == "ok" else None,
+                                [] if outcome == "global_hallucination" else None) for outcome in OUTCOMES]
         path = tmp_path / "classified.jsonl"
         write_records(rows, path)
         assert load_candidates(path).records == rows

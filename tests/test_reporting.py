@@ -57,16 +57,16 @@ class TestBuildReport:
             + [correction("surface_form", f"s{i}", accent_only=True) for i in range(2)]
         )
         report = build_report([processed("r1", corrections=corrections)])
-        assert report.total_corrections == 10
-        assert report.pct_hallucination == pytest.approx(60.0)
-        assert report.pct_ocr_error == pytest.approx(20.0)
-        assert report.pct_surface_form == pytest.approx(20.0)
-        total = report.pct_hallucination + report.pct_ocr_error + report.pct_surface_form
+        assert report["total_corrections"] == 10
+        assert report["pct_hallucination"] == pytest.approx(60.0)
+        assert report["pct_ocr_error"] == pytest.approx(20.0)
+        assert report["pct_surface_form"] == pytest.approx(20.0)
+        total = report["pct_hallucination"] + report["pct_ocr_error"] + report["pct_surface_form"]
         assert total == pytest.approx(100.0, abs=0.01)
 
     def test_single_country_distribution(self):
         report = build_report([processed("r1"), processed("r2")])
-        assert report.country_distribution == {"Mexico": pytest.approx(100.0)}
+        assert report["country_distribution"] == {"Mexico": pytest.approx(100.0)}
 
     def test_country_percentages_sum_to_100(self):
         rows = [
@@ -76,8 +76,8 @@ class TestBuildReport:
             processed("r4", country=""),  # buckets under unknown
         ]
         report = build_report(rows)
-        assert sum(report.country_distribution.values()) == pytest.approx(100.0, abs=0.01)
-        assert report.country_distribution["unknown"] == pytest.approx(25.0)
+        assert sum(report["country_distribution"].values()) == pytest.approx(100.0, abs=0.01)
+        assert report["country_distribution"]["unknown"] == pytest.approx(25.0)
 
     def test_decade_bucketing_and_unknown_years(self):
         rows = [
@@ -87,9 +87,9 @@ class TestBuildReport:
             processed("r4", year=None),
         ]
         report = build_report(rows)
-        assert report.decade_distribution == {1840: 2, 1850: 1}
-        assert report.rows_without_year == 1
-        assert report.year_range == (1845, 1850)
+        assert report["decade_distribution"] == {"1840": 2, "1850": 1}
+        assert report["rows_without_year"] == 1
+        assert report["year_range"] == [1845, 1850]
 
     def test_cleaned_out_rows_ignored(self):
         rows = [
@@ -99,7 +99,7 @@ class TestBuildReport:
             ),
         ]
         report = build_report(rows)
-        assert report.rows == 1
+        assert report["rows"] == 1
 
     def test_content_policy_percentage(self):
         rows = [processed(f"r{i}") for i in range(3)]
@@ -111,7 +111,7 @@ class TestBuildReport:
             )
         )
         report = build_report(rows)
-        assert report.pct_content_policy_excluded == pytest.approx(25.0)
+        assert report["pct_content_policy_excluded"] == pytest.approx(25.0)
 
     def test_surface_form_pair_counts_are_distinct(self):
         corrections = [
@@ -120,15 +120,15 @@ class TestBuildReport:
             correction("surface_form", "mui", "muy"),
         ]
         report = build_report([processed("r1", corrections=corrections)])
-        assert report.surface_forms == 2
-        assert report.non_accent_surface_forms == 1
+        assert report["surface_forms"] == 2
+        assert report["non_accent_surface_forms"] == 1
 
     def test_words_and_tokens_counted_on_final_text(self):
         row = processed("r1", text="uno dos tres, 45")
         report = build_report([row])
-        assert report.words == 4  # whitespace tokens
-        assert report.tokens == 4  # letter/digit runs
-        assert report.tokenizer_id == "unicode_words"
+        assert report["words"] == 4  # whitespace tokens
+        assert report["tokens"] == 4  # letter/digit runs
+        assert report["tokenizer_id"] == "unicode_words"
 
     def test_unknown_tokenizer_is_rejected(self):
         # counting with a fallback tokenizer would label the counts with a wrong id
@@ -141,13 +141,13 @@ class TestBuildReport:
             processed("r2", newspaper="El Oso"),
             processed("r3", newspaper="La Gaceta"),
         ]
-        assert build_report(rows).newspapers == 2
+        assert build_report(rows)["newspapers"] == 2
 
     def test_empty_corpus(self):
         report = build_report([])
-        assert report.rows == 0
-        assert report.pct_ocr_error == 0.0
-        assert report.year_range is None
+        assert report["rows"] == 0
+        assert report["pct_ocr_error"] == 0.0
+        assert report["year_range"] is None
 
 
 class TestReportOutput:
@@ -180,3 +180,16 @@ class TestReportOutput:
         assert "Mexico: 50.00" in text
         assert "Peru: 50.00" in text
         assert "1860: 1" in text
+
+    def test_decades_in_numeric_order_in_both_formats(self, tmp_path):
+        # as strings "995" would sort after "1840"; both files keep numeric order
+        rows = [processed("r1", year=1845), processed("r2", year=995), processed("r3", year=1851)]
+        report = build_report(rows)
+        write_report(report, tmp_path / "report.json", fmt="structured")
+        write_report(report, tmp_path / "report.txt", fmt="text")
+        data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert list(data["decade_distribution"].items()) == [("990", 1), ("1840", 1), ("1850", 1)]
+        assert data["year_range"] == [995, 1851]
+        text = (tmp_path / "report.txt").read_text(encoding="utf-8")
+        assert text.endswith("decade distribution (rows):\n  990: 1\n  1840: 1\n  1850: 1\n")
+        assert "years:                       995 - 1851\n" in text
