@@ -9,8 +9,9 @@ alternates from pair to pair. For each end-to-end metric that
 with their quartiles, the relative change of the medians, how many pairs the
 change won (judged by the metric's ``better``; a tie wins nothing), and
 whether the change is worse than the metric's ``bound``. It exits 1 if any
-run is not ``correct: true`` with 0 failed. It reads nothing of the program
-but ``perfbench/`` and ``BENCHMARK.json``.
+run is not ``correct: true`` with 0 failed, else 3 if any metric is worse
+than its bound, else 0. It reads nothing of the program but ``perfbench/``
+and ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -111,11 +112,16 @@ def main(argv: list[str] | None = None) -> int:
             runs[side].append(run)
             print(f"# pair {i + 1}/{args.pairs} {side}: correct={run.get('correct')} failed={run.get('failed')}",
                   file=sys.stderr)
-    print(render(summarize(runs["parent"], runs["change"], end_to_end)))
+    rows = summarize(runs["parent"], runs["change"], end_to_end)
+    print(render(rows))
     bad = [side for side, side_runs in runs.items() for run in side_runs if not ok(run)]
     if bad:
         print(f"{len(bad)} run(s) not correct with 0 failed: {', '.join(sorted(set(bad)))}", file=sys.stderr)
         return 1
+    worse = [row["metric"] for row in rows if row["over_bound"]]
+    if worse:
+        print(f"worse than its bound: {', '.join(worse)}", file=sys.stderr)
+        return 3
     return 0
 
 

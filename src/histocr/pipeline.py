@@ -405,15 +405,17 @@ def run_stage(name: str, config: PipelineConfig) -> int:
 def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = None) -> int:
     """Run all stages; returns the process exit code.
 
-    The rules table is loaded first: a bad one raises before any model call
-    or artifact. Each stage's output records go straight to the next stage:
-    every artifact is written, and none is read back. Each candidate is
-    classified (:func:`classify_candidate`) inside :func:`correct_records`
-    as its response arrives; :func:`_classify_tail` then finishes classify.
-    0 on success, 1 on fatal errors (checked by the CLI before calling), 2
+    The rules table is loaded and the backend built first: a bad rules table
+    or fixture file raises before any model call or artifact. Each stage's
+    output records go straight to the next stage: every artifact is
+    written, and none is read back. Each candidate is classified
+    (:func:`classify_candidate`) inside :func:`correct_records` as its
+    response arrives; :func:`_classify_tail` then finishes classify. 0 on
+    success, 1 on fatal errors (checked by the CLI before calling), 2
     when strict mode is set and some lines were skipped or records failed.
     """
     rules = rule_table(config)
+    backend = backend or make_backend(config)
     out = Path(config.output_dir)
     paths = [[out / name for name in names] for names in _STAGE_ARTIFACTS.values()]
     records, problems = _stage(load_corpus, clean_records, config, config.input, *paths[0])

@@ -10,9 +10,12 @@ key its attribute, admitted JSON types and allowed values. Each artifact is
 a projection of the row, a fixed key list over that table: :data:`CORPUS`
 (the input, ``cleaned.jsonl``), :data:`CORRECTED`, :data:`CLASSIFIED` and
 :data:`PROCESSED` (``removed.jsonl``, ``final.jsonl``), with
-:data:`CORRECTION` for each correction. Rows are written in key order, so
-the same data gives the same bytes, and read field by field, so a wrong
-field costs its own line. :func:`write_artifact` writes a temporary file
+:data:`CORRECTION` for each correction. Each key list compiles one reader
+and one writer from :data:`FIELDS`. The writer emits a row's JSON text in
+key order straight from its attributes, with the bytes ``json.dumps`` would
+give its JSON object, so the same data gives the same bytes; no dict is
+built on the way. The reader takes a row field by field, so a wrong field
+costs its own line. :func:`write_artifact` writes a temporary file
 beside the target and renames it over the target, so a failed or killed
 write never leaves a truncated file for the next stage.
 """
@@ -24,6 +27,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cache
+from json.encoder import encode_basestring
 from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -149,7 +153,7 @@ CORRECTION = (
 @cache
 def _reader(keys: tuple[str, ...], prefix: str = "", build: Callable[..., object] = dict) -> Callable[[dict], object]:
     """Reads ``keys`` off one JSON object into ``build``'s keyword arguments, compiled once per key
-    list as :func:`_to_dict` is: a value :meth:`Field.rule` refuses goes to ``Field.check``."""
+    list as :func:`_writer` is: a value :meth:`Field.rule` refuses goes to ``Field.check``."""
     ns: dict = {**_RULE_NAMES, "build": build}
     code = ["def read(obj):"]
     for n, key in enumerate(keys):
@@ -205,12 +209,39 @@ FIELDS = {
 }
 
 
+def _json_text(f: Field, v: str) -> str:
+    """The JSON text of the value named ``v`` as one expression: a fast path for each JSON type
+    ``f`` admits, as ``json.dumps`` writes it, and ``json.dumps`` for any other value (a
+    non-finite float, a subclass, an unexpected type). An int or a float is formatted as the
+    f-string formats it, with ``int.__repr__`` or ``float.__repr__``; items go through ``item``."""
+    fast = [(f"{v} is None", '"null"')] if type(None) in f.types else []  # the cheapest test first
+    fast += [(f"type({v}) is str", f"string({v})")] if str in f.types else []
+    fast += [(f"{v} is True", '"true"'), (f"{v} is False", '"false"')] if bool in f.types else []
+    fast += [(f"type({v}) is float and isfinite({v})", v)] if float in f.types else []
+    fast += [(f"type({v}) is int", v)] if int in f.types else []
+    if f.items:
+        fast += [(f"type({v}) is list", f'"[" + ", ".join(map(item, {v})) + "]"')]
+    elif list in f.types:  # a span
+        fast += [(f"type({v}) is tuple and len({v}) == 2 and type({v}[0]) is type({v}[1]) is int", f'f"[{{{v}[0]}}, {{{v}[1]}}]"')]
+    return "".join(f"{text} if {test} else " for test, text in fast) + f"dumps({v}, ensure_ascii=False)"
+
+
 @cache
-def _to_dict(keys: tuple[str, ...]) -> Callable[[object], dict]:
-    """Reads the attributes that ``keys`` fill off one object into its JSON object: one
-    dict display compiled per key list, three times as fast as ``dict(zip(...))``."""
-    items = ", ".join(f"{key!r}: obj.{FIELDS[key].attr or key}" for key in keys)
-    return eval(f"lambda obj: {{{items}}}")
+def _writer(keys: tuple[str, ...], nested: bool = False, end: str = "") -> Callable[[object], str]:
+    """Writes the attributes that ``keys`` fill off one object as its JSON object, then ``end``,
+    with the bytes of ``json.dumps(..., ensure_ascii=False)``: one f-string compiled per key
+    list, as :func:`_reader` is. ``nested`` reads the corpus keys off the object's ``record``."""
+    ns = {"dumps": json.dumps, "string": encode_basestring, "isfinite": isfinite}
+    ns["item"] = _writer(CORRECTION) if "corrections" in keys else None
+    code = ["def write(obj):"] + (["    record = obj.record"] if nested else [])
+    parts = []
+    for n, key in enumerate(keys):
+        f = FIELDS[key]
+        code += [f"    v{n} = {'record' if nested and key in CORPUS else 'obj'}.{f.attr or key}"]
+        parts += [f'"{key}": {{{_json_text(f, f"v{n}")}}}']
+    text = "{{" + ", ".join(parts) + "}}" + end.replace("\n", "\\n")
+    exec("\n".join(code + [f"    return f'{text}'"]), ns)
+    return ns["write"]
 
 
 class CorpusError(Exception):
@@ -245,7 +276,7 @@ class CorpusRecord:
         return self.year - self.year % 10
 
     def to_json_dict(self) -> dict:
-        return _to_dict(CORPUS)(self)
+        return json.loads(encode_row(self))
 
 
 @dataclass
@@ -265,14 +296,7 @@ class CandidateRecord:
     text_final: str | None = None
 
     def to_json_dict(self) -> dict:
-        """The row as the last artifact it has reached projects it: processed
-        once it has a status, classified once it has corrections, else corrected."""
-        keys = PROCESSED if self.status is not None else CLASSIFIED if self.corrections is not None else CORRECTED
-        out = self.record.to_json_dict()
-        out.update(_to_dict(keys[len(CORPUS):])(self))
-        if out.get("corrections") is not None:
-            out["corrections"] = list(map(_to_dict(CORRECTION), out["corrections"]))
-        return out
+        return json.loads(encode_row(self))
 
 
 def ProcessedRecord(
@@ -308,7 +332,8 @@ def _read_rows(
 
     Other non-blank lines, undecodable ones too, go to ``diagnostics`` as errors in
     line order. The file is read one line at a time. Lines end at ``\\n`` only:
-    JSON strings may hold U+2028 or NEL.
+    JSON strings may hold U+2028 or NEL. A UTF-8 byte order mark opens line 1
+    only: anywhere else it stays in the line, and JSON refuses it.
     """
     try:
         with open(path, "rb") as fh:
@@ -316,6 +341,8 @@ def _read_rows(
                 try:
                     # without its \n, a truncated row's error points into the row itself
                     line = raw.removesuffix(b"\n").decode("utf-8")
+                    if lineno == 1:
+                        line = line.removeprefix("\ufeff")
                     if not line.strip():
                         continue
                     obj = json.loads(line)
@@ -405,8 +432,13 @@ def write_json(obj: dict, path: str | Path) -> None:
 
 
 def encode_row(record: CorpusRecord | CandidateRecord) -> str:
-    """One record as its artifact line: stable field order, byte-identical across runs."""
-    return json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n"
+    """One record as its artifact line, byte-identical across runs: a candidate row as the last
+    artifact it has reached projects it, processed once it has a status, classified once it has
+    corrections, else corrected."""
+    if isinstance(record, CorpusRecord):
+        return _writer(CORPUS, False, "\n")(record)
+    keys = PROCESSED if record.status is not None else CLASSIFIED if record.corrections is not None else CORRECTED
+    return _writer(keys, True, "\n")(record)
 
 
 def write_records(records: Iterable, path: str | Path) -> None:

@@ -57,3 +57,25 @@ class TestSummarize:
         assert not ab_bench.ok({"correct": False, "failed": None, "metrics": {}})
         # a metric missing from one run is left out rather than compared on fewer pairs
         assert ab_bench.summarize([run(pipeline_s=1.0)], [{"metrics": {}}], END_TO_END) == []
+
+
+class TestExitCode:
+    def main(self, monkeypatch, tmp_path, parent: dict, change: dict) -> int:
+        """``main`` over two pairs whose runs are ``parent`` and ``change``, with no benchmark run."""
+        monkeypatch.setattr(ab_bench, "run_once", lambda checkout, *_: change if checkout == ab_bench.ROOT else parent)
+        return ab_bench.main(["--parent", str(tmp_path), "--pairs", "2", "--seconds", "0"])
+
+    def test_within_every_bound_exits_0(self, monkeypatch, tmp_path, capsys):
+        assert self.main(monkeypatch, tmp_path, run(pipeline_s=1.0), run(pipeline_s=1.2)) == 0
+        assert "worse than its bound" not in capsys.readouterr().out
+
+    def test_a_metric_worse_than_its_bound_exits_3(self, monkeypatch, tmp_path, capsys):
+        assert self.main(monkeypatch, tmp_path, run(pipeline_s=1.0, peak_rss_mb=30.0),
+                         run(pipeline_s=1.0, peak_rss_mb=32.0)) == 3
+        out, err = capsys.readouterr()
+        assert "peak_rss_mb" in out and "worse than its bound" in out
+        assert "worse than its bound: peak_rss_mb" in err
+
+    def test_an_incorrect_run_exits_1_even_when_worse_than_a_bound(self, monkeypatch, tmp_path):
+        change = {**run(pipeline_s=2.0), "correct": False}
+        assert self.main(monkeypatch, tmp_path, run(pipeline_s=1.0), change) == 1

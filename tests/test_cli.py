@@ -240,6 +240,34 @@ class TestRunCommand:
         for name in ARTIFACTS:
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
+    def test_byte_order_mark_opens_the_corpus_only(self, tmp_path, caplog):
+        rows = [json.dumps({"id": i, "text": f"cinco palabras bien formadas aqui {i}"}).encode() for i in "ab"]
+        corpus, with_bom = tmp_path / "corpus.jsonl", tmp_path / "bom.jsonl"
+        corpus.write_bytes(rows[0] + b"\n" + rows[1] + b"\n")
+        with_bom.write_bytes(b"\xef\xbb\xbf" + corpus.read_bytes())
+        run = ["--strict", "run", "--backend", "identity", "--output"]
+        out, reference = tmp_path / "out", tmp_path / "reference"
+        assert main(run + [str(out), "--input", str(with_bom)]) == 0
+        assert main(run + [str(reference), "--input", str(corpus)]) == 0
+        assert "BOM" not in caplog.text
+        for name in ARTIFACTS:
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+        assert [json.loads(row)["id"] for row in (out / "final.jsonl").read_text(encoding="utf-8").splitlines()] == ["a", "b"]
+        # on any later line a BOM is no line start: it costs that line
+        with_bom.write_bytes(rows[0] + b"\n\xef\xbb\xbf" + rows[1] + b"\n")
+        assert main(run + [str(tmp_path / "late"), "--input", str(with_bom)]) == 2
+        assert f"{with_bom}: line 2: error: Unexpected UTF-8 BOM" in caplog.text
+
+    def test_malformed_fixture_file_fails_before_any_artifact(self, pipeline_fixture, tmp_path, capsys):
+        corpus, _ = pipeline_fixture
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text('{"input_hash": "abc"}\n', encoding="utf-8")
+        config = write_config(tmp_path / "config.json", corpus, fixtures)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "run", "--input", str(corpus), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {fixtures}: line 1: error: missing field 'output'")
+        assert not out.exists()
+
     def test_non_finite_flag_value_is_config_error(self, pipeline_fixture, tmp_path, capsys):
         corpus, _ = pipeline_fixture
         out = tmp_path / "out"

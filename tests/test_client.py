@@ -19,6 +19,7 @@ from histocr.client import (
     correct_text,
     strip_fences,
 )
+from histocr.records import CorpusError
 
 EXPECTED_SPANISH_PROMPT = (
     "Dado el texto del siglo XIX entre ```, retorna únicamente el texto "
@@ -115,6 +116,16 @@ class TestMockBackend:
         backend = MockBackend(path)
         assert backend.complete("prompt", "harà") == "hará"
         assert backend.complete("prompt", "otro") == "otro"
+
+    def test_byte_order_mark_opens_the_fixture_file_only(self, tmp_path):
+        path = tmp_path / "fixtures.jsonl"
+        rows = [json.dumps({"input_hash": MockBackend.hash_text(t), "output": t.upper()}).encode() for t in ("a", "b")]
+        path.write_bytes(b"\xef\xbb\xbf" + rows[0] + b"\n" + rows[1] + b"\n")
+        backend = MockBackend(path)
+        assert (backend.complete("prompt", "a"), backend.complete("prompt", "b")) == ("A", "B")
+        path.write_bytes(rows[0] + b"\n\xef\xbb\xbf" + rows[1] + b"\n")
+        with pytest.raises(CorpusError, match="line 2: error: Unexpected UTF-8 BOM"):
+            MockBackend(path)
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_fixture_output_with_unicode_line_separator(self, tmp_path, separator):

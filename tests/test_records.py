@@ -1,16 +1,26 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histocr.classify import ClassifiedCorrection
 from histocr.records import (
+    CLASSIFIED,
+    CORPUS,
+    CORRECTED,
+    CORRECTION,
+    FIELDS,
     OUTCOMES,
+    PROCESSED,
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
     CandidateRecord,
     CorpusError,
     CorpusRecord,
     ProcessedRecord,
+    encode_row,
     load_candidates,
     load_corpus,
     load_processed,
@@ -437,3 +447,77 @@ class TestFieldTypes:
         write_records(rows, path)
         assert load_candidates(path).records == rows
         assert OUTCOMES == ("ok", "content_policy_refusal", "transport_error", "over_length", "global_hallucination")
+
+
+# any text UTF-8 can encode, with the characters JSON escapes or that end lines elsewhere drawn often
+TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\t\n\r\x1f\x7f\x85\u2028\u2029\ufeff\U0001f600\U00010000'),
+    st.characters(exclude_categories=("Cs",)),
+))
+MAYBE_TEXT = st.none() | TEXT
+RATIO = st.none() | st.integers() | st.sampled_from([-0.0, 5e-324, 1e16]) | st.floats(allow_nan=False, allow_infinity=False)
+SPAN = st.tuples(st.integers(), st.integers())
+CORRECTIONS = st.lists(st.builds(
+    ClassifiedCorrection, TEXT, TEXT, TEXT, TEXT, RATIO, st.booleans(), SPAN, SPAN, TEXT, TEXT, st.integers(),
+), max_size=3)
+CORPUS_ROWS = st.builds(CorpusRecord, TEXT, TEXT, TEXT, MAYBE_TEXT, st.none() | st.integers(), TEXT)
+
+
+def reference(obj: object, keys: tuple[str, ...], nested: bool = False) -> dict:
+    """The JSON object of ``keys`` read off ``obj`` attribute by attribute, as ``json.dumps`` is given it."""
+    out = {}
+    for key in keys:
+        value = getattr(obj.record if nested and key in CORPUS else obj, FIELDS[key].attr or key)
+        out[key] = [reference(c, CORRECTION) for c in value] if key == "corrections" and value is not None else value
+    return out
+
+
+def dumped(obj: object, keys: tuple[str, ...], nested: bool = False) -> str:
+    return json.dumps(reference(obj, keys, nested), ensure_ascii=False) + "\n"
+
+
+@st.composite
+def candidate_rows(draw) -> tuple[CandidateRecord, tuple[str, ...]]:
+    """A row in each projection, with the keys it is written under."""
+    keys = draw(st.sampled_from([CORRECTED, CLASSIFIED, PROCESSED]))
+    row = CandidateRecord(draw(CORPUS_ROWS), draw(TEXT), draw(TEXT), draw(MAYBE_TEXT))
+    if keys is not CORRECTED:
+        row.corrections = draw(st.none() | CORRECTIONS) if keys is PROCESSED else draw(CORRECTIONS)
+    if keys is PROCESSED:
+        row.status, row.text_final = draw(TEXT), draw(MAYBE_TEXT)
+    return row, keys
+
+
+class TestWriterBytes:
+    """Every row is written with the bytes ``json.dumps(..., ensure_ascii=False)`` gives its JSON object."""
+
+    @given(CORPUS_ROWS)
+    @settings(max_examples=150)
+    def test_corpus_rows(self, record):
+        assert encode_row(record) == dumped(record, CORPUS)
+
+    @given(candidate_rows())
+    @settings(max_examples=200)
+    def test_every_candidate_projection(self, drawn):
+        row, keys = drawn
+        assert encode_row(row) == dumped(row, keys, nested=True)
+
+    class Text(str):
+        pass
+
+    @pytest.mark.parametrize(
+        "ratio, text, year, span",
+        [
+            (math.nan, "a", 1850, (0, 1)),
+            (math.inf, "a", 1850, (0, 1)),
+            (-math.inf, "a", 1850, (0, 1)),
+            (0.5, Text("a\u2028\"b"), 1850, (0, 1)),  # a str subclass
+            (0.5, "a", True, (0, 1)),  # a bool where an integer goes
+            (True, "a", None, [0, 1]),  # a list span
+            (0.5, "a", 1850, (0, 1.5)),  # a span that holds a float
+        ],
+    )
+    def test_other_values_fall_back_to_json_dumps(self, ratio, text, year, span):
+        correction = ClassifiedCorrection(text, "b", "ocr_error", "r", ratio, False, span, (0, 0), text, "b", 1)
+        row = CandidateRecord(CorpusRecord("a", text=text, year=year), "ok", "", text, [correction])
+        assert encode_row(row) == dumped(row, CLASSIFIED, nested=True)
