@@ -151,11 +151,11 @@ class RuleTable:
 
 
 def load_rules(path: str | Path) -> RuleTable:
-    """Load a tab-separated rules file (one rule per line, # comments)."""
+    """Load a tab-separated rules file (one rule per line, # comments); a UTF-8 byte order mark may open it."""
     surface: list[SubstitutionRule] = []
     confusion: list[SubstitutionRule] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):

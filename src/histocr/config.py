@@ -99,12 +99,12 @@ class PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read a JSON config file; unknown keys are rejected.
+    """Read a JSON config file; unknown keys are rejected. A UTF-8 byte order mark may open it.
 
     An undecodable or malformed file is a ``ValueError`` that names it.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):

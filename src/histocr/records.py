@@ -10,11 +10,13 @@ key its attribute, admitted JSON types and allowed values. Each artifact is
 a projection of the row, a fixed key list over that table: :data:`CORPUS`
 (the input, ``cleaned.jsonl``), :data:`CORRECTED`, :data:`CLASSIFIED` and
 :data:`PROCESSED` (``removed.jsonl``, ``final.jsonl``), with
-:data:`CORRECTION` for each correction. Each key list compiles one reader
-and one writer from :data:`FIELDS`. The writer emits a row's JSON text in
-key order straight from its attributes, with the bytes ``json.dumps`` would
-give its JSON object, so the same data gives the same bytes; no dict is
-built on the way. The reader takes a row field by field, so a wrong field
+:data:`CORRECTION` for each correction. Each key list compiles one writer
+from :data:`FIELDS`. It emits a row's JSON text in key order straight from
+its attributes, with the bytes ``json.dumps`` would give its JSON object, so
+the same data gives the same bytes; no dict is built on the way. The reader
+is plain Python over one plan per key list: ``run`` reads only the corpus
+file, never a stage artifact, so compiling it would not make a run faster.
+It takes a row field by field through :meth:`Field.check`, so a wrong field
 costs its own line. :func:`write_artifact` writes a temporary file
 beside the target and renames it over the target, so a failed or killed
 write never leaves a truncated file for the next stage.
@@ -76,8 +78,6 @@ def lone_surrogate(text: str) -> re.Match | None:
     return None
 
 
-_RULE_NAMES = {"isfinite": isfinite, "surrogate": lone_surrogate}  # what Field.rule calls
-
 # JSON types, matched exactly (a bool is no integer, an integer is a number);
 # a field's first type names it in diagnostics
 STRING, INTEGER, NUMBER, BOOL, ARRAY, NULL = (str,), (int,), (float, int), (bool,), (list,), (type(None),)
@@ -114,29 +114,15 @@ class Field(NamedTuple):
     allowed: Where | None = None
     items: Callable[[object], object] | None = None
 
-    def rule(self, v: str, types: str, allowed: str) -> tuple[str, str]:
-        """The admission rule of :meth:`check` and the readers, as two conditions over the
-        names given for the value, ``types`` and ``allowed.test``: a type not admitted, a
-        non-finite float (JSON has none) or a value not allowed; a lone surrogate's match."""
-        wrong = [f"type({v}) not in {types}"]
-        wrong += [f"type({v}) is float and not isfinite({v})"] if float in self.types else []
-        wrong += [f"not {allowed}({v})"] if self.allowed else []
-        return " or ".join(wrong), f"type({v}) is str and not {v}.isascii() and surrogate({v})"
-
     def check(self, name: str, value: object) -> None:
-        """A ``ValueError`` naming ``name`` unless this field admits ``value``."""
-        wrong, lone = map(_condition, self.rule("v", "types", "allowed"))
-        args = value, self.types, self.allowed and self.allowed.test
-        if wrong(*args):
-            wording = self.allowed.wording if self.allowed else _TYPE_WORDS[self.types[0]]
+        """A ``ValueError`` naming ``name`` unless this field admits ``value``: a type not admitted,
+        a non-finite float (JSON has none), a value not allowed, or a string with a lone surrogate."""
+        kind, allowed = type(value), self.allowed
+        if kind not in self.types or kind is float and not isfinite(value) or allowed and not allowed.test(value):
+            wording = allowed.wording if allowed else _TYPE_WORDS[self.types[0]]
             raise ValueError(f"{name} must be {wording}, got {_shown(value)}")
-        if surrogate := lone(*args):
+        if kind is str and not value.isascii() and (surrogate := lone_surrogate(value)):
             raise ValueError(f"{name} holds a lone surrogate at index {surrogate.start()}, which UTF-8 cannot encode")
-
-
-@cache
-def _condition(source: str) -> Callable[..., object]:
-    return eval(f"lambda v, types, allowed: {source}", _RULE_NAMES)
 
 
 # each artifact's keys, in the order its rows hold them
@@ -152,24 +138,29 @@ CORRECTION = (
 
 @cache
 def _reader(keys: tuple[str, ...], prefix: str = "", build: Callable[..., object] = dict) -> Callable[[dict], object]:
-    """Reads ``keys`` off one JSON object into ``build``'s keyword arguments, compiled once per key
-    list as :func:`_writer` is: a value :meth:`Field.rule` refuses goes to ``Field.check``."""
-    ns: dict = {**_RULE_NAMES, "build": build}
-    code = ["def read(obj):"]
-    for n, key in enumerate(keys):
-        f, v = FIELDS[key], f"v{n}"
-        ns.update({f"f{n}": f, f"t{n}": f.types, f"a{n}": f.allowed and f.allowed.test, f"i{n}": f.items})
-        ns[f"d{n}"] = None if f.default is REQUIRED else f.default
-        code += [f"    if {key!r} in obj:", f"        {v} = obj[{key!r}]"]
-        code += [f"        if {' or '.join(f.rule(v, f't{n}', f'a{n}'))}: f{n}.check({prefix + repr(key)!r}, {v})"]
-        code += [f"        if {v} is None: {v} = d{n}"] if type(None) in f.types else []
-        if list in f.types:
-            convert = f"[i{n}(x) for x in {v}]" if f.items else f"tuple({v})"
-            code += [f"        if type({v}) is list: {v} = {convert}"]
-        code += ["    else: " + (f"raise KeyError({key!r})" if f.default is REQUIRED else f"{v} = d{n}")]
-    items = ", ".join(f"{FIELDS[key].attr or key}=v{n}" for n, key in enumerate(keys))
-    exec("\n".join(code + [f"    return build({items})"]), ns)
-    return ns["read"]
+    """Reads ``keys`` off one JSON object into ``build``'s keyword arguments: an absent key takes
+    its default (a required one is a ``KeyError``), a present value goes through ``Field.check``,
+    null reads as the default (``None`` for a required key), a list as a tuple or its items."""
+    plan = [(key, FIELDS[key], FIELDS[key].attr or key, prefix + repr(key)) for key in keys]
+
+    def read(obj: dict) -> object:
+        values = {}
+        for key, f, attr, name in plan:
+            if key in obj:
+                value = obj[key]
+                f.check(name, value)
+                if value is None:
+                    value = None if f.default is REQUIRED else f.default
+                elif type(value) is list:
+                    value = [f.items(item) for item in value] if f.items else tuple(value)
+            elif f.default is REQUIRED:
+                raise KeyError(key)
+            else:
+                value = f.default
+            values[attr] = value
+        return build(**values)
+
+    return read
 
 
 def _correction(item: object) -> ClassifiedCorrection:
@@ -230,7 +221,7 @@ def _json_text(f: Field, v: str) -> str:
 def _writer(keys: tuple[str, ...], nested: bool = False, end: str = "") -> Callable[[object], str]:
     """Writes the attributes that ``keys`` fill off one object as its JSON object, then ``end``,
     with the bytes of ``json.dumps(..., ensure_ascii=False)``: one f-string compiled per key
-    list, as :func:`_reader` is. ``nested`` reads the corpus keys off the object's ``record``."""
+    list. ``nested`` reads the corpus keys off the object's ``record``."""
     ns = {"dumps": json.dumps, "string": encode_basestring, "isfinite": isfinite}
     ns["item"] = _writer(CORRECTION) if "corrections" in keys else None
     code = ["def write(obj):"] + (["    record = obj.record"] if nested else [])

@@ -258,6 +258,23 @@ class TestRunCommand:
         assert main(run + [str(tmp_path / "late"), "--input", str(with_bom)]) == 2
         assert f"{with_bom}: line 2: error: Unexpected UTF-8 BOM" in caplog.text
 
+    @pytest.mark.parametrize("flag", ["--rules", "--config"])
+    def test_byte_order_mark_on_the_rules_table_or_config_file(self, pipeline_fixture, tmp_path, flag):
+        corpus, fixtures = pipeline_fixture
+        files = {
+            "--rules": Path(histocr.__file__).parent / "data" / "rules.tsv",
+            "--config": write_config(tmp_path / "config.json", corpus, fixtures),
+        }
+        with_bom = tmp_path / f"bom{files[flag].suffix}"
+        with_bom.write_bytes(b"\xef\xbb\xbf" + files[flag].read_bytes())
+        out, reference = tmp_path / "out", tmp_path / "reference"
+        for output, given in ((out, with_bom), (reference, files[flag])):
+            paths = {**files, flag: given}
+            assert main(["--config", str(paths["--config"]), "run", "--input", str(corpus),
+                         "--output", str(output), "--rules", str(paths["--rules"])]) == 0
+        for name in ARTIFACTS:
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
     def test_malformed_fixture_file_fails_before_any_artifact(self, pipeline_fixture, tmp_path, capsys):
         corpus, _ = pipeline_fixture
         fixtures = tmp_path / "fixtures.jsonl"

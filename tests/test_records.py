@@ -1,11 +1,14 @@
 import json
 import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from histocr.classify import ClassifiedCorrection
+from histocr.classify import HALLUCINATION, OCR_ERROR, SURFACE_FORM, ClassifiedCorrection
 from histocr.records import (
     CLASSIFIED,
     CORPUS,
@@ -16,9 +19,11 @@ from histocr.records import (
     PROCESSED,
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
+    STATUSES,
     CandidateRecord,
     CorpusError,
     CorpusRecord,
+    LineDiagnostic,
     ProcessedRecord,
     encode_row,
     load_candidates,
@@ -521,3 +526,127 @@ class TestWriterBytes:
         correction = ClassifiedCorrection(text, "b", "ocr_error", "r", ratio, False, span, (0, 0), text, "b", 1)
         row = CandidateRecord(CorpusRecord("a", text=text, year=year), "ok", "", text, [correction])
         assert encode_row(row) == dumped(row, CLASSIFIED, nested=True)
+
+
+# the rows the stages build, drawn from the strategies above: a non-empty id, a year in
+# the target range (else load_corpus warns), a text without NUL, known outcomes, statuses
+# and labels, frequencies >= 1, and null in every key whose attribute may be None
+LOADABLE_CORPUS_ROWS = CORPUS_ROWS.map(lambda record: replace(
+    record, id=record.id or "x", year=None if record.year is None else 1800 + record.year % 100,
+    text=record.text.replace("\x00", ""),
+))
+LOADABLE_CORRECTIONS = st.lists(st.builds(
+    ClassifiedCorrection, TEXT, TEXT, st.sampled_from((SURFACE_FORM, OCR_ERROR, HALLUCINATION)), TEXT, RATIO,
+    st.booleans(), SPAN, SPAN, TEXT, TEXT, st.integers(min_value=1),
+), max_size=3)
+
+
+@st.composite
+def loadable_rows(draw) -> tuple[CorpusRecord | CandidateRecord, tuple[str, ...]]:
+    """A row as a stage leaves it, with the keys it is written under."""
+    keys = draw(st.sampled_from([CORPUS, CORRECTED, CLASSIFIED, PROCESSED]))
+    record = draw(LOADABLE_CORPUS_ROWS)
+    if keys is CORPUS:
+        return record, keys
+    if keys is PROCESSED:
+        status = draw(st.sampled_from(STATUSES))
+        text_final = draw(TEXT) if status == STATUS_CORRECTED else None
+        return ProcessedRecord(record, status, draw(MAYBE_TEXT), text_final, draw(LOADABLE_CORRECTIONS)), keys
+    corrections = draw(LOADABLE_CORRECTIONS) if keys is CLASSIFIED else None
+    # only a classified row may read global_hallucination
+    outcome = draw(st.sampled_from(OUTCOMES if keys is CLASSIFIED else OUTCOMES[:-1]))
+    return CandidateRecord(record, outcome, draw(TEXT), draw(MAYBE_TEXT), corrections), keys
+
+
+LOADERS = {CORPUS: load_corpus, CORRECTED: load_candidates, CLASSIFIED: load_candidates, PROCESSED: load_processed}
+
+
+class TestLoadersReadWhatIsWritten:
+    @given(loadable_rows())
+    # null in every nullable key: city, year, text_llm and ratio; then text_final and corrections
+    @example((CandidateRecord(CorpusRecord("a"), "ok", "", None, [make_correction()]), CLASSIFIED))
+    @example((CandidateRecord(CorpusRecord("a"), "transport_error"), CORRECTED))
+    @example((ProcessedRecord(CorpusRecord("a"), STATUS_CLEANED_OUT), PROCESSED))
+    @settings(max_examples=300)
+    def test_every_projection(self, drawn):
+        row, keys = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.jsonl"
+            write_records([row], path)
+            assert list(json.loads(path.read_text(encoding="utf-8"))) == list(keys)
+            result = LOADERS[keys](path)
+        assert (result.records, result.diagnostics) == ([row], [])
+
+
+# what each field must be, written out here independently of the code's table
+MUST_BE = {
+    "id": "a non-empty string", "newspaper": "a string", "country": "a string", "city": "a string",
+    "year": "an integer", "text": "a string without NUL characters",
+    "llm_outcome": f"one of {OUTCOMES}", "llm_detail": "a string", "text_llm": "a string",
+    "corrections": "a list", "status": f"one of {STATUSES}", "text_final": "a string",
+    "original": "a string", "corrected": "a string",
+    "label": "one of ('surface_form', 'ocr_error', 'hallucination')", "rule": "a string", "ratio": "a number",
+    "position": "two integers", "corrected_position": "two integers", "original_raw": "a string",
+    "corrected_raw": "a string", "accent_only": "a bool", "frequency": "an integer >= 1",
+}
+# TestEveryWrongField's samples, with the lone surrogate at index 1
+SAMPLES = {
+    "null": None, "bool": True, "int": 0, "float": 1.5, "string": "x", "array": [], "object": {},
+    "nan": math.nan, "lone-surrogate": "a\ud800",
+}
+# the samples each field admits; the string sample is admitted exactly where a lone surrogate gets its own message
+ADMITS = {
+    "id": {"string"}, "newspaper": {"null", "string"}, "country": {"null", "string"}, "city": {"null", "string"},
+    "year": {"null", "int"}, "text": {"string"}, "llm_outcome": set(), "llm_detail": {"string"},
+    "text_llm": {"null", "string"}, "corrections": {"null", "array"}, "status": set(), "text_final": {"null", "string"},
+    "original": {"string"}, "corrected": {"string"}, "label": set(), "rule": {"string"},
+    "ratio": {"null", "int", "float"}, "position": set(), "corrected_position": set(), "original_raw": {"string"},
+    "corrected_raw": {"string"}, "accent_only": {"bool"}, "frequency": set(),
+}
+
+
+def wrong_value_cases():
+    for key, admitted in ADMITS.items():
+        name = f"correction {key!r}" if key in CORRECTION else repr(key)
+        for sample, value in SAMPLES.items():
+            if sample == "lone-surrogate" and "string" in admitted:
+                message = f"{name} holds a lone surrogate at index 1, which UTF-8 cannot encode"
+            elif sample not in admitted:
+                message = f"{name} must be {MUST_BE[key]}, got {value!r}"
+            else:
+                continue
+            yield pytest.param(key, name, value, message, id=f"{key}-{sample}")
+
+
+def row_with(key: str, value: object) -> tuple[dict, object]:
+    """A good row of the artifact that holds ``key``, with ``value`` under it, and its loader."""
+    record = make_records(1)[0]
+    if key in CORPUS:
+        return {**record.to_json_dict(), key: value}, load_corpus
+    if key in ("status", "text_final") or key in CORRECTION:
+        row = ProcessedRecord(record, STATUS_CORRECTED, "texto", "texto", [make_correction()]).to_json_dict()
+        loader = load_processed
+    else:
+        row = CandidateRecord(record, "ok", "", "texto", [make_correction()]).to_json_dict()
+        loader = load_candidates
+    if key in CORRECTION:
+        return {**row, "corrections": [{**row["corrections"][0], key: value}]}, loader
+    return {**row, key: value}, loader
+
+
+class TestWrongValueDiagnostics:
+    """A value a field does not admit gets one exact message, from Field.check and from the loader alike."""
+
+    def test_every_field_has_cases(self):
+        assert set(MUST_BE) == set(ADMITS) == set(FIELDS)
+
+    @pytest.mark.parametrize("key, name, value, message", wrong_value_cases())
+    def test_check_and_line_diagnostic(self, tmp_path, key, name, value, message):
+        with pytest.raises(ValueError) as raised:
+            FIELDS[key].check(name, value)
+        assert str(raised.value) == message
+        row, load = row_with(key, value)
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        result = load(path)
+        assert (result.records, result.diagnostics) == ([], [LineDiagnostic(1, message)])
