@@ -121,7 +121,8 @@ def _require_input(path: str) -> None:
 def _read_text(path: str) -> str:
     _require_input(path)
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # a byte order mark is no text to diff
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"cannot decode {path} as UTF-8: {exc}") from exc
 

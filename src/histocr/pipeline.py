@@ -10,18 +10,22 @@ artifact's keys (:mod:`histocr.records`). :func:`run_pipeline` loads the
 rules table, then chains the cores: it writes every artifact and reads none
 back. It runs classify's per-record work (:func:`classify_candidate`) on
 each candidate as its response arrives, so after the last response only
-classify's corpus-wide tail is left. The stage commands (``stage_clean``
-... ``stage_report``) share one body that reads the input file, logs its
-line diagnostics, calls the core and returns the input lines skipped plus
-the records failed; strict mode exits 2 on any. So every stage stays
-resumable, and a re-run never repeats a slow, costly model call.
+classify's corpus-wide tail is left.
+
+One table, ``_STAGES``, defines every stage: its input loader, its core and
+its artifact names, in the order the core takes their paths. The stage
+commands (``stage_clean`` ... ``stage_report``) are one command bound to
+each row: it reads the input file with the row's loader, logs its line
+diagnostics, passes its other arguments to the core and returns the input
+lines skipped plus the records failed; strict mode exits 2 on any. So every
+stage stays resumable, and a re-run never repeats a slow, costly model call.
 :func:`run_stage` runs one stage command by name, its artifacts in
-``config.output_dir`` under the names :func:`run_pipeline` gives them
-(``_STAGE_ARTIFACTS``, the one table of names); chained through one
-directory, the stage commands produce byte-identical artifacts to
-:func:`run_pipeline`. ``correct`` writes what the backend returned and
-judges nothing: every threshold, ``hallucination_threshold`` included, is
-applied by ``classify``, so re-tuning one never repeats a model call.
+``config.output_dir`` under the row's names, which :func:`run_pipeline`
+gives them too; chained through one directory, the stage commands produce
+byte-identical artifacts to :func:`run_pipeline`. ``correct`` writes what
+the backend returned and judges nothing: every threshold,
+``hallucination_threshold`` included, is applied by ``classify``, so
+re-tuning one never repeats a model call.
 
 Artifacts: ``cleaned.jsonl`` (surviving corpus records), ``removed.jsonl``
 (status ``cleaned_out``), ``cleaning_report.json`` (per-filter counts),
@@ -87,17 +91,6 @@ from .reporting import build_report, write_report
 
 logger = logging.getLogger(__name__)
 
-# each stage's artifacts, in the order its core takes their paths
-_STAGE_ARTIFACTS = {
-    "clean": ("cleaned.jsonl", "removed.jsonl", "cleaning_report.json"),
-    "correct": ("corrected.jsonl",),
-    "classify": ("classified.jsonl",),
-    "apply": ("final.jsonl", "lexicon.tsv", "lexicon_nonaccent.tsv"),
-    "report": ("report.json", "report.txt"),
-}
-ARTIFACTS = tuple(name for names in _STAGE_ARTIFACTS.values() for name in names)
-
-
 def make_backend(config: PipelineConfig) -> CorrectionBackend:
     if config.backend == "http":
         return HttpChatBackend(
@@ -123,12 +116,12 @@ def rule_table(config: PipelineConfig) -> RuleTable:
     return default_rules()
 
 
-def _stage(load, core, config: PipelineConfig, input_path: str | Path, *args) -> tuple[list, int]:
+def _stage(load, core, config: PipelineConfig, input_path: str | Path, *args, **kwargs) -> tuple[list, int]:
     """``core`` on the records ``load`` reads, diagnostics logged; problems count skipped lines too."""
     loaded = load(input_path)
     for diag in loaded.diagnostics:
         logger.warning("%s: %s", input_path, diag)
-    records, problems = core(config, loaded.records, *args)
+    records, problems = core(config, loaded.records, *args, **kwargs)
     return records, len(loaded.errors) + problems
 
 
@@ -254,11 +247,11 @@ def classify_candidate(
 
 
 def classify_records(
-    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path, rules: RuleTable
+    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path
 ) -> tuple[list[CandidateRecord], int]:
-    """:func:`classify_candidate` on every candidate (``hallucination_threshold``
-    as its threshold), then :func:`_classify_tail`."""
-    cls_config = classifier_config(config)
+    """:func:`classify_candidate` on every candidate (the config's rules table,
+    ``hallucination_threshold`` as its threshold), then :func:`_classify_tail`."""
+    rules, cls_config = rule_table(config), classifier_config(config)
     for candidate in candidates:
         classify_candidate(candidate, rules, cls_config, config.hallucination_threshold)
     return _classify_tail(config, candidates, output_path)
@@ -333,73 +326,40 @@ def report_records(
     return processed, 0
 
 
-def stage_clean(
-    config: PipelineConfig,
-    input_path: str | Path,
-    output_path: str | Path,
-    removed_path: str | Path,
-    report_path: str | Path,
-) -> int:
-    """:func:`clean_records` on a corpus file; returns the input lines skipped."""
-    return _stage(load_corpus, clean_records, config, input_path, output_path, removed_path, report_path)[1]
+# each stage: its input loader, its core, and its artifacts in the order the core takes their paths
+_STAGES = {
+    "clean": (load_corpus, clean_records, ("cleaned.jsonl", "removed.jsonl", "cleaning_report.json")),
+    "correct": (load_corpus, correct_records, ("corrected.jsonl",)),
+    "classify": (load_candidates, classify_records, ("classified.jsonl",)),
+    "apply": (_load_classified, apply_records, ("final.jsonl", "lexicon.tsv", "lexicon_nonaccent.tsv")),
+    "report": (load_processed, report_records, ("report.json", "report.txt")),
+}
+ARTIFACTS = tuple(name for _load, _core, names in _STAGES.values() for name in names)
 
 
-def stage_correct(
-    config: PipelineConfig,
-    input_path: str | Path,
-    output_path: str | Path,
-    backend: CorrectionBackend | None = None,
-) -> int:
-    """:func:`correct_records` on a cleaned file; returns the input lines
-    skipped plus records failed."""
-    return _stage(load_corpus, correct_records, config, input_path, output_path, backend)[1]
+def _command(name: str, config: PipelineConfig, input_path: str | Path, *args, **kwargs) -> int:
+    """Stage ``name``'s core on the records its loader reads from ``input_path``;
+    the arguments after it go to the core. Returns the input lines skipped plus
+    the records failed."""
+    load, core, _artifacts = _STAGES[name]
+    return _stage(load, core, config, input_path, *args, **kwargs)[1]
 
 
-def stage_classify(config: PipelineConfig, input_path: str | Path, output_path: str | Path) -> int:
-    """:func:`classify_records` on a candidate file; returns the input lines
-    skipped plus candidates marked ``global_hallucination``."""
-    return _stage(load_candidates, classify_records, config, input_path, output_path, rule_table(config))[1]
+stage_clean = partial(_command, "clean")
+stage_correct = partial(_command, "correct")
+stage_classify = partial(_command, "classify")
+stage_apply = partial(_command, "apply")
+stage_report = partial(_command, "report")
 
 
-def stage_apply(
-    config: PipelineConfig,
-    input_path: str | Path,
-    output_path: str | Path,
-    lexicon_path: str | Path,
-    lexicon_nonaccent_path: str | Path,
-) -> int:
-    """:func:`apply_records` on a classified file; returns the input lines skipped.
-
-    A row without the corrections that classify adds raises
-    :class:`CorpusError` before anything is written.
-    """
-    return _stage(
-        _load_classified, apply_records, config, input_path, output_path, lexicon_path, lexicon_nonaccent_path
-    )[1]
-
-
-def stage_report(
-    config: PipelineConfig,
-    input_path: str | Path,
-    json_path: str | Path,
-    text_path: str | Path,
-) -> int:
-    """:func:`report_records` on a processed file; returns the input lines skipped."""
-    return _stage(load_processed, report_records, config, input_path, json_path, text_path)[1]
+def _paths(name: str, config: PipelineConfig) -> list[Path]:
+    return [Path(config.output_dir) / artifact for artifact in _STAGES[name][2]]
 
 
 def run_stage(name: str, config: PipelineConfig) -> int:
     """Stage command ``name`` (``"clean"`` ... ``"report"``) on ``config.input``,
     its artifacts written into ``config.output_dir``; returns its problem count."""
-    command = {
-        "clean": stage_clean,
-        "correct": stage_correct,
-        "classify": stage_classify,
-        "apply": stage_apply,
-        "report": stage_report,
-    }[name]
-    out = Path(config.output_dir)
-    return command(config, config.input, *(out / artifact for artifact in _STAGE_ARTIFACTS[name]))
+    return _command(name, config, config.input, *_paths(name, config))
 
 
 def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = None) -> int:
@@ -416,22 +376,20 @@ def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = Non
     """
     rules = rule_table(config)
     backend = backend or make_backend(config)
-    out = Path(config.output_dir)
-    paths = [[out / name for name in names] for names in _STAGE_ARTIFACTS.values()]
-    records, problems = _stage(load_corpus, clean_records, config, config.input, *paths[0])
+    records, problems = _stage(load_corpus, clean_records, config, config.input, *_paths("clean", config))
     classify = partial(
         classify_candidate,
         rules=rules,
         cls_config=classifier_config(config),
         threshold=config.hallucination_threshold,
     )
-    cores = (
-        partial(correct_records, backend=backend, classify=classify),
-        _classify_tail,
-        apply_records,
-        report_records,
-    )
-    for core, stage_paths in zip(cores, paths[1:]):
-        records, failed = core(config, records, *stage_paths)
+    cores = {
+        "correct": partial(correct_records, backend=backend, classify=classify),
+        "classify": _classify_tail,
+        "apply": apply_records,
+        "report": report_records,
+    }
+    for name, core in cores.items():
+        records, failed = core(config, records, *_paths(name, config))
         problems += failed
     return 2 if config.strict and problems else 0

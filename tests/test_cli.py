@@ -445,6 +445,14 @@ class TestDiffCommand:
         assert main(["diff", "--original", str(path_a), "--corrected", str(path_b)]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_byte_order_mark_is_no_change(self, tmp_path, capsys):
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text("la sesion era mui corta\n", encoding="utf-8")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["diff", "--original", str(plain), "--corrected", str(bom)]) == 0
+        assert main(["diff", "--original", str(bom), "--corrected", str(plain)]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_rules_flag_sets_the_printed_labels(self, tmp_path, capsys):
         original = tmp_path / "original.txt"
         corrected = tmp_path / "corrected.txt"
@@ -510,6 +518,24 @@ class TestClassifyCommand:
         assert err.startswith(f"error: {bad_rules}: ")
         assert "can't decode byte 0xff" in err
         assert not out.exists()
+
+    def test_malformed_rules_file_fails_after_the_input_is_read(self, tmp_path):
+        # classify loads the rules table once its input is read: the line warning comes first
+        stage_in, out = tmp_path / "corrected.jsonl", tmp_path / "out"
+        stage_in.write_text('{"id": 5}\n' + json.dumps(CORRECTED_ROW, ensure_ascii=False) + "\n", encoding="utf-8")
+        bad_rules = tmp_path / "bad.tsv"
+        bad_rules.write_text("three\tfields\tonly\n", encoding="utf-8")
+        src = Path(histocr.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "histocr.cli", "classify", "--input", str(stage_in),
+             "--output", str(out), "--rules", str(bad_rules)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 1
+        warning, error = proc.stderr.splitlines()
+        assert f"{stage_in}: line 1: error: " in warning
+        assert error.startswith(f"error: {bad_rules}:1: expected 7")
+        assert not (out / "classified.jsonl").exists()
 
     def test_rewrite_outcome_needs_corrections(self, tmp_path, caplog):
         # only classify gives global_hallucination; a corrected.jsonl row claiming it was never judged

@@ -379,6 +379,31 @@ class TestHttpChatBackend:
         assert "exhausted 4 attempts" in result.detail
         assert len(session.requests) == 4
 
+    def test_transport_exceptions_are_retried(self):
+        import requests
+
+        body = {"choices": [{"finish_reason": "stop", "message": {"content": "hola"}}]}
+        errors = [requests.ConnectionError("connection refused"), requests.Timeout("read timed out")]
+        backend, session = self.make(errors + [FakeResponse(200, body)])
+        delays = []
+        policy = RetryPolicy(max_attempts=3, backoff_base=1.0, sleep=delays.append)
+        result = correct_text("hola", backend, policy)
+        assert (result.outcome, result.corrected_text) == (OUTCOME_OK, "hola")
+        assert len(session.requests) == 3
+        assert delays == [1.0, 2.0]
+
+    def test_transport_exception_on_every_attempt_exhausts_them(self):
+        import requests
+
+        backend, session = self.make([requests.ConnectionError(f"refused {n}") for n in range(3)])
+        delays = []
+        policy = RetryPolicy(max_attempts=3, backoff_base=1.0, sleep=delays.append)
+        result = correct_text("hola", backend, policy)
+        assert result.outcome == OUTCOME_TRANSPORT_ERROR
+        assert result.detail == "exhausted 3 attempts: refused 2"
+        assert len(session.requests) == 3
+        assert delays == [1.0, 2.0]
+
     @pytest.mark.parametrize(
         "status, retry_after, expected",
         [
