@@ -209,7 +209,7 @@ class ClassifierConfig:
         return errors
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassifiedCorrection:
     """One labeled correction, normalized for grouping, raw for application."""
 

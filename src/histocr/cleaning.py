@@ -75,10 +75,15 @@ def non_alpha_ratio(text: str, count_whitespace: bool = False) -> float:
     Whitespace is excluded from the denominator unless ``count_whitespace``;
     an empty denominator yields 0.0.
     """
-    chars = text if count_whitespace else [c for c in text if not c.isspace()]
-    if not chars:
-        return 0.0
-    return sum(1 for c in chars if not c.isalpha()) / len(chars)
+    # each distinct non-letter is counted once by ``str.count``; no letter is whitespace
+    total, non_alpha = len(text), 0
+    for c in set(text):
+        if not c.isalpha():
+            if count_whitespace or not c.isspace():
+                non_alpha += text.count(c)
+            else:
+                total -= text.count(c)
+    return non_alpha / total if total else 0.0
 
 
 def filter_non_alphabetic(

@@ -226,14 +226,17 @@ def correct_records(
 
 
 def classify_candidate(
-    candidate: CandidateRecord, rules: RuleTable, cls_config: ClassifierConfig, threshold: float
+    candidate: CandidateRecord, rules: RuleTable, cls_config: ClassifierConfig, threshold: float, shared: dict
 ) -> CandidateRecord:
     """Diff one corrected candidate against its original and label the changes.
 
     Sets the candidate's ``corrections`` (and, for a rewrite, its outcome) in
     place and returns it. A candidate whose whole-text similarity to the
     original is below ``threshold`` rewrote the record wholesale: it is
-    marked ``global_hallucination`` and gets no corrections.
+    marked ``global_hallucination`` and gets no corrections. ``shared`` is
+    the run's table of values: each correction's strings and spans are
+    swapped for the first equal value the run has seen, so the run holds one
+    object per distinct value and the candidate's own copies are freed.
     """
     candidate.corrections = []
     if candidate.outcome != OUTCOME_OK or candidate.text_llm is None:
@@ -243,17 +246,25 @@ def classify_candidate(
         return candidate
     hunks = diff_words(tokenize_words(candidate.record.text), tokenize_words(candidate.text_llm))
     candidate.corrections = classify_hunks(hunks, rules, cls_config)
+    # strings and spans only: ``1 == 1.0 == True``, so a shared number or bool could come back as another type
+    share = shared.setdefault
+    for c in candidate.corrections:
+        c.original, c.corrected = share(c.original, c.original), share(c.corrected, c.corrected)
+        c.original_raw, c.corrected_raw = share(c.original_raw, c.original_raw), share(c.corrected_raw, c.corrected_raw)
+        c.original_span = share(c.original_span, c.original_span)
+        c.corrected_span = share(c.corrected_span, c.corrected_span)
+        c.rule = share(c.rule, c.rule)
     return candidate
 
 
 def classify_records(
-    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path
+    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path, rules: RuleTable
 ) -> tuple[list[CandidateRecord], int]:
-    """:func:`classify_candidate` on every candidate (the config's rules table,
-    ``hallucination_threshold`` as its threshold), then :func:`_classify_tail`."""
-    rules, cls_config = rule_table(config), classifier_config(config)
+    """:func:`classify_candidate` on every candidate (``hallucination_threshold`` as its
+    threshold, one table of shared values), then :func:`_classify_tail`."""
+    cls_config, shared = classifier_config(config), {}
     for candidate in candidates:
-        classify_candidate(candidate, rules, cls_config, config.hallucination_threshold)
+        classify_candidate(candidate, rules, cls_config, config.hallucination_threshold, shared)
     return _classify_tail(config, candidates, output_path)
 
 
@@ -342,6 +353,8 @@ def _command(name: str, config: PipelineConfig, input_path: str | Path, *args, *
     the arguments after it go to the core. Returns the input lines skipped plus
     the records failed."""
     load, core, _artifacts = _STAGES[name]
+    if name == "classify":  # a malformed rules table fails before the input is read
+        kwargs["rules"] = rule_table(config)
     return _stage(load, core, config, input_path, *args, **kwargs)[1]
 
 
@@ -382,6 +395,7 @@ def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = Non
         rules=rules,
         cls_config=classifier_config(config),
         threshold=config.hallucination_threshold,
+        shared={},
     )
     cores = {
         "correct": partial(correct_records, backend=backend, classify=classify),

@@ -249,7 +249,7 @@ class LineDiagnostic:
         return f"line {self.line}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusRecord:
     """One newspaper text fragment with provenance metadata."""
 
@@ -270,7 +270,7 @@ class CorpusRecord:
         return json.loads(encode_row(self))
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateRecord:
     """One record from ``correct`` to ``report``: the corpus record and what each stage sets.
 

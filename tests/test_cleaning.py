@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_cleaning_fixture
@@ -82,6 +82,21 @@ class TestNonAlphabetic:
         (record,) = recs("12345 abcde")
         kept, removed = filter_non_alphabetic([record], count_whitespace=True)
         assert removed == [record]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(st.one_of(st.sampled_from("a ñ1.\x1c\xa0\u2028\t½²\u0301\u0327\u200b\n"), st.characters())),
+        st.booleans(),
+    )
+    @example("", False)
+    @example("", True)
+    @example(" \x1c\xa0\u2028", False)
+    @example("a\u0301½²", True)
+    def test_matches_the_per_character_definition(self, text, count_whitespace):
+        # the ratio counts each distinct character once; the definition walks every character
+        chars = text if count_whitespace else [c for c in text if not c.isspace()]
+        expected = sum(1 for c in chars if not c.isalpha()) / len(chars) if chars else 0.0
+        assert non_alpha_ratio(text, count_whitespace) == expected
 
 
 class TestShortRows:

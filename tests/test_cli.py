@@ -519,8 +519,8 @@ class TestClassifyCommand:
         assert "can't decode byte 0xff" in err
         assert not out.exists()
 
-    def test_malformed_rules_file_fails_after_the_input_is_read(self, tmp_path):
-        # classify loads the rules table once its input is read: the line warning comes first
+    def test_malformed_rules_file_fails_before_the_input_is_read(self, tmp_path):
+        # classify parses the rules table first: the input's line warning is never reached
         stage_in, out = tmp_path / "corrected.jsonl", tmp_path / "out"
         stage_in.write_text('{"id": 5}\n' + json.dumps(CORRECTED_ROW, ensure_ascii=False) + "\n", encoding="utf-8")
         bad_rules = tmp_path / "bad.tsv"
@@ -532,10 +532,9 @@ class TestClassifyCommand:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 1
-        warning, error = proc.stderr.splitlines()
-        assert f"{stage_in}: line 1: error: " in warning
+        (error,) = proc.stderr.splitlines()
         assert error.startswith(f"error: {bad_rules}:1: expected 7")
-        assert not (out / "classified.jsonl").exists()
+        assert not out.exists()
 
     def test_rewrite_outcome_needs_corrections(self, tmp_path, caplog):
         # only classify gives global_hallucination; a corrected.jsonl row claiming it was never judged

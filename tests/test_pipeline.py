@@ -549,6 +549,66 @@ class TestBackendConstruction:
         assert any("model" in e for e in errors)
 
 
+# one word pair at the same word position in two records: "sesion" -> "sesión", "mui" -> "muy"
+SHARED_ROWS = [
+    ("s1", "La sesion fue larga y mui tranquila.", "La sesión fue larga y muy tranquila."),
+    ("s2", "La sesion era corta y mui agitada.", "La sesión era corta y muy agitada."),
+]
+SHARED_FIELDS = ("original", "corrected", "original_raw", "corrected_raw", "rule", "original_span", "corrected_span")
+
+
+class TestSharedValues:
+    """A run holds one object per distinct correction string and span, and only for as long as it runs."""
+
+    @pytest.fixture
+    def classified_run(self, tmp_path, monkeypatch):
+        corpus, fixtures = tmp_path / "corpus.jsonl", tmp_path / "fixtures.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": rid, "text": text}, ensure_ascii=False) + "\n" for rid, text, _ in SHARED_ROWS
+        ), encoding="utf-8")
+        fixtures.write_text("".join(
+            json.dumps({"input_hash": MockBackend.hash_text(text), "output": output}, ensure_ascii=False) + "\n"
+            for _, text, output in SHARED_ROWS
+        ), encoding="utf-8")
+        tail, runs = pipeline._classify_tail, []
+
+        def recording_tail(config, candidates, *args):
+            runs[-1].extend(candidates)
+            return tail(config, candidates, *args)
+
+        monkeypatch.setattr(pipeline, "_classify_tail", recording_tail)
+
+        def run() -> list[CandidateRecord]:
+            """The candidates of one mock run, as classify leaves them."""
+            runs.append([])
+            assert run_pipeline(make_config(corpus, fixtures, tmp_path / f"out{len(runs)}")) == 0
+            return runs[-1]
+
+        return run
+
+    def test_one_run_holds_each_value_once(self, classified_run):
+        first, second = (c.corrections for c in classified_run())
+        assert [(c.original, c.corrected) for c in first] == [("sesion", "sesión"), ("mui", "muy")]
+        assert [(c.original, c.corrected) for c in second] == [("sesion", "sesión"), ("mui", "muy")]
+        for a, b in zip(first, second):
+            for name in SHARED_FIELDS:
+                assert getattr(a, name) is getattr(b, name), name
+
+    def test_two_runs_share_no_value(self, classified_run):
+        # a table that outlived its run (a module-level dict, sys.intern) would hand the second run the first's
+        before, after = classified_run(), classified_run()
+        for a, b in zip([c for row in before for c in row.corrections], [c for row in after for c in row.corrections]):
+            assert a == b
+            for name in SHARED_FIELDS:
+                if name != "rule":  # a rule name may be a constant of the code
+                    assert getattr(a, name) is not getattr(b, name), name
+
+    def test_rows_have_no_instance_dict(self, classified_run):
+        candidate = classified_run()[0]
+        for row in (candidate, candidate.record, candidate.corrections[0]):
+            assert not hasattr(row, "__dict__"), type(row).__name__
+
+
 COLD_START_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
