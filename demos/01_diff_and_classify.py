@@ -7,15 +7,8 @@ form, an OCR error, or a hallucination.
 Run from the repository root:  python demos/01_diff_and_classify.py
 """
 
-from histocr import (
-    ClassifierConfig,
-    classify_hunks,
-    default_rules,
-    diff_words,
-    similarity_ratio,
-    tokenize_words,
-)
-from histocr.diffing import format_hunk
+from histocr.classify import ClassifierConfig, classify_hunks, default_rules
+from histocr.diffing import diff_words, format_hunk, similarity_ratio, tokenize_words
 
 ORIGINAL = (
     "La publicacion del Oso se harà dos veces cada se mana, "

@@ -7,7 +7,8 @@ prints the per-filter removal percentages.
 Run from the repository root:  python demos/02_clean_corpus.py
 """
 
-from histocr import CorpusRecord, clean_corpus
+from histocr.cleaning import clean_corpus
+from histocr.records import CorpusRecord
 
 ROWS = [
     ("c01", "El correo llegó ayer con noticias de la capital y del puerto."),

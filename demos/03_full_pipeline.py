@@ -12,7 +12,10 @@ import json
 import tempfile
 from pathlib import Path
 
-from histocr import MockBackend, PipelineConfig, load_processed, run_pipeline
+from histocr.client import MockBackend
+from histocr.config import PipelineConfig
+from histocr.pipeline import run_pipeline
+from histocr.records import load_processed
 
 ROWS = [
     # (id, newspaper, country, year, original text, mock model response)

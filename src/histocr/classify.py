@@ -330,19 +330,6 @@ def _cascade(
     return result(HALLUCINATION, "ratio_threshold", ratio=ratio)
 
 
-def classify_hunk(hunk: ChangeHunk, rules: RuleTable, config: ClassifierConfig) -> ClassifiedCorrection:
-    """Classify one hunk as a unit (no multi-word decomposition)."""
-    if hunk.kind in ("insert", "delete"):
-        return ClassifiedCorrection(
-            normalize_segment(hunk.original_segment), normalize_segment(hunk.corrected_segment),
-            HALLUCINATION, "insert_delete", None, False,
-            hunk.original_span, hunk.corrected_span, hunk.original_segment, hunk.corrected_segment,
-        )
-    return classify_pair(
-        hunk.original_segment, hunk.corrected_segment, rules, config, hunk.original_span, hunk.corrected_span
-    )
-
-
 def _joined(norm: list[str]) -> str:
     """``normalize_segment`` of a segment from its words' forms: a space ends
     the lower-casing context (final sigma), and stripping acts per token."""
@@ -526,8 +513,12 @@ def classify_hunks(
     """
     corrections: list[ClassifiedCorrection] = []
     for hunk in hunks:
-        if hunk.kind in ("insert", "delete"):
-            corrections.append(classify_hunk(hunk, rules, config))
+        if hunk.kind in ("insert", "delete"):  # stage 1
+            corrections.append(ClassifiedCorrection(
+                normalize_segment(hunk.original_segment), normalize_segment(hunk.corrected_segment),
+                HALLUCINATION, "insert_delete", None, False,
+                hunk.original_span, hunk.corrected_span, hunk.original_segment, hunk.corrected_segment,
+            ))
             continue
         o_words = hunk.original_segment.split(" ")
         c_words = hunk.corrected_segment.split(" ")

@@ -1,8 +1,8 @@
 """Corpus cleaning: duplicate/empty removal, non-alphabetic filter, short-row filter.
 
 The filters apply in a fixed order (duplicates/empty, then non-alphabetic,
-then short rows) and each partitions its input; the report tracks per-filter
-removal counts and percentages against the original row total.
+then short rows), and a record takes the first that removes it; the report
+tracks per-filter removal counts and percentages against the original total.
 """
 
 from __future__ import annotations
@@ -37,38 +37,6 @@ TOKENIZERS: dict[str, Tokenizer] = {
 }
 
 
-def _partition(
-    records: Sequence[CorpusRecord], drop: Callable[[CorpusRecord], bool]
-) -> tuple[list[CorpusRecord], list[CorpusRecord]]:
-    """Split records, in input order, into those kept and those ``drop`` removes."""
-    kept: list[CorpusRecord] = []
-    removed: list[CorpusRecord] = []
-    for record in records:
-        (removed if drop(record) else kept).append(record)
-    return kept, removed
-
-
-def filter_duplicates_and_empty(
-    records: Sequence[CorpusRecord],
-) -> tuple[list[CorpusRecord], list[CorpusRecord]]:
-    """Drop empty/whitespace-only texts and exact repeats of earlier texts.
-
-    Duplicate means byte-identical text after trimming leading/trailing
-    whitespace; the first occurrence is kept. Decisions are made in input
-    order so "first occurrence wins" is deterministic.
-    """
-    seen: set[str] = set()
-
-    def drop(record: CorpusRecord) -> bool:
-        trimmed = record.text.strip()
-        if not trimmed or trimmed in seen:
-            return True
-        seen.add(trimmed)
-        return False
-
-    return _partition(records, drop)
-
-
 def non_alpha_ratio(text: str, count_whitespace: bool = False) -> float:
     """Fraction of characters that are not Unicode letters.
 
@@ -86,30 +54,6 @@ def non_alpha_ratio(text: str, count_whitespace: bool = False) -> float:
     return non_alpha / total if total else 0.0
 
 
-def filter_non_alphabetic(
-    records: Sequence[CorpusRecord],
-    max_ratio: float = 0.5,
-    count_whitespace: bool = False,
-) -> tuple[list[CorpusRecord], list[CorpusRecord]]:
-    """Drop records where strictly more than ``max_ratio`` of characters are non-letters.
-
-    Accented letters and ñ count as alphabetic; digits, punctuation and
-    symbols do not. A record sitting exactly on the threshold is kept.
-    """
-    return _partition(records, lambda r: non_alpha_ratio(r.text, count_whitespace) > max_ratio)
-
-
-def filter_short(
-    records: Sequence[CorpusRecord],
-    min_tokens: int = 4,
-    tokenizer: Tokenizer = word_tokens,
-) -> tuple[list[CorpusRecord], list[CorpusRecord]]:
-    """Drop records with ``min_tokens`` or fewer tokens."""
-    if min_tokens < 0:
-        raise ValueError("min_tokens must be >= 0")
-    return _partition(records, lambda r: len(tokenizer(r.text)) <= min_tokens)
-
-
 def clean_corpus(
     records: Sequence[CorpusRecord],
     min_tokens: int = 4,
@@ -117,19 +61,33 @@ def clean_corpus(
     count_whitespace: bool = False,
     tokenizer: Tokenizer = word_tokens,
 ) -> tuple[list[CorpusRecord], list[tuple[CorpusRecord, str]], dict]:
-    """Run the three filters in order; return survivors, removals with reasons, report.
+    """Run the three filters in one pass; return survivors, removals with reasons, report.
 
-    The report is what ``cleaning_report.json`` holds: the counts, each removal
-    also as a percentage of ``total_rows``.
+    Duplicate or empty: no text, or an earlier record's text (kept or not),
+    once edge whitespace is trimmed. Non-alphabetic: strictly more than
+    ``max_nonalpha`` of the characters are not letters. Short: ``min_tokens``
+    or fewer tokens. Removals are listed by reason, then in input order; the
+    report (``cleaning_report.json``) gives each count, removals also in percent.
     """
-    kept, dup_removed = filter_duplicates_and_empty(records)
-    kept, alpha_removed = filter_non_alphabetic(kept, max_nonalpha, count_whitespace)
-    kept, short_removed = filter_short(kept, min_tokens, tokenizer)
-    removed = (
-        [(r, REASON_DUPLICATE_OR_EMPTY) for r in dup_removed]
-        + [(r, REASON_NON_ALPHABETIC) for r in alpha_removed]
-        + [(r, REASON_TOO_SHORT) for r in short_removed]
-    )
+    if min_tokens < 0:
+        raise ValueError("min_tokens must be >= 0")
+    seen: set[str] = set()
+    kept: list[CorpusRecord] = []
+    removed_by: dict[str, list[CorpusRecord]] = {REASON_DUPLICATE_OR_EMPTY: [], REASON_NON_ALPHABETIC: [], REASON_TOO_SHORT: []}
+    dup, alpha, short = removed_by.values()
+    for record in records:
+        trimmed = record.text.strip()
+        if not trimmed or trimmed in seen:
+            dup.append(record)
+            continue
+        seen.add(trimmed)
+        if non_alpha_ratio(record.text, count_whitespace) > max_nonalpha:
+            alpha.append(record)
+        elif len(tokenizer(record.text)) <= min_tokens:
+            short.append(record)
+        else:
+            kept.append(record)
+    removed = [(r, reason) for reason, rows in removed_by.items() for r in rows]
     total = len(records)
 
     def pct(n: int) -> float:
@@ -137,12 +95,12 @@ def clean_corpus(
 
     report = {
         "total_rows": total,
-        "removed_duplicate_or_empty": len(dup_removed),
-        "pct_duplicate_or_empty": pct(len(dup_removed)),
-        "removed_non_alpha": len(alpha_removed),
-        "pct_non_alpha": pct(len(alpha_removed)),
-        "removed_short": len(short_removed),
-        "pct_short": pct(len(short_removed)),
+        "removed_duplicate_or_empty": len(dup),
+        "pct_duplicate_or_empty": pct(len(dup)),
+        "removed_non_alpha": len(alpha),
+        "pct_non_alpha": pct(len(alpha)),
+        "removed_short": len(short),
+        "pct_short": pct(len(short)),
         "surviving": len(kept),
     }
     return kept, removed, report

@@ -230,20 +230,21 @@ def classify_candidate(
 ) -> CandidateRecord:
     """Diff one corrected candidate against its original and label the changes.
 
-    Sets the candidate's ``corrections`` (and, for a rewrite, its outcome) in
-    place and returns it. A candidate whose whole-text similarity to the
-    original is below ``threshold`` rewrote the record wholesale: it is
-    marked ``global_hallucination`` and gets no corrections. ``shared`` is
+    Sets the candidate's ``corrections`` and outcome in place and returns it.
+    An ``ok`` or ``global_hallucination`` candidate whose whole-text similarity
+    to the original is below ``threshold`` rewrote the record wholesale: it is
+    marked ``global_hallucination`` with no corrections, else ``ok``. ``shared`` is
     the run's table of values: each correction's strings and spans are
     swapped for the first equal value the run has seen, so the run holds one
     object per distinct value and the candidate's own copies are freed.
     """
     candidate.corrections = []
-    if candidate.outcome != OUTCOME_OK or candidate.text_llm is None:
+    if candidate.outcome not in (OUTCOME_OK, OUTCOME_GLOBAL_HALLUCINATION) or candidate.text_llm is None:
         return candidate
     if similarity_below(candidate.record.text, candidate.text_llm, threshold):
         candidate.outcome = OUTCOME_GLOBAL_HALLUCINATION
         return candidate
+    candidate.outcome = OUTCOME_OK
     hunks = diff_words(tokenize_words(candidate.record.text), tokenize_words(candidate.text_llm))
     candidate.corrections = classify_hunks(hunks, rules, cls_config)
     # strings and spans only: ``1 == 1.0 == True``, so a shared number or bool could come back as another type

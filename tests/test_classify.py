@@ -13,7 +13,6 @@ from histocr.classify import (
     ClassifierConfig,
     aggregate_frequencies,
     apply_frequency_promotion,
-    classify_hunk,
     classify_hunks,
     classify_pair,
     default_rules,
@@ -128,13 +127,13 @@ class TestCascade:
 
     def test_insert_is_hallucination(self, rules, config):
         hunk = ChangeHunk("", "nueva", (3, 3), (3, 4), "insert")
-        got = classify_hunk(hunk, rules, config)
+        (got,) = classify_hunks([hunk], rules, config)
         assert got.label == HALLUCINATION
         assert got.rule == "insert_delete"
 
     def test_delete_is_hallucination(self, rules, config):
         hunk = ChangeHunk("vieja", "", (3, 4), (3, 3), "delete")
-        got = classify_hunk(hunk, rules, config)
+        (got,) = classify_hunks([hunk], rules, config)
         assert got.label == HALLUCINATION
         assert got.rule == "insert_delete"
 
@@ -522,7 +521,9 @@ class TestHunkNormalization:
     def test_whole_hunk_keeps_its_spans(self, rules, config):
         hunk = ChangeHunk("Se Mana,", "semana,", (4, 6), (4, 5), "replace")
         (got,) = classify_hunks([hunk], rules, config)
-        assert got == classify_hunk(hunk, rules, config)
+        assert got == classify_pair(
+            hunk.original_segment, hunk.corrected_segment, rules, config, hunk.original_span, hunk.corrected_span
+        )
         assert (got.original, got.corrected) == ("se mana", "semana")
 
 

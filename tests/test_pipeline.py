@@ -520,6 +520,20 @@ class TestRethreshold:
         assert backend.calls == calls
         assert (tmp_path / "corrected.jsonl").read_bytes() == corrected_bytes
 
+    def test_classify_rejudges_its_own_rewrite_verdicts(self, pipeline_fixture, tmp_path):
+        # classified.jsonl is a valid classify input: its global_hallucination
+        # rows are judged again at the new threshold, like its ok rows
+        corpus, fixtures = pipeline_fixture
+        run_stages(make_config(corpus, fixtures, tmp_path / "run"), tmp_path / "run")
+        corrected = tmp_path / "run" / "corrected.jsonl"
+        strict, again, direct = (tmp_path / name for name in ("strict.jsonl", "again.jsonl", "direct.jsonl"))
+        config = make_config(corpus, fixtures, tmp_path, hallucination_threshold=0.5)
+        strict_config = make_config(corpus, fixtures, tmp_path, hallucination_threshold=0.97)
+        flagged_strict = stage_classify(strict_config, corrected, strict)
+        flagged_again = stage_classify(config, strict, again)
+        assert stage_classify(config, corrected, direct) == flagged_again < flagged_strict
+        assert again.read_bytes() == direct.read_bytes()
+
 
 class TestBackendConstruction:
     def test_http_backend_wired_from_config(self, monkeypatch, pipeline_fixture):
@@ -632,3 +646,13 @@ class TestColdStart:
         )
         assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
         assert (tmp_path / "out" / "final.jsonl").is_file()
+
+    @pytest.mark.parametrize(
+        "module, loaded", [("histocr", ["histocr"]), ("histocr.diffing", ["histocr", "histocr.diffing"])]
+    )
+    def test_a_leaf_module_loads_no_other_package_module(self, module, loaded):
+        # the package re-exports nothing, so importing one module runs no other
+        src = Path(client.__file__).resolve().parents[1]
+        script = f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; print(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script, str(src)], capture_output=True, text=True, check=True)
+        assert sorted(m for m in proc.stdout.split() if m == "histocr" or m.startswith("histocr.")) == loaded
