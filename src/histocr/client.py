@@ -20,7 +20,7 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Generator, Protocol
 
 from .records import (
     OUTCOME_CONTENT_POLICY,
@@ -245,23 +245,20 @@ def strip_fences(response: str) -> str:
     return text
 
 
-def correct_text(
+def correction_attempts(
     text: str,
     backend: CorrectionBackend,
     retry_policy: RetryPolicy | None = None,
     template: PromptTemplate | None = None,
     max_chars: int | None = None,
-) -> BackendResult:
-    """Fetch a corrected candidate for one record; never raises on backend trouble.
+) -> Generator[float, None, BackendResult]:
+    """The attempts of :func:`correct_text`, one backend call per step.
 
-    Texts over the character budget are flagged ``over_length`` without a
-    backend call (the pipeline does not split records into chunks), and an
-    empty text is a ``transport_error`` without one. A
-    :class:`FatalTransportError` is not retried. Before a retry it sleeps
-    the backoff delay, or the server's ``Retry-After`` if that is longer,
-    but never more than ``backoff_cap``. Any other exception from the
-    backend, or a response that is not a ``str`` or holds a lone surrogate,
-    is one ``transport_error`` whose detail names the cause; none is retried.
+    Each step that ends in a retryable :class:`TransportError` yields the
+    seconds to wait before the next attempt; the generator returns the
+    :class:`BackendResult`. The caller waits out each delay, so a scheduler
+    can run other records' calls meanwhile; ``retry_policy.sleep`` is not
+    called here.
     """
     if not text:
         return BackendResult(OUTCOME_TRANSPORT_ERROR, detail="empty text: nothing to correct")
@@ -284,24 +281,53 @@ def correct_text(
         except FatalTransportError as exc:
             return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=f"not retried: {exc}")
         except TransportError as exc:
-            last_error = str(exc)
-            if attempt < retry_policy.max_attempts:
-                delay = max(exc.retry_after or 0.0, retry_policy.delay(attempt))
-                retry_policy.sleep(min(delay, retry_policy.backoff_cap))
-            continue
+            last_error, retry_after = str(exc), exc.retry_after or 0.0
         except Exception as exc:
             # a backend bug costs this record, not the stage; --verbose shows the traceback
             logger.warning("backend raised %s; recorded as transport_error", type(exc).__name__,
                            exc_info=logger.isEnabledFor(logging.DEBUG))
             return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=f"not retried: {type(exc).__name__}: {exc}")
-        if not isinstance(raw, str):
-            detail = f"not retried: backend returned {type(raw).__name__}, not str"
-            return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=detail)
-        if surrogate := lone_surrogate(raw):
-            detail = f"not retried: response holds a lone surrogate at index {surrogate.start()}"
-            return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=f"{detail}, which UTF-8 cannot encode")
-        return BackendResult(OUTCOME_OK, corrected_text=strip_fences(raw))
+        else:
+            if not isinstance(raw, str):
+                detail = f"not retried: backend returned {type(raw).__name__}, not str"
+                return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=detail)
+            if surrogate := lone_surrogate(raw):
+                detail = f"not retried: response holds a lone surrogate at index {surrogate.start()}"
+                return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=f"{detail}, which UTF-8 cannot encode")
+            return BackendResult(OUTCOME_OK, corrected_text=strip_fences(raw))
+        # yielded outside the handler, so a suspended attempt holds no exception
+        if attempt < retry_policy.max_attempts:
+            yield min(max(retry_after, retry_policy.delay(attempt)), retry_policy.backoff_cap)
     return BackendResult(
         OUTCOME_TRANSPORT_ERROR,
         detail=f"exhausted {retry_policy.max_attempts} attempts: {last_error}",
     )
+
+
+def correct_text(
+    text: str,
+    backend: CorrectionBackend,
+    retry_policy: RetryPolicy | None = None,
+    template: PromptTemplate | None = None,
+    max_chars: int | None = None,
+) -> BackendResult:
+    """Fetch a corrected candidate for one record; never raises on backend trouble.
+
+    Texts over the character budget are flagged ``over_length`` without a
+    backend call (the pipeline does not split records into chunks), and an
+    empty text is a ``transport_error`` without one. A
+    :class:`FatalTransportError` is not retried. Before a retry it sleeps
+    the backoff delay, or the server's ``Retry-After`` if that is longer,
+    but never more than ``backoff_cap``. Any other exception from the
+    backend, or a response that is not a ``str`` or holds a lone surrogate,
+    is one ``transport_error`` whose detail names the cause; none is retried.
+    The attempts are :func:`correction_attempts`, each delay slept through
+    ``retry_policy.sleep`` in the calling thread.
+    """
+    retry_policy = retry_policy or RetryPolicy()
+    steps = correction_attempts(text, backend, retry_policy, template, max_chars)
+    try:
+        while True:
+            retry_policy.sleep(next(steps))
+    except StopIteration as done:
+        return done.value

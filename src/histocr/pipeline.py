@@ -38,12 +38,16 @@ labeled corrections; a wholesale rewrite reads ``global_hallucination``),
 
 from __future__ import annotations
 
+import heapq
 import logging
+import threading
+import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Generator, Iterator
 
 from .applier import apply_corrections, emit_lexicon, write_lexicon
 from .classify import (
@@ -63,6 +67,7 @@ from .client import (
     MockBackend,
     RetryPolicy,
     correct_text,
+    correction_attempts,
 )
 from .config import PipelineConfig
 from .diffing import diff_words, similarity_below, tokenize_words
@@ -164,6 +169,70 @@ def clean_records(
     return kept, 0
 
 
+@contextmanager
+def _scheduled_attempts(
+    attempts: Callable[[CorpusRecord], Generator[float, None, BackendResult]],
+    records: list[CorpusRecord],
+    slots: int,
+) -> Iterator[Iterator[BackendResult]]:
+    """Each record's attempts run on ``slots`` threads; the results in input order.
+
+    A free thread takes the earliest retry that is due, else the next record
+    not yet started, else waits for the earliest due time. A record waiting
+    out a retry delay sits on a heap keyed by its due time and holds no
+    thread, so at most ``slots`` calls are in flight and no thread idles
+    while a call is due. A record's result, or the exception that escaped
+    its attempts, reaches the caller through its future. Once the ``with``
+    block is left, no attempt is started: the calls in flight finish and
+    their threads are joined before it exits.
+    """
+    futures = [Future() for _ in records]
+    due: list[tuple[float, int, Generator]] = []
+    fresh, stopped = 0, False
+    ready = threading.Condition()
+
+    def work() -> None:
+        nonlocal fresh
+        while True:
+            with ready:
+                while True:
+                    if stopped:
+                        return
+                    if due and due[0][0] <= time.monotonic():
+                        _, i, steps = heapq.heappop(due)
+                        break
+                    if fresh < len(records):
+                        i, steps, fresh = fresh, None, fresh + 1
+                        break
+                    if not due:
+                        return
+                    ready.wait(due[0][0] - time.monotonic())
+            try:
+                if steps is None:
+                    steps = attempts(records[i])
+                delay = next(steps)
+            except StopIteration as done:
+                futures[i].set_result(done.value)
+            except BaseException as exc:
+                futures[i].set_exception(exc)
+            else:
+                with ready:
+                    heapq.heappush(due, (time.monotonic() + delay, i, steps))
+
+    threads = [threading.Thread(target=work, name=f"histocr-correct-{n}") for n in range(slots)]
+    try:
+        for thread in threads:
+            thread.start()
+        yield (future.result() for future in futures)
+    finally:
+        with ready:
+            stopped = True
+            ready.notify_all()
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+
+
 def correct_records(
     config: PipelineConfig,
     records: list[CorpusRecord],
@@ -173,9 +242,10 @@ def correct_records(
 ) -> tuple[list[CandidateRecord], int]:
     """Fetch a corrected candidate for every cleaned record and write it as returned.
 
-    Requests may run concurrently up to the configured limit; responses are
-    taken in input order as they arrive, and each candidate's row is written
-    then, as returned. ``classify``, if given, then runs on the candidate,
+    Requests may run concurrently up to the configured limit, and a record
+    waiting out a retry delay holds none of those slots
+    (:func:`_scheduled_attempts`). Responses are taken in input order as
+    they arrive, and each candidate's row is written then, as returned. ``classify``, if given, then runs on the candidate,
     while later responses are still awaited. If ``classify`` raises, every
     remaining response is still taken and the file written before the error
     propagates, so no paid response is lost. Returns the candidates and the
@@ -184,15 +254,6 @@ def correct_records(
     """
     backend = backend or make_backend(config)
     policy = RetryPolicy(max_attempts=config.retry_attempts, backoff_base=config.backoff_base)
-
-    def process(record: CorpusRecord) -> BackendResult:
-        return correct_text(
-            record.text,
-            backend,
-            retry_policy=policy,
-            max_chars=config.max_chars,
-        )
-
     candidates, outcomes, error = [], Counter(), None
 
     def rows(results):
@@ -209,15 +270,16 @@ def correct_records(
                 except Exception as exc:
                     error = exc
 
-    parallel = config.concurrency > 1 and len(records) > 1
-    # an executor starts no thread until its first request
-    pool = ThreadPoolExecutor(max_workers=config.concurrency)
-    try:
-        results = pool.map(process, records) if parallel else map(process, records)
-        write_artifact(output_path, rows(results))
-    finally:
-        # after an interrupt, no request that has not started is sent
-        pool.shutdown(cancel_futures=True)
+    def attempts(record: CorpusRecord) -> Generator[float, None, BackendResult]:
+        return correction_attempts(record.text, backend, policy, max_chars=config.max_chars)
+
+    if config.concurrency > 1 and len(records) > 1:
+        results = _scheduled_attempts(attempts, records, min(config.concurrency, len(records)))
+    else:
+        # one request at a time, each retry delay slept in this thread
+        results = nullcontext(correct_text(r.text, backend, policy, max_chars=config.max_chars) for r in records)
+    with results as responses:
+        write_artifact(output_path, rows(responses))
     if error is not None:
         raise error
     logger.info("correction outcomes: %s", dict(sorted(outcomes.items())))

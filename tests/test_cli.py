@@ -164,12 +164,16 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "content, message",
         [
-            (b'{"concurrency": 2,}', "Expecting property name enclosed in double quotes"),
+            (b'{"concurrency": 2,}', None),  # json's own message, which differs between Python versions
             (b'{"concurrency": \xff}', "can't decode byte 0xff"),
         ],
         ids=["malformed", "undecodable"],
     )
     def test_bad_config_file_is_named(self, pipeline_fixture, tmp_path, capsys, content, message):
+        if message is None:
+            with pytest.raises(json.JSONDecodeError) as parsed:
+                json.loads(content.decode("utf-8"))
+            message = str(parsed.value)
         corpus, _ = pipeline_fixture
         config = tmp_path / "config.json"
         config.write_bytes(content)

@@ -15,8 +15,10 @@ from histocr.client import (
     MockBackend,
     PromptTemplate,
     RetryPolicy,
+    FatalTransportError,
     TransportError,
     correct_text,
+    correction_attempts,
     strip_fences,
 )
 from histocr.records import CorpusError
@@ -271,6 +273,84 @@ class TestCorrectText:
         assert result.outcome == OUTCOME_TRANSPORT_ERROR
         assert result.detail == "not retried: response holds a lone surrogate at index 5, which UTF-8 cannot encode"
         assert backend.calls == 1
+
+
+class ScriptedBackend:
+    """Plays one scripted step per call: an exception is raised, anything else returned."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.calls = 0
+
+    def complete(self, prompt, text):
+        step = self.script[self.calls]
+        self.calls += 1
+        if isinstance(step, BaseException):
+            raise step
+        return step
+
+
+def drive(steps):
+    """Every delay a correction_attempts generator yields, and the result it returns."""
+    delays = []
+    while True:
+        try:
+            delays.append(next(steps))
+        except StopIteration as done:
+            return delays, done.value
+
+
+class TestCorrectionAttempts:
+    """The attempts generator, driven by hand, yields the delays correct_text sleeps and returns its result."""
+
+    @pytest.mark.parametrize(
+        "script, policy, delays, outcome",
+        [
+            ([TransportError("boom"), "hola"], RetryPolicy(max_attempts=3, backoff_base=1.0), [1.0], OUTCOME_OK),
+            ([TransportError("busy", retry_after=3.0)] * 3, RetryPolicy(max_attempts=3, backoff_base=1.0),
+             [3.0, 3.0], OUTCOME_TRANSPORT_ERROR),
+            ([TransportError("busy", retry_after=1.5)] * 3, RetryPolicy(max_attempts=3, backoff_base=1.0),
+             [1.5, 2.0], OUTCOME_TRANSPORT_ERROR),
+            ([TransportError("busy", retry_after=0.5), "hola"], RetryPolicy(max_attempts=3, backoff_base=1.0),
+             [1.0], OUTCOME_OK),
+            ([TransportError("boom")] * 6, RetryPolicy(max_attempts=6, backoff_base=1.0, backoff_cap=4.0),
+             [1.0, 2.0, 4.0, 4.0, 4.0], OUTCOME_TRANSPORT_ERROR),
+            ([TransportError("busy", retry_after=120.0), "hola"],
+             RetryPolicy(max_attempts=3, backoff_base=1.0, backoff_cap=4.0), [4.0], OUTCOME_OK),
+            ([FatalTransportError("HTTP 401: no")], RetryPolicy(max_attempts=3), [], OUTCOME_TRANSPORT_ERROR),
+            ([TransportError("boom"), ContentPolicyRefusal("flagged")], RetryPolicy(max_attempts=3, backoff_base=1.0),
+             [1.0], OUTCOME_CONTENT_POLICY),
+            ([None], RetryPolicy(max_attempts=3), [], OUTCOME_TRANSPORT_ERROR),
+        ],
+        ids=["transient", "retry-after-above", "retry-after-between", "retry-after-below", "cap",
+             "retry-after-capped", "fatal-4xx", "refusal", "non-str"],
+    )
+    def test_delays_and_result_equal_correct_text(self, script, policy, delays, outcome):
+        backend = ScriptedBackend(script)
+        yielded, result = drive(correction_attempts("hola", backend, policy))
+        assert (yielded, result.outcome) == (delays, outcome)
+        assert backend.calls == len(delays) + 1
+        slept = []
+        sleeping = RetryPolicy(policy.max_attempts, policy.backoff_base, policy.backoff_cap, sleep=slept.append)
+        assert correct_text("hola", ScriptedBackend(script), sleeping) == result
+        assert slept == yielded
+
+    def test_each_step_is_one_call(self):
+        backend = ScriptedBackend([TransportError("boom"), TransportError("boom"), "hola"])
+        steps = correction_attempts("hola", backend, RetryPolicy(max_attempts=3, backoff_base=0.5))
+        assert backend.calls == 0  # nothing is sent before the first step
+        assert (next(steps), backend.calls) == (0.5, 1)
+        assert (next(steps), backend.calls) == (1.0, 2)
+        with pytest.raises(StopIteration) as done:
+            next(steps)
+        assert (done.value.value, backend.calls) == (BackendResult(OUTCOME_OK, corrected_text="hola"), 3)
+
+    @pytest.mark.parametrize("text, max_chars", [("", None), ("x" * 100, 50)], ids=["empty", "over-length"])
+    def test_no_call_no_step(self, text, max_chars):
+        backend = ScriptedBackend([])
+        delays, result = drive(correction_attempts(text, backend, max_chars=max_chars))
+        assert (delays, backend.calls) == ([], 0)
+        assert result == correct_text(text, backend, max_chars=max_chars)
 
 
 class FakeResponse:

@@ -357,21 +357,143 @@ class TestClassifyErrorInRun:
 
     def test_interrupt_sends_no_further_request(self, pipeline_fixture, tmp_path, monkeypatch):
         corpus, fixtures = pipeline_fixture
+        config = make_config(corpus, fixtures, tmp_path / "out", concurrency=2, backoff_base=1.0)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        kept, _ = pipeline.clean_records(
+            config, records.load_corpus(corpus).records, scratch / "c", scratch / "r", scratch / "j"
+        )
+        first, second = kept[0].text, kept[1].text
 
         def interrupted(hunks, *args):
             raise KeyboardInterrupt
 
         class SlowBackend(RecordingBackend):
+            """The second record's first attempt fails at once, and the first
+            record's response waits for that, so the interrupt comes while the
+            second record waits out its backoff. Other calls take 50 ms."""
+
+            failed = threading.Event()
+
             def complete(self, prompt: str, text: str) -> str:
-                time.sleep(0.05)
+                if text == second and not self.failed.is_set():
+                    self.texts.append(text)
+                    self.failed.set()
+                    raise client.TransportError("busy")
+                if text == first:
+                    assert self.failed.wait(10)
+                else:
+                    time.sleep(0.05)
                 return super().complete(prompt, text)
 
         monkeypatch.setattr(pipeline, "classify_hunks", interrupted)
         backend = SlowBackend(fixtures)
         with pytest.raises(KeyboardInterrupt):
-            run_pipeline(make_config(corpus, fixtures, tmp_path / "out", concurrency=2), backend=backend)
+            run_pipeline(config, backend=backend)
         # the first candidate's classify is interrupted; only requests already running finish
         assert len(backend.texts) <= 4
+        # and the record waiting out its backoff is not retried
+        assert backend.texts.count(second) == 1
+
+
+class InFlightBackend(MockBackend):
+    """Counts the calls in flight; each text's first attempt fails with a retryable error."""
+
+    def __init__(self, fixture_path):
+        super().__init__(fixture_path)
+        self.lock = threading.Lock()
+        self.in_flight = self.most_in_flight = 0
+        self.calls = Counter()
+
+    def complete(self, prompt: str, text: str) -> str:
+        with self.lock:
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+            self.calls[text] += 1
+            first_attempt = self.calls[text] == 1
+        try:
+            time.sleep(0.002)
+            if first_attempt:
+                raise client.TransportError("busy")
+            return super().complete(prompt, text)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+class Halt(BaseException):
+    """Not an ``Exception``: the client's per-record isolation does not catch it."""
+
+
+class TestScheduledAttempts:
+    """With ``concurrency > 1``, a record waiting out a retry delay holds no request slot."""
+
+    @pytest.mark.parametrize("concurrency", [2, 3])
+    def test_in_flight_calls_never_exceed_concurrency(self, pipeline_fixture, tmp_path, concurrency):
+        corpus, fixtures = pipeline_fixture
+        out = tmp_path / "out"
+        backend = InFlightBackend(fixtures)
+        config = make_config(corpus, fixtures, out, concurrency=concurrency, backoff_base=0.005)
+        assert run_pipeline(config, backend=backend) == 0
+        assert 1 <= backend.most_in_flight <= concurrency
+        # every text sent failed once and was retried once (two attempts), and the bytes are the pinned ones
+        assert set(backend.calls.values()) == {2}
+        for name in ARTIFACTS:
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == ARTIFACT_SHA256[name], name
+
+    def test_a_record_in_backoff_holds_no_slot(self, tmp_path):
+        texts = {
+            "b": "La sesion se abrió á las dos de la tarde con asistencia de todos.",
+            "a": "Se leyó y aprobó la acta de la Asamblea anterior sin observacion.",
+            "c": "En seguida se dió cuenta de una nota del Ejecutivo sobre el ejército.",
+        }
+        both_in_flight = threading.Barrier(2, timeout=5)
+        calls, met = Counter(), []
+
+        class Backend:
+            def complete(self, prompt: str, text: str) -> str:
+                calls[text] += 1
+                if text == texts["a"]:
+                    raise client.TransportError("busy")  # then an 8 s backoff
+                both_in_flight.wait()  # b and c at once, while a waits out its backoff
+                met.append(text)
+                return text
+
+        def interrupt(candidate):
+            raise KeyboardInterrupt
+
+        config = make_config(tmp_path / "unused", tmp_path / "unused", tmp_path, concurrency=2, backoff_base=8.0)
+        rows = [CorpusRecord(id=key, text=text) for key, text in texts.items()]
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.correct_records(config, rows, tmp_path / "corrected.jsonl", backend=Backend(), classify=interrupt)
+        assert sorted(met) == sorted([texts["b"], texts["c"]])
+        # b's candidate was interrupted; a's retry, not yet due, was never sent
+        assert calls == Counter(texts.values())
+
+    def test_a_base_exception_from_the_backend_reaches_the_caller(self, pipeline_fixture, tmp_path):
+        corpus, fixtures = pipeline_fixture
+        halting = {MockBackend.hash_text(text) for text in [json.loads(line)["text"] for line in corpus.open()][2:4]}
+
+        class Halting(RecordingBackend):
+            def complete(self, prompt: str, text: str) -> str:
+                if self.hash_text(text) in halting:
+                    raise Halt
+                return super().complete(prompt, text)
+
+        raised = []
+
+        def run():
+            try:
+                run_pipeline(make_config(corpus, fixtures, tmp_path / "out", concurrency=2), backend=Halting(fixtures))
+            except BaseException as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive(), "run_pipeline did not return"
+        assert [type(exc) for exc in raised] == [Halt]
+        assert not (tmp_path / "out" / "corrected.jsonl").exists()
 
 
 class TestModes:
