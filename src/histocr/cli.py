@@ -6,8 +6,9 @@ and report, and the debug helper diff, each a row of one table of flag groups.
 artifacts into DIR under the names ``run`` gives them (see
 :mod:`histocr.pipeline`). Every flag sets the config field named by its dest;
 the global flags ``--config``, ``--verbose`` and ``--strict`` are accepted
-before or after the command. Exit codes: 0 success, 1 fatal error, 2 in strict
-mode when a stage skipped an input line or a record failed.
+before or after the command. Exit codes: 0 success; 1 fatal, a code fault too
+(one ``error:`` line naming its stage and record, or the command); 2 in strict
+mode on a skipped input line, a failed record or a row left out; 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import pipeline
-from .applier import SpanIntegrityError
 from .classify import classify_hunks
 from .config import BACKEND_KINDS, PipelineConfig, load_config
 from .diffing import diff_words, format_hunk, tokenize_words
@@ -108,9 +108,9 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return replace(config, **{f.name: getattr(args, f.name) for f in fields(PipelineConfig) if f.name in args})
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = 1) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 1
+    return code
 
 
 def _require_input(path: str) -> None:
@@ -137,15 +137,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = _build_config(args)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-    errors = config.validate()
-    if errors:
+        errors = config.validate()
         for err in errors:
             print(f"config error: {err}", file=sys.stderr)
-        return 1
-
-    try:
+        if errors:
+            return 1
         if args.command == "diff":
             original, corrected = _read_text(args.original), _read_text(args.corrected)
             hunks = diff_words(tokenize_words(original), tokenize_words(corrected))
@@ -162,8 +158,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return pipeline.run_pipeline(config)
         problems = pipeline.run_stage(args.command, config)
-    except (CorpusError, SpanIntegrityError, ValueError, OSError) as exc:
+    except (CorpusError, ValueError, OSError) as exc:
         return _fail(str(exc))
+    except KeyboardInterrupt:
+        return _fail("interrupted", 130)
+    except Exception as exc:  # a code fault: stays fatal, its traceback only in the debug log
+        logging.getLogger(__name__).debug("internal error", exc_info=True)
+        where = "" if isinstance(exc, pipeline.RecordError) else f"{args.command}: {type(exc).__name__}: "
+        return _fail(f"internal error in {where}{exc}")
     return 2 if config.strict and problems else 0
 
 

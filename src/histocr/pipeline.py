@@ -1,31 +1,33 @@
 """Stage orchestration: clean -> correct -> classify -> apply -> report.
 
-Every stage has a core (``clean_records`` ... ``report_records``) that takes
-the previous stage's records, writes its artifacts and returns ``(records,
-problems)``: its own records and how many it failed (``correct``: records
-neither ``ok`` nor refused; ``classify``: wholesale rewrites; others: none).
-From ``correct`` on, a record is one row (:class:`CandidateRecord`) that
-each core fills in place; each artifact is the row's projection onto that
-artifact's keys (:mod:`histocr.records`). :func:`run_pipeline` loads the
-rules table, then chains the cores: it writes every artifact and reads none
-back. It runs classify's per-record work (:func:`classify_candidate`) on
-each candidate as its response arrives, so after the last response only
-classify's corpus-wide tail is left.
+The data flow is two per-record maps around one corpus barrier, then two
+folds. The first map takes a record through clean's filters, the model call
+and :func:`classify_candidate`. The barrier, in :func:`classify_records`,
+needs the whole corpus: correction frequencies, promotion, then the
+``classified.jsonl`` write. The second map, :func:`apply_row`, sets each
+row's status and final text. The folds are the lexicons
+(:func:`apply_records`) and the report (:func:`report_records`).
+:func:`_each` is the one caller of both per-record functions. In
+:func:`run_pipeline`, classify's map runs in correct's arrival loop, on each
+candidate as its response arrives; the ``classify`` command maps the rows it
+loads.
 
-One table, ``_STAGES``, defines every stage: its input loader, its core and
-its artifact names, in the order the core takes their paths. The stage
-commands (``stage_clean`` ... ``stage_report``) are one command bound to
-each row: it reads the input file with the row's loader, logs its line
-diagnostics, passes its other arguments to the core and returns the input
-lines skipped plus the records failed; strict mode exits 2 on any. So every
-stage stays resumable, and a re-run never repeats a slow, costly model call.
-:func:`run_stage` runs one stage command by name, its artifacts in
-``config.output_dir`` under the row's names, which :func:`run_pipeline`
-gives them too; chained through one directory, the stage commands produce
-byte-identical artifacts to :func:`run_pipeline`. ``correct`` writes what
-the backend returned and judges nothing: every threshold,
-``hallucination_threshold`` included, is applied by ``classify``, so
-re-tuning one never repeats a model call.
+Each stage has a core (``clean_records`` ... ``report_records``) that takes
+the previous stage's records, writes its artifacts and returns ``(records,
+problems)`` (``correct``: records neither ``ok`` nor refused; ``classify``:
+wholesale rewrites; ``apply``: rows left out; others: none). From
+``correct`` on, a record is one :class:`CandidateRecord` row that each core
+fills in place; each artifact is its projection onto the artifact's keys
+(:mod:`histocr.records`). :func:`run_pipeline` chains the cores: it writes
+every artifact and reads none back. ``_STAGES`` defines each stage: its
+input loader, its core and its artifacts, in the order the core takes their
+paths. Each stage command (``stage_clean`` ... ``stage_report``) reads its
+input with the row's loader, logs the line diagnostics, runs the core and
+returns the lines skipped plus the records failed; strict mode exits 2 on
+any. :func:`run_stage` runs one by name into ``config.output_dir`` under the
+names :func:`run_pipeline` uses, so the commands chained through one
+directory write its bytes. ``correct`` judges nothing: every threshold is
+applied by ``classify``, so re-tuning one never repeats a model call.
 
 Artifacts: ``cleaned.jsonl`` (surviving corpus records), ``removed.jsonl``
 (status ``cleaned_out``), ``cleaning_report.json`` (per-filter counts),
@@ -44,12 +46,12 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from functools import partial
 from pathlib import Path
-from typing import Callable, Generator, Iterator
+from typing import Callable, Generator, Iterable, Iterator
 
-from .applier import apply_corrections, emit_lexicon, write_lexicon
+from .applier import SpanIntegrityError, apply_corrections, emit_lexicon, write_lexicon
 from .classify import (
     ClassifierConfig,
     RuleTable,
@@ -88,7 +90,7 @@ from .records import (
     load_candidates,
     load_corpus,
     load_processed,
-    write_artifact,
+    open_artifact,
     write_json,
     write_records,
 )
@@ -139,12 +141,37 @@ def _load_classified(path: str | Path) -> LoadResult:
     return loaded
 
 
+class RecordError(Exception):
+    """An exception that escaped a per-record function, raised from it; the message names the stage and the record."""
+
+
+def _each(stage: str, call: Callable[[CandidateRecord], object], rows: Iterable) -> Iterator[CandidateRecord]:
+    """``call`` on each row in order, yielding the row after its call: the one caller of the per-record functions.
+
+    A row whose call raises :class:`SpanIntegrityError` (a correction that does not fit its text) is
+    left out, with a warning. Any other exception stops the calls but not the rows, so a source that
+    writes each row as it comes finishes its file; it is then raised as a :class:`RecordError`.
+    """
+    fault = None
+    for row in rows:
+        if fault is not None:
+            continue
+        try:
+            call(row)
+        except SpanIntegrityError as exc:
+            logger.warning("%s: record %s left out: %s", stage, row.record.id, exc)
+        except Exception as exc:
+            fault = RecordError(f"{stage} on record {row.record.id}: {type(exc).__name__}: {exc}")
+            fault.__cause__ = exc
+        else:
+            yield row
+    if fault is not None:
+        raise fault
+
+
 def clean_records(
-    config: PipelineConfig,
-    records: list[CorpusRecord],
-    output_path: str | Path,
-    removed_path: str | Path,
-    report_path: str | Path,
+    config: PipelineConfig, records: list[CorpusRecord], output_path: str | Path,
+    removed_path: str | Path, report_path: str | Path,
 ) -> tuple[list[CorpusRecord], int]:
     """Filter corpus records; write survivors, removed records and the report.
 
@@ -160,12 +187,8 @@ def clean_records(
     write_records(kept, output_path)
     write_records([ProcessedRecord(r, STATUS_CLEANED_OUT) for r, _reason in removed], removed_path)
     write_json(report, report_path)
-    logger.info(
-        "cleaning: %d rows in, %d kept, %d removed",
-        report["total_rows"],
-        report["surviving"],
-        report["total_rows"] - report["surviving"],
-    )
+    counts = report["total_rows"], report["surviving"], report["total_rows"] - report["surviving"]
+    logger.info("cleaning: %d rows in, %d kept, %d removed", *counts)
     return kept, 0
 
 
@@ -234,41 +257,33 @@ def _scheduled_attempts(
 
 
 def correct_records(
-    config: PipelineConfig,
-    records: list[CorpusRecord],
-    output_path: str | Path,
-    backend: CorrectionBackend | None = None,
-    classify: Callable[[CandidateRecord], object] | None = None,
+    config: PipelineConfig, records: list[CorpusRecord], output_path: str | Path,
+    backend: CorrectionBackend | None = None, classify: Callable[[CandidateRecord], object] | None = None,
 ) -> tuple[list[CandidateRecord], int]:
     """Fetch a corrected candidate for every cleaned record and write it as returned.
 
     Requests may run concurrently up to the configured limit, and a record
     waiting out a retry delay holds none of those slots
     (:func:`_scheduled_attempts`). Responses are taken in input order as
-    they arrive, and each candidate's row is written then, as returned. ``classify``, if given, then runs on the candidate,
-    while later responses are still awaited. If ``classify`` raises, every
-    remaining response is still taken and the file written before the error
-    propagates, so no paid response is lost. Returns the candidates and the
-    number of records that ended in anything but ``ok`` or a content-policy
-    refusal.
+    they arrive, and each candidate's row is written then, as returned.
+    ``classify``, if given, is then mapped over the candidates
+    (:func:`_each`) while later responses are still awaited. If it raises,
+    every remaining response is still taken and the file written before the
+    error propagates, so no paid response is lost. Returns the candidates
+    and the number of records that ended in anything but ``ok`` or a
+    content-policy refusal.
     """
     backend = backend or make_backend(config)
     policy = RetryPolicy(max_attempts=config.retry_attempts, backoff_base=config.backoff_base)
-    candidates, outcomes, error = [], Counter(), None
+    outcomes = Counter()
 
-    def rows(results):
-        nonlocal error
-        for record, res in zip(records, results):
-            candidate = CandidateRecord(record, res.outcome, res.detail, res.corrected_text)
-            candidates.append(candidate)
-            outcomes[res.outcome] += 1
-            # the row as returned, before classify labels the candidate
-            yield encode_row(candidate)
-            if classify is not None and error is None:
-                try:
-                    classify(candidate)
-                except Exception as exc:
-                    error = exc
+    def arrivals(responses: Iterator[BackendResult]) -> Iterator[CandidateRecord]:
+        with open_artifact(output_path) as out:
+            for record, res in zip(records, responses):
+                candidate = CandidateRecord(record, res.outcome, res.detail, res.corrected_text)
+                outcomes[res.outcome] += 1
+                out.write(encode_row(candidate))  # the row as returned, before classify labels the candidate
+                yield candidate
 
     def attempts(record: CorpusRecord) -> Generator[float, None, BackendResult]:
         return correction_attempts(record.text, backend, policy, max_chars=config.max_chars)
@@ -278,10 +293,9 @@ def correct_records(
     else:
         # one request at a time, each retry delay slept in this thread
         results = nullcontext(correct_text(r.text, backend, policy, max_chars=config.max_chars) for r in records)
-    with results as responses:
-        write_artifact(output_path, rows(responses))
-    if error is not None:
-        raise error
+    # an interrupt closes the arrivals before their file is complete, which removes it
+    with results as responses, closing(arrivals(responses)) as arrived:
+        candidates = list(arrived if classify is None else _each("classify", classify, arrived))
     logger.info("correction outcomes: %s", dict(sorted(outcomes.items())))
     failed = len(records) - outcomes[OUTCOME_OK] - outcomes[OUTCOME_CONTENT_POLICY]
     return candidates, failed
@@ -320,26 +334,23 @@ def classify_candidate(
     return candidate
 
 
+def _classifier(config: PipelineConfig) -> Callable[[CandidateRecord], CandidateRecord]:
+    """:func:`classify_candidate` with the rules table, loaded now, and a table of shared values for one run."""
+    rules, cls_config, threshold = rule_table(config), classifier_config(config), config.hallucination_threshold
+    return partial(classify_candidate, rules=rules, cls_config=cls_config, threshold=threshold, shared={})
+
+
 def classify_records(
-    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path, rules: RuleTable
+    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path,
+    classify: Callable[[CandidateRecord], object] | None = None,
 ) -> tuple[list[CandidateRecord], int]:
-    """:func:`classify_candidate` on every candidate (``hallucination_threshold`` as its
-    threshold, one table of shared values), then :func:`_classify_tail`."""
-    cls_config, shared = classifier_config(config), {}
-    for candidate in candidates:
-        classify_candidate(candidate, rules, cls_config, config.hallucination_threshold, shared)
-    return _classify_tail(config, candidates, output_path)
+    """``classify`` mapped over the candidates (in ``run``, correct's arrival loop did that), then the barrier.
 
-
-def _classify_tail(
-    config: PipelineConfig, candidates: list[CandidateRecord], output_path: str | Path
-) -> tuple[list[CandidateRecord], int]:
-    """Classify's corpus-level tail, on candidates already classified one by one.
-
-    Counts each correction's frequency across the corpus, promotes frequent
-    ones, writes the rows and returns them with the number of candidates
-    marked ``global_hallucination``.
+    Counts each correction's frequency across the corpus, promotes frequent ones, writes the
+    rows and returns them with the number of candidates marked ``global_hallucination``.
     """
+    if classify is not None:
+        candidates = list(_each("classify", classify, candidates))
     all_corrections = [c for candidate in candidates for c in candidate.corrections]
     aggregate_frequencies(all_corrections)
     promoted = apply_frequency_promotion(all_corrections, classifier_config(config))
@@ -351,47 +362,49 @@ def _classify_tail(
     return candidates, sum(c.outcome == OUTCOME_GLOBAL_HALLUCINATION for c in candidates)
 
 
-def apply_records(
-    config: PipelineConfig,
-    rows: list[CandidateRecord],
-    output_path: str | Path,
-    lexicon_path: str | Path,
-    lexicon_nonaccent_path: str | Path,
-) -> tuple[list[CandidateRecord], int]:
-    """Set each row's status and final text (OCR errors applied) in place, and emit the lexicon.
+def apply_row(row: CandidateRecord, modernize: bool) -> CandidateRecord:
+    """Set a classified row's status and final text (OCR errors applied) in place; returns it.
 
-    Every row must carry the corrections that classify adds; the lexicon
-    counts them all. An excluded row then keeps no corrections, and a refused
-    one no ``text_llm``. Returns the rows and no problem.
+    An excluded row then keeps no corrections, and a refused one no ``text_llm``. A correction
+    that does not fit the text raises :class:`SpanIntegrityError` before the row changes.
     """
-    all_corrections = []
-    for row in rows:
-        all_corrections.extend(row.corrections)
-        if row.outcome == OUTCOME_OK:
-            final = apply_corrections(row.record.text, row.corrections, modernize=config.modernize)
-            row.status, row.text_final = STATUS_CORRECTED, final
-        elif row.outcome == OUTCOME_CONTENT_POLICY:
-            row.status, row.text_llm, row.corrections = STATUS_EXCLUDED_CONTENT_POLICY, None, []
-        else:  # transport_error, over_length, global_hallucination
-            row.status, row.corrections = STATUS_EXCLUDED_LLM_FAILURE, []
-    write_records(rows, output_path)
-    full, non_accent = emit_lexicon(all_corrections)
+    if row.outcome == OUTCOME_OK:
+        row.status, row.text_final = STATUS_CORRECTED, apply_corrections(row.record.text, row.corrections, modernize)
+    elif row.outcome == OUTCOME_CONTENT_POLICY:
+        row.status, row.text_llm, row.corrections = STATUS_EXCLUDED_CONTENT_POLICY, None, []
+    else:  # transport_error, over_length, global_hallucination
+        row.status, row.corrections = STATUS_EXCLUDED_LLM_FAILURE, []
+    return row
+
+
+def apply_records(
+    config: PipelineConfig, rows: list[CandidateRecord], output_path: str | Path,
+    lexicon_path: str | Path, lexicon_nonaccent_path: str | Path,
+) -> tuple[list[CandidateRecord], int]:
+    """:func:`apply_row` on every row, then the lexicon fold; returns the rows written and the number left out.
+
+    Every row must carry the corrections that classify adds. The lexicon counts those of every row
+    written as classify left them, an excluded row's too.
+    """
+    counted = []
+
+    def apply(row: CandidateRecord) -> None:
+        corrections = row.corrections
+        apply_row(row, config.modernize)
+        counted.extend(corrections)
+
+    applied = list(_each("apply", apply, rows))
+    write_records(applied, output_path)
+    full, non_accent = emit_lexicon(counted)
     write_lexicon(full, lexicon_path)
     write_lexicon(non_accent, lexicon_nonaccent_path)
-    logger.info(
-        "applied corrections: %d records, %d surface forms (%d non-accent)",
-        len(rows),
-        len(full),
-        len(non_accent),
-    )
-    return rows, 0
+    counts = len(applied), len(full), len(non_accent)
+    logger.info("applied corrections: %d records, %d surface forms (%d non-accent)", *counts)
+    return applied, len(rows) - len(applied)
 
 
 def report_records(
-    config: PipelineConfig,
-    processed: list[CandidateRecord],
-    json_path: str | Path,
-    text_path: str | Path,
+    config: PipelineConfig, processed: list[CandidateRecord], json_path: str | Path, text_path: str | Path
 ) -> tuple[list[CandidateRecord], int]:
     """Compute run statistics over the final processed corpus; returns the records unchanged."""
     report = build_report(processed, tokenizer_id=config.tokenizer)
@@ -417,7 +430,7 @@ def _command(name: str, config: PipelineConfig, input_path: str | Path, *args, *
     the records failed."""
     load, core, _artifacts = _STAGES[name]
     if name == "classify":  # a malformed rules table fails before the input is read
-        kwargs["rules"] = rule_table(config)
+        kwargs["classify"] = _classifier(config)
     return _stage(load, core, config, input_path, *args, **kwargs)[1]
 
 
@@ -439,34 +452,16 @@ def run_stage(name: str, config: PipelineConfig) -> int:
 
 
 def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = None) -> int:
-    """Run all stages; returns the process exit code.
+    """Run all stages; returns the process exit code (0, or 2 in strict mode on any problem).
 
-    The rules table is loaded and the backend built first: a bad rules table
-    or fixture file raises before any model call or artifact. Each stage's
-    output records go straight to the next stage: every artifact is
-    written, and none is read back. Each candidate is classified
-    (:func:`classify_candidate`) inside :func:`correct_records` as its
-    response arrives; :func:`_classify_tail` then finishes classify. 0 on
-    success, 1 on fatal errors (checked by the CLI before calling), 2
-    when strict mode is set and some lines were skipped or records failed.
+    The rules table is loaded and the backend built first, so a bad rules
+    table or fixture file raises before any model call or artifact.
     """
-    rules = rule_table(config)
+    classify = _classifier(config)
     backend = backend or make_backend(config)
     records, problems = _stage(load_corpus, clean_records, config, config.input, *_paths("clean", config))
-    classify = partial(
-        classify_candidate,
-        rules=rules,
-        cls_config=classifier_config(config),
-        threshold=config.hallucination_threshold,
-        shared={},
-    )
-    cores = {
-        "correct": partial(correct_records, backend=backend, classify=classify),
-        "classify": _classify_tail,
-        "apply": apply_records,
-        "report": report_records,
-    }
-    for name, core in cores.items():
-        records, failed = core(config, records, *_paths(name, config))
+    for name, (_load, core, _artifacts) in list(_STAGES.items())[1:]:
+        extra = {"backend": backend, "classify": classify} if name == "correct" else {}
+        records, failed = core(config, records, *_paths(name, config), **extra)
         problems += failed
     return 2 if config.strict and problems else 0

@@ -17,9 +17,9 @@ the same data gives the same bytes; no dict is built on the way. The reader
 is plain Python over one plan per key list: ``run`` reads only the corpus
 file, never a stage artifact, so compiling it would not make a run faster.
 It takes a row field by field through :meth:`Field.check`, so a wrong field
-costs its own line. :func:`write_artifact` writes a temporary file
-beside the target and renames it over the target, so a failed or killed
-write never leaves a truncated file for the next stage.
+costs its own line. :func:`open_artifact` writes a temporary file beside
+the target and renames it over the target, so a failed or killed write
+never leaves a truncated file for the next stage.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .classify import HALLUCINATION, OCR_ERROR, SURFACE_FORM, ClassifiedCorrection
 
@@ -266,9 +267,6 @@ class CorpusRecord:
             return None
         return self.year - self.year % 10
 
-    def to_json_dict(self) -> dict:
-        return json.loads(encode_row(self))
-
 
 @dataclass(slots=True)
 class CandidateRecord:
@@ -285,9 +283,6 @@ class CandidateRecord:
     corrections: list[ClassifiedCorrection] | None = None
     status: str | None = None
     text_final: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return json.loads(encode_row(self))
 
 
 def ProcessedRecord(
@@ -399,10 +394,11 @@ def load_processed(path: str | Path) -> LoadResult:
     return _load(path, "processed", ProcessedRecord, PROCESSED)
 
 
-def write_artifact(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write text chunks to ``path`` as UTF-8 with ``\\n`` line ends, atomically.
+@contextmanager
+def open_artifact(path: str | Path) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` as UTF-8 with ``\\n`` line ends, atomically, when the block ends.
 
-    If writing fails, the previous file stays as it was and the temporary
+    If the block raises, the previous file stays as it was and the temporary
     file beside it is removed.
     """
     path = Path(path)
@@ -410,11 +406,17 @@ def write_artifact(path: str | Path, chunks: Iterable[str]) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_artifact(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write text chunks to ``path`` through :func:`open_artifact`."""
+    with open_artifact(path) as fh:
+        fh.writelines(chunks)
 
 
 def write_json(obj: dict, path: str | Path) -> None:

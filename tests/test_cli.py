@@ -333,7 +333,8 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["--config", str(config), "run", "--input", str(corpus), "--output", str(out)]) == 1
         err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: cascade failed"]
+        expected = "error: internal error in classify on record p02: ValueError: cascade failed"
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [expected]
         assert "Traceback" not in err
         cleaned = (out / "cleaned.jsonl").read_text(encoding="utf-8").splitlines()
         corrected = (out / "corrected.jsonl").read_text(encoding="utf-8").splitlines()
@@ -552,18 +553,20 @@ class TestClassifyCommand:
         assert f"{stage_in}: line 2: error: {message}" in caplog.text
         assert (out / "classified.jsonl").read_text(encoding="utf-8") == ""
 
-    def test_apply_on_stale_classified_file_is_a_clean_failure(self, tmp_path, capsys):
+    def test_apply_on_stale_classified_file_leaves_the_row_out(self, tmp_path, capsys, caplog):
         corrected = self.corrected_row(tmp_path)
-        classified = tmp_path / "classified.jsonl"
+        classified, out = tmp_path / "classified.jsonl", tmp_path / "out"
         assert main(["classify", "--input", str(corrected), "--output", str(tmp_path)]) == 0
         row = json.loads(classified.read_text(encoding="utf-8"))
         row["text"] = row["text"].replace("mui", "muy")  # text edited after classify
         classified.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
-        code = main(["apply", "--input", str(classified), "--output", str(tmp_path / "out"), "--modernize"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: stale correction")
-        assert "Traceback" not in err
+        args = ["apply", "--input", str(classified), "--output", str(out), "--modernize"]
+        assert main(args) == 0
+        assert main(["--strict"] + args) == 2
+        assert "apply: record a left out: stale correction at words [3,4): expected 'mui', found 'muy'" in caplog.text
+        assert capsys.readouterr().err == ""
+        assert (out / "final.jsonl").read_text(encoding="utf-8") == ""
+        assert (out / "lexicon.tsv").read_text(encoding="utf-8").splitlines()[1:] == []
 
     def test_apply_on_unclassified_file_is_a_clean_failure(self, tmp_path, capsys):
         corrected = self.corrected_row(tmp_path)
@@ -786,6 +789,110 @@ class TestApplyKeepsRowBytes:
         # the lexicon counts every row's corrections, the excluded rows' too
         lexicon = (tmp_path / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
         assert lexicon == ["original\tmodern\trule\tfrequency\taccent_only", "mui\tmuy\ttable_i_y\t3\tfalse"]
+
+
+class TestFaults:
+    """A code fault is one error line naming its stage and record, exit 1; a stale correction costs one row."""
+
+    @pytest.fixture
+    def run_out(self, pipeline_fixture, tmp_path):
+        corpus, fixtures = pipeline_fixture
+        config = write_config(tmp_path / "config.json", corpus, fixtures)
+        out = tmp_path / "run"
+        assert main(["--config", str(config), "run", "--input", str(corpus), "--output", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def fails_on_p02(monkeypatch, name, error):
+        """``pipeline.<name>`` raises ``error`` on the call whose first argument holds p02's word."""
+        real = getattr(pipeline, name)
+
+        def fails(first, *args, **kwargs):
+            if "jeneral" in str(first):  # only p02 holds this word
+                raise error
+            return real(first, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, fails)
+
+    @pytest.mark.parametrize(
+        "stage, patched, input_name",
+        [("classify", "classify_hunks", "corrected.jsonl"), ("apply", "apply_corrections", "classified.jsonl")],
+    )
+    def test_a_fault_is_one_error_line(self, run_out, tmp_path, monkeypatch, capsys, stage, patched, input_name):
+        self.fails_on_p02(monkeypatch, patched, RuntimeError("boom"))
+        args = [stage, "--input", str(run_out / input_name), "--output", str(tmp_path / "o")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: internal error in {stage} on record p02: RuntimeError: boom"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_verbose_logs_the_traceback(self, run_out, tmp_path, verbose):
+        # a process of its own: the test runner's log capture would hide what --verbose turns on
+        script = f"""
+import sys
+from histocr import cli, pipeline
+real = pipeline.apply_corrections
+def fails(original, *args, **kwargs):
+    if "jeneral" in original:
+        raise RuntimeError("boom")
+    return real(original, *args, **kwargs)
+pipeline.apply_corrections = fails
+sys.exit(cli.main({["--verbose"] * verbose + ["apply", "--input", str(run_out / "classified.jsonl"), "--output", str(tmp_path / "o")]!r}))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(histocr.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert lines[-1] == "error: internal error in apply on record p02: RuntimeError: boom"
+        # the traceback, the original exception's included, only in the debug log
+        assert ("Traceback (most recent call last):" in lines) == verbose
+        assert ('RuntimeError: boom' in lines) == verbose
+        if not verbose:
+            assert len(lines) == 1
+
+    def test_a_fault_outside_any_record_names_the_command(self, run_out, tmp_path, monkeypatch, capsys):
+        def fails(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "emit_lexicon", fails)
+        args = ["apply", "--input", str(run_out / "classified.jsonl"), "--output", str(tmp_path / "o")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: internal error in apply: RuntimeError: boom"]
+
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    def test_an_interrupt_exits_130(self, pipeline_fixture, run_out, tmp_path, monkeypatch, capsys, command):
+        corpus, fixtures = pipeline_fixture
+        self.fails_on_p02(monkeypatch, "classify_hunks", KeyboardInterrupt())
+        args = ["--config", str(write_config(tmp_path / "config.json", corpus, fixtures)), command,
+                "--input", str(corpus if command == "run" else run_out / "corrected.jsonl"),
+                "--output", str(tmp_path / "o")]
+        assert main(args) == 130
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: interrupted"]
+
+    def test_a_stale_correction_costs_its_row(self, run_out, tmp_path, capsys, caplog):
+        rows = [json.loads(line) for line in (run_out / "classified.jsonl").read_text(encoding="utf-8").splitlines()]
+        stale = next(i for i, row in enumerate(rows) if any(c["label"] == "ocr_error" for c in row["corrections"]))
+        correction = next(c for c in rows[stale]["corrections"] if c["label"] == "ocr_error")
+        correction["position"] = [p + 1 for p in correction["position"]]  # one word later
+        probe, without = tmp_path / "probe.jsonl", tmp_path / "without.jsonl"
+        probe.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+        without.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for i, r in enumerate(rows) if i != stale), encoding="utf-8"
+        )
+        args = ["apply", "--input", str(probe), "--output", str(tmp_path / "probe")]
+        assert main(args) == 0
+        assert main(["--strict"] + args) == 2
+        assert f"apply: record {rows[stale]['id']} left out: stale correction at words" in caplog.text
+        assert "error:" not in capsys.readouterr().err
+        final = (run_out / "final.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert (tmp_path / "probe" / "final.jsonl").read_text(encoding="utf-8") == "".join(final[:stale] + final[stale + 1:])
+        # the lexicons count only the rows written, as the report does
+        assert main(["apply", "--input", str(without), "--output", str(tmp_path / "without")]) == 0
+        for name in ("final.jsonl", "lexicon.tsv", "lexicon_nonaccent.tsv"):
+            assert (tmp_path / "probe" / name).read_bytes() == (tmp_path / "without" / name).read_bytes(), name
 
 
 class TestStrictCorrect:

@@ -239,6 +239,27 @@ class TestStageComposition:
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
 
 
+class TestPerRecordCalls:
+    @pytest.mark.parametrize("how", ["run", "stage-commands"])
+    def test_each_per_record_function_runs_once_per_row(self, pipeline_fixture, tmp_path, monkeypatch, how):
+        corpus, fixtures = pipeline_fixture
+        calls = {"classify_candidate": [], "apply_row": []}
+        for name, seen in calls.items():
+            def recording(row, *args, real=getattr(pipeline, name), seen=seen, **kwargs):
+                seen.append(row.record.id)
+                return real(row, *args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, recording)
+        out = tmp_path / "out"
+        config = make_config(corpus, fixtures, out)
+        if how == "run":
+            assert run_pipeline(config) == 0
+        else:
+            run_stages(config, out)
+        ids = [c.record.id for c in load_candidates(out / "corrected.jsonl").records]
+        assert calls == {"classify_candidate": ids, "apply_row": ids}
+
+
 class OutOfOrderBackend(MockBackend):
     """Holds its first request until another has been answered, so responses finish out of order."""
 
@@ -344,8 +365,9 @@ class TestClassifyErrorInRun:
         monkeypatch.setattr(pipeline, "classify_hunks", fails_on_the_second_record)
         backend = RecordingBackend(fixtures)
         config = make_config(corpus, fixtures, out, concurrency=concurrency, retry_attempts=1)
-        with pytest.raises(ValueError, match="cascade failed"):
+        with pytest.raises(pipeline.RecordError, match=r"^classify on record \w+: ValueError: cascade failed$") as raised:
             run_pipeline(config, backend=backend)
+        assert isinstance(raised.value.__cause__, ValueError)
         assert len(classify_calls) == 2  # classify stopped at the error
         assert (out / "corrected.jsonl").read_bytes() == (ok / "corrected.jsonl").read_bytes()
         candidates = load_candidates(out / "corrected.jsonl").records
@@ -706,13 +728,13 @@ class TestSharedValues:
             json.dumps({"input_hash": MockBackend.hash_text(text), "output": output}, ensure_ascii=False) + "\n"
             for _, text, output in SHARED_ROWS
         ), encoding="utf-8")
-        tail, runs = pipeline._classify_tail, []
+        (load, tail, names), runs = pipeline._STAGES["classify"], []
 
         def recording_tail(config, candidates, *args):
             runs[-1].extend(candidates)
             return tail(config, candidates, *args)
 
-        monkeypatch.setattr(pipeline, "_classify_tail", recording_tail)
+        monkeypatch.setitem(pipeline._STAGES, "classify", (load, recording_tail, names))
 
         def run() -> list[CandidateRecord]:
             """The candidates of one mock run, as classify leaves them."""

@@ -82,7 +82,7 @@ class TestLoadCorpus:
 
     def test_malformed_line_reported_with_line_number(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        lines = [json.dumps(r.to_json_dict(), ensure_ascii=False) for r in make_records(2)]
+        lines = [json.dumps(json.loads(encode_row(r)), ensure_ascii=False) for r in make_records(2)]
         lines.append("{not json")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         result = load_corpus(path)
@@ -92,7 +92,7 @@ class TestLoadCorpus:
 
     def test_undecodable_line_skipped_with_line_number(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        first, second = (json.dumps(r.to_json_dict(), ensure_ascii=False).encode() for r in make_records(2))
+        first, second = (json.dumps(json.loads(encode_row(r)), ensure_ascii=False).encode() for r in make_records(2))
         path.write_bytes(first + b'\n{"id": "bad", "text": "caf\xff"}\n' + second + b"\n")
         result = load_corpus(path)
         assert [r.id for r in result.records] == ["r0", "r1"]
@@ -101,7 +101,7 @@ class TestLoadCorpus:
 
     def test_truncated_row_error_points_into_the_row(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        good = json.dumps(make_records(1)[0].to_json_dict(), ensure_ascii=False).encode()
+        good = json.dumps(json.loads(encode_row(make_records(1)[0])), ensure_ascii=False).encode()
         truncated = b'{"id": "x", "text": '
         path.write_bytes(truncated + b"\n" + good + b"\n" + truncated)  # the last line has no \n
         result = load_corpus(path)
@@ -114,7 +114,7 @@ class TestLoadCorpus:
     def test_crlf_line_ends_load(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         records = make_records(3)
-        lines = [json.dumps(r.to_json_dict(), ensure_ascii=False) for r in records]
+        lines = [json.dumps(json.loads(encode_row(r)), ensure_ascii=False) for r in records]
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
         result = load_corpus(path)
         assert result.records == records
@@ -123,7 +123,7 @@ class TestLoadCorpus:
     def test_blank_lines_are_skipped_silently(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         records = make_records(2)
-        first, second = (json.dumps(r.to_json_dict(), ensure_ascii=False) for r in records)
+        first, second = (json.dumps(json.loads(encode_row(r)), ensure_ascii=False) for r in records)
         path.write_text(f"\n{first}\n  \t\n\n{second}\n \n", encoding="utf-8")
         result = load_corpus(path)
         assert result.records == records
@@ -143,7 +143,7 @@ class TestLoadCorpus:
     def test_duplicate_ids_are_fatal(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         records = make_records(2)
-        rows = [r.to_json_dict() for r in records] + [records[0].to_json_dict()]
+        rows = [json.loads(encode_row(r)) for r in records] + [json.loads(encode_row(records[0]))]
         path.write_text(
             "\n".join(json.dumps(r, ensure_ascii=False) for r in rows), encoding="utf-8"
         )
@@ -249,7 +249,7 @@ class TestRoundTrips:
 
     def test_candidate_rows_are_validated(self, tmp_path):
         path = tmp_path / "candidates.jsonl"
-        good = CandidateRecord(make_records(1)[0], "ok", "", "texto").to_json_dict()
+        good = json.loads(encode_row(CandidateRecord(make_records(1)[0], "ok", "", "texto")))
         rows = [
             {k: v for k, v in good.items() if k != "llm_outcome"},
             {**good, "text_llm": 5},
@@ -350,9 +350,9 @@ class TestFieldTypes:
         ],
     )
     def test_malformed_correction_costs_its_line(self, tmp_path, field, value):
-        good = ProcessedRecord(
+        good = json.loads(encode_row(ProcessedRecord(
             make_records(1)[0], STATUS_CORRECTED, "texto", "texto", [make_correction()]
-        ).to_json_dict()
+        )))
         bad = {**good, "id": "bad", "corrections": [{**good["corrections"][0], field: value}]}
         path = tmp_path / "final.jsonl"
         path.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
@@ -383,7 +383,7 @@ class TestFieldTypes:
         ids=["candidate", "processed"],
     )
     def test_malformed_corrections_list_costs_its_line(self, tmp_path, load, row, value, message):
-        good = row.to_json_dict()
+        good = json.loads(encode_row(row))
         bad = {**good, "id": "bad", "corrections": value}
         path = tmp_path / "rows.jsonl"
         path.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
@@ -393,9 +393,9 @@ class TestFieldTypes:
         assert (error.line, error.message) == (1, message)
 
     def test_correction_defaults_and_integer_ratio_load(self, tmp_path):
-        row = ProcessedRecord(
+        row = json.loads(encode_row(ProcessedRecord(
             make_records(1)[0], STATUS_CORRECTED, "texto", "texto", [make_correction()]
-        ).to_json_dict()
+        )))
         stored = row["corrections"][0]
         del stored["corrected_position"], stored["frequency"]
         stored["ratio"] = 1
@@ -416,7 +416,7 @@ class TestFieldTypes:
         ids=["processed-text_final", "processed-text_llm", "candidate-text_llm"],
     )
     def test_non_string_text_costs_its_line(self, tmp_path, load, row, key, value):
-        good = row.to_json_dict()
+        good = json.loads(encode_row(row))
         path = tmp_path / "rows.jsonl"
         path.write_text(json.dumps({**good, "id": "bad", key: value}) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
         result = load(path)
@@ -436,7 +436,7 @@ class TestFieldTypes:
         ],
     )
     def test_unknown_outcome_or_non_string_detail_costs_its_line(self, tmp_path, key, value, message):
-        good = CandidateRecord(make_records(1)[0], "ok", "", "texto").to_json_dict()
+        good = json.loads(encode_row(CandidateRecord(make_records(1)[0], "ok", "", "texto")))
         path = tmp_path / "corrected.jsonl"
         path.write_text(json.dumps({**good, "id": "bad", key: value}) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
         result = load_candidates(path)
@@ -622,12 +622,12 @@ def row_with(key: str, value: object) -> tuple[dict, object]:
     """A good row of the artifact that holds ``key``, with ``value`` under it, and its loader."""
     record = make_records(1)[0]
     if key in CORPUS:
-        return {**record.to_json_dict(), key: value}, load_corpus
+        return {**json.loads(encode_row(record)), key: value}, load_corpus
     if key in ("status", "text_final") or key in CORRECTION:
-        row = ProcessedRecord(record, STATUS_CORRECTED, "texto", "texto", [make_correction()]).to_json_dict()
+        row = json.loads(encode_row(ProcessedRecord(record, STATUS_CORRECTED, "texto", "texto", [make_correction()])))
         loader = load_processed
     else:
-        row = CandidateRecord(record, "ok", "", "texto", [make_correction()]).to_json_dict()
+        row = json.loads(encode_row(CandidateRecord(record, "ok", "", "texto", [make_correction()])))
         loader = load_candidates
     if key in CORRECTION:
         return {**row, "corrections": [{**row["corrections"][0], key: value}]}, loader
