@@ -543,21 +543,14 @@ def classify_hunks(
     return corrections
 
 
-def aggregate_frequencies(
-    corrections: list[ClassifiedCorrection],
-) -> list[tuple[tuple[str, str], int]]:
-    """Corpus-wide counts per normalized pair, back-filled onto instances.
-
-    Returns the frequency table ordered by (frequency desc, original asc,
-    corrected asc); the same order the lexicon uses.
-    """
+def aggregate_frequencies(corrections: list[ClassifiedCorrection]) -> None:
+    """Set each correction's ``frequency`` to the count of its normalized pair among ``corrections``."""
     counts: dict[tuple[str, str], int] = {}
     for corr in corrections:
         key = (corr.original, corr.corrected)
         counts[key] = counts.get(key, 0) + 1
     for corr in corrections:
         corr.frequency = counts[(corr.original, corr.corrected)]
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0][0], item[0][1]))
 
 
 def apply_frequency_promotion(

@@ -134,6 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    # basicConfig does nothing where logging is configured already, so --verbose sets the package's own level
+    logging.getLogger(__package__).setLevel(logging.DEBUG if "verbose" in args else logging.NOTSET)
 
     try:
         config = _build_config(args)

@@ -45,8 +45,7 @@ import logging
 import threading
 import time
 from collections import Counter
-from concurrent.futures import Future
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing
 from functools import partial
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator
@@ -68,7 +67,6 @@ from .client import (
     HttpChatBackend,
     MockBackend,
     RetryPolicy,
-    correct_text,
     correction_attempts,
 )
 from .config import PipelineConfig
@@ -192,24 +190,24 @@ def clean_records(
     return kept, 0
 
 
-@contextmanager
 def _scheduled_attempts(
     attempts: Callable[[CorpusRecord], Generator[float, None, BackendResult]],
     records: list[CorpusRecord],
     slots: int,
-) -> Iterator[Iterator[BackendResult]]:
-    """Each record's attempts run on ``slots`` threads; the results in input order.
+) -> Generator[BackendResult, None, None]:
+    """Each record's attempts run on ``slots`` threads; yields the results in input order.
 
     A free thread takes the earliest retry that is due, else the next record
     not yet started, else waits for the earliest due time. A record waiting
     out a retry delay sits on a heap keyed by its due time and holds no
     thread, so at most ``slots`` calls are in flight and no thread idles
     while a call is due. A record's result, or the exception that escaped
-    its attempts, reaches the caller through its future. Once the ``with``
-    block is left, no attempt is started: the calls in flight finish and
-    their threads are joined before it exits.
+    its attempts (raised here), waits in its slot of one list until taken.
+    Once the generator is closed, no attempt is started: the calls in
+    flight finish and their threads are joined before ``close`` returns.
     """
-    futures = [Future() for _ in records]
+    pending = object()
+    results: list = [pending] * len(records)
     due: list[tuple[float, int, Generator]] = []
     fresh, stopped = 0, False
     ready = threading.Condition()
@@ -233,20 +231,29 @@ def _scheduled_attempts(
             try:
                 if steps is None:
                     steps = attempts(records[i])
-                delay = next(steps)
+                delay, result = next(steps), pending
             except StopIteration as done:
-                futures[i].set_result(done.value)
+                result = done.value
             except BaseException as exc:
-                futures[i].set_exception(exc)
-            else:
-                with ready:
+                result = exc
+            with ready:
+                if result is pending:
                     heapq.heappush(due, (time.monotonic() + delay, i, steps))
+                else:
+                    results[i] = result
+                    ready.notify_all()  # the caller may be waiting for this slot
 
     threads = [threading.Thread(target=work, name=f"histocr-correct-{n}") for n in range(slots)]
     try:
         for thread in threads:
             thread.start()
-        yield (future.result() for future in futures)
+        for i in range(len(records)):
+            with ready:
+                ready.wait_for(lambda: results[i] is not pending)
+                result, results[i] = results[i], None
+            if isinstance(result, BaseException):
+                raise result
+            yield result
     finally:
         with ready:
             stopped = True
@@ -262,9 +269,9 @@ def correct_records(
 ) -> tuple[list[CandidateRecord], int]:
     """Fetch a corrected candidate for every cleaned record and write it as returned.
 
-    Requests may run concurrently up to the configured limit, and a record
-    waiting out a retry delay holds none of those slots
-    (:func:`_scheduled_attempts`). Responses are taken in input order as
+    Requests run on ``min(concurrency, len(records))`` threads, at most
+    one call each, and a record waiting out a retry delay holds none of
+    them (:func:`_scheduled_attempts`). Responses are taken in input order as
     they arrive, and each candidate's row is written then, as returned.
     ``classify``, if given, is then mapped over the candidates
     (:func:`_each`) while later responses are still awaited. If it raises,
@@ -288,13 +295,10 @@ def correct_records(
     def attempts(record: CorpusRecord) -> Generator[float, None, BackendResult]:
         return correction_attempts(record.text, backend, policy, max_chars=config.max_chars)
 
-    if config.concurrency > 1 and len(records) > 1:
-        results = _scheduled_attempts(attempts, records, min(config.concurrency, len(records)))
-    else:
-        # one request at a time, each retry delay slept in this thread
-        results = nullcontext(correct_text(r.text, backend, policy, max_chars=config.max_chars) for r in records)
+    # an unvalidated config's concurrency below 1 still gets one thread, so no record waits forever
+    responses = _scheduled_attempts(attempts, records, min(max(config.concurrency, 1), len(records)))
     # an interrupt closes the arrivals before their file is complete, which removes it
-    with results as responses, closing(arrivals(responses)) as arrived:
+    with closing(responses), closing(arrivals(responses)) as arrived:
         candidates = list(arrived if classify is None else _each("classify", classify, arrived))
     logger.info("correction outcomes: %s", dict(sorted(outcomes.items())))
     failed = len(records) - outcomes[OUTCOME_OK] - outcomes[OUTCOME_CONTENT_POLICY]
@@ -383,19 +387,12 @@ def apply_records(
 ) -> tuple[list[CandidateRecord], int]:
     """:func:`apply_row` on every row, then the lexicon fold; returns the rows written and the number left out.
 
-    Every row must carry the corrections that classify adds. The lexicon counts those of every row
-    written as classify left them, an excluded row's too.
+    Every row must carry the corrections that classify adds. The lexicon counts those of the rows
+    written, as ``report.json`` does, so an excluded row's count for nothing.
     """
-    counted = []
-
-    def apply(row: CandidateRecord) -> None:
-        corrections = row.corrections
-        apply_row(row, config.modernize)
-        counted.extend(corrections)
-
-    applied = list(_each("apply", apply, rows))
+    applied = list(_each("apply", partial(apply_row, modernize=config.modernize), rows))
     write_records(applied, output_path)
-    full, non_accent = emit_lexicon(counted)
+    full, non_accent = emit_lexicon(c for row in applied for c in row.corrections)
     write_lexicon(full, lexicon_path)
     write_lexicon(non_accent, lexicon_nonaccent_path)
     counts = len(applied), len(full), len(non_accent)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,15 @@ def write_pipeline_fixture(directory: Path) -> tuple[Path, Path]:
 @pytest.fixture
 def pipeline_fixture(tmp_path: Path) -> tuple[Path, Path]:
     return write_pipeline_fixture(tmp_path / "fixture")
+
+
+@pytest.fixture(autouse=True)
+def _package_log_level():
+    """An in-process ``cli.main`` sets the ``histocr`` logger's level; each test starts from the same one."""
+    logger = logging.getLogger("histocr")
+    level = logger.level
+    yield
+    logger.setLevel(level)
 
 
 def pytest_runtest_logreport(report):

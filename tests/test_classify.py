@@ -670,41 +670,30 @@ class TestAggregation:
             self.make("hara", "hará"),
             self.make("mui", "muy"),
         ]
-        table = aggregate_frequencies(corrections)
-        assert table[0] == (("hara", "hará"), 3)
+        assert aggregate_frequencies(corrections) is None
         assert all(c.frequency == 3 for c in corrections[:3])
         assert corrections[3].frequency == 1
 
     def test_all_distinct_pairs(self):
         corrections = [self.make("hara", "hará"), self.make("mui", "muy")]
-        table = aggregate_frequencies(corrections)
-        assert all(count == 1 for _, count in table)
+        aggregate_frequencies(corrections)
+        assert all(c.frequency == 1 for c in corrections)
 
     def test_shard_merge_equals_single_pass(self):
         pairs = [("hara", "hará"), ("mui", "muy"), ("hara", "hará"), ("dió", "dio")]
         corrections = [self.make(a, b) for a, b in pairs]
-        whole = dict(aggregate_frequencies(list(corrections)))
-        shard_a = dict(aggregate_frequencies(corrections[:2]))
-        shard_b = dict(aggregate_frequencies(corrections[2:]))
+
+        def counts(part):
+            aggregate_frequencies(part)
+            return {(c.original, c.corrected): c.frequency for c in part}
+
+        whole = counts(corrections)
+        shard_a, shard_b = counts(corrections[:2]), counts(corrections[2:])
         merged: dict = {}
         for shard in (shard_a, shard_b):
             for key, count in shard.items():
                 merged[key] = merged.get(key, 0) + count
         assert merged == whole
-
-    def test_deterministic_ordering(self):
-        corrections = [
-            self.make("mui", "muy"),
-            self.make("hara", "hará"),
-            self.make("mui", "muy"),
-            self.make("dies", "diez"),
-        ]
-        table = aggregate_frequencies(corrections)
-        assert [key for key, _ in table] == [
-            ("mui", "muy"),  # frequency 2 first
-            ("dies", "diez"),  # then frequency 1, original ascending
-            ("hara", "hará"),
-        ]
 
 
 class TestFrequencyPromotion:
@@ -783,7 +772,9 @@ class TestDegenerateInputs:
         pairs = [("hara", "hará"), ("mui", "muy"), ("hara", "hará"),
                  ("dies", "diez"), ("mui", "muy"), ("hara", "hará")]
         corrections = [classify_pair(a, b, rules, config) for a, b in pairs]
-        table_sorted = aggregate_frequencies(list(corrections))
-        shuffled = list(corrections)
+        shuffled = [classify_pair(a, b, rules, config) for a, b in pairs]
         random.Random(7).shuffle(shuffled)
-        assert aggregate_frequencies(shuffled) == table_sorted
+        aggregate_frequencies(corrections)
+        aggregate_frequencies(shuffled)
+        counted = sorted((c.original, c.corrected, c.frequency) for c in corrections)
+        assert sorted((c.original, c.corrected, c.frequency) for c in shuffled) == counted

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -786,9 +787,21 @@ class TestApplyKeepsRowBytes:
         # json.dumps keeps each dict's key order, so this pins the bytes
         lines = (tmp_path / "final.jsonl").read_text(encoding="utf-8").splitlines()
         assert lines == [json.dumps(row, ensure_ascii=False) for row in expected]
-        # the lexicon counts every row's corrections, the excluded rows' too
+        # the lexicon counts the corrections of the rows written, so the excluded rows' surface form is no entry
         lexicon = (tmp_path / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
-        assert lexicon == ["original\tmodern\trule\tfrequency\taccent_only", "mui\tmuy\ttable_i_y\t3\tfalse"]
+        assert lexicon == ["original\tmodern\trule\tfrequency\taccent_only"]
+
+    def test_lexicon_rows_are_the_report_surface_forms(self, tmp_path):
+        # the excluded row's surface form is one the kept row does not have
+        failed = {**CORRECTED_ROW, "id": "failed", "llm_outcome": "transport_error", "corrections": [MUI]}
+        classified = tmp_path / "classified.jsonl"
+        classified.write_text(classified_line(SESION) + "\n" + json.dumps(failed) + "\n", encoding="utf-8")
+        assert main(["apply", "--input", str(classified), "--output", str(tmp_path)]) == 0
+        assert main(["report", "--input", str(tmp_path / "final.jsonl"), "--output", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        for name, key in (("lexicon.tsv", "surface_forms"), ("lexicon_nonaccent.tsv", "non_accent_surface_forms")):
+            rows = (tmp_path / name).read_text(encoding="utf-8").splitlines()[1:]
+            assert len(rows) == report[key], name
 
 
 class TestFaults:
@@ -827,8 +840,18 @@ class TestFaults:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("verbose", [False, True])
+    def test_verbose_logs_the_traceback_in_a_configured_process(self, run_out, tmp_path, monkeypatch, caplog, verbose):
+        # the test runner has configured logging already, so the CLI's basicConfig does nothing here
+        self.fails_on_p02(monkeypatch, "apply_corrections", RuntimeError("boom"))
+        args = ["apply", "--input", str(run_out / "classified.jsonl"), "--output", str(tmp_path / "o")]
+        assert main(["--verbose"] * verbose + args) == 1
+        logged = [r for r in caplog.records if r.name == "histocr.cli" and r.levelno == logging.DEBUG]
+        assert [r.getMessage() for r in logged] == ["internal error"] * verbose
+        assert all(isinstance(r.exc_info[1], pipeline.RecordError) for r in logged)
+
+    @pytest.mark.parametrize("verbose", [False, True])
     def test_verbose_logs_the_traceback(self, run_out, tmp_path, verbose):
-        # a process of its own: the test runner's log capture would hide what --verbose turns on
+        # a process of its own, whose logging the CLI configures, as the console script's is
         script = f"""
 import sys
 from histocr import cli, pipeline

@@ -1,3 +1,4 @@
+import _thread
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import closing
 from dataclasses import asdict
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -448,9 +450,9 @@ class Halt(BaseException):
 
 
 class TestScheduledAttempts:
-    """With ``concurrency > 1``, a record waiting out a retry delay holds no request slot."""
+    """At every concurrency, a record waiting out a retry delay holds no request slot."""
 
-    @pytest.mark.parametrize("concurrency", [2, 3])
+    @pytest.mark.parametrize("concurrency", [1, 2, 3])
     def test_in_flight_calls_never_exceed_concurrency(self, pipeline_fixture, tmp_path, concurrency):
         corpus, fixtures = pipeline_fixture
         out = tmp_path / "out"
@@ -491,6 +493,96 @@ class TestScheduledAttempts:
         assert sorted(met) == sorted([texts["b"], texts["c"]])
         # b's candidate was interrupted; a's retry, not yet due, was never sent
         assert calls == Counter(texts.values())
+
+    def test_an_unvalidated_concurrency_below_one_takes_one_slot(self, pipeline_fixture, tmp_path):
+        corpus, fixtures = pipeline_fixture
+        backend, codes = InFlightBackend(fixtures), []
+        config = make_config(corpus, fixtures, tmp_path / "out", concurrency=0, backoff_base=0.005)
+        assert config.validate() == ["concurrency must be >= 1, got 0"]
+        # a daemon, so a run that never returns fails this test and does not hold the process open
+        thread = threading.Thread(target=lambda: codes.append(run_pipeline(config, backend=backend)), daemon=True)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive(), "run_pipeline did not return"
+        assert codes == [0]
+        assert backend.most_in_flight == 1
+
+    def test_one_slot_calls_the_next_record_while_a_record_waits(self, tmp_path):
+        texts = {
+            "a": "Se leyó y aprobó la acta de la Asamblea anterior sin observacion.",
+            "b": "La sesion se abrió á las dos de la tarde con asistencia de todos.",
+        }
+        calls, a_calls_at_b = Counter(), []
+
+        class Backend:
+            def complete(self, prompt: str, text: str) -> str:
+                calls[text] += 1
+                if text == texts["a"] and calls[text] == 1:
+                    raise client.TransportError("busy")  # then an 8 s backoff
+                if text == texts["b"]:
+                    a_calls_at_b.append(calls[texts["a"]])
+                    _thread.interrupt_main()  # Ctrl-C, while a waits out its backoff
+                return text
+
+        config = make_config(tmp_path / "unused", tmp_path / "unused", tmp_path, concurrency=1, backoff_base=8.0)
+        rows = [CorpusRecord(id=key, text=text) for key, text in texts.items()]
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.correct_records(config, rows, tmp_path / "corrected.jsonl", backend=Backend())
+        # b was called before a's retry (the order of the calls, not their times), and the
+        # interrupt sent no retry and joined the request thread
+        assert a_calls_at_b == [1]
+        assert calls == Counter(texts.values())
+        assert not [t for t in threading.enumerate() if t.name.startswith("histocr-correct")]
+        assert not (tmp_path / "corrected.jsonl").exists()
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_a_corpus_cleaned_out_starts_no_request_thread(self, tmp_path, monkeypatch, concurrency):
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+        rows = [{"id": f"s{n}", "text": "muy corta"} for n in range(3)]  # under min_tokens, every one
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(pipeline.threading, "Thread", Thread)
+        config = make_config(corpus, None, out, backend="identity", mock_fixtures=None, concurrency=concurrency)
+        assert run_pipeline(config) == 0
+        assert [name for name in started if name.startswith("histocr-correct")] == []
+        assert (out / "corrected.jsonl").read_bytes() == b""
+        assert len(load_processed(out / "removed.jsonl").records) == 3
+        assert set(ARTIFACTS) <= {p.name for p in out.iterdir()}
+
+    def test_every_result_once_in_input_order_under_thread_switching(self):
+        # more request threads than CPUs, switching as often as the interpreter allows
+        records = [CorpusRecord(id=str(n), text="x") for n in range(400)]
+        steps, got = [], []
+
+        def attempts(record):
+            for _ in range(int(record.id) % 3):  # retries due at once
+                steps.append(record.id)
+                yield 0.0
+            steps.append(record.id)
+            return int(record.id)
+
+        def run():
+            with closing(pipeline._scheduled_attempts(attempts, records, 8)) as results:
+                got.extend(results)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=run, daemon=True)
+            thread.start()
+            thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive(), "the scheduler did not finish"
+        assert got == list(range(len(records)))
+        assert Counter(steps) == {r.id: int(r.id) % 3 + 1 for r in records}
+        assert not [t for t in threading.enumerate() if t.name.startswith("histocr-correct")]
 
     def test_a_base_exception_from_the_backend_reaches_the_caller(self, pipeline_fixture, tmp_path):
         corpus, fixtures = pipeline_fixture
