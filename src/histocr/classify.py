@@ -84,8 +84,13 @@ def normalize_segment(segment: str) -> str:
     """Lowercase and strip leading/trailing punctuation per word.
 
     Interior punctuation is preserved; words reduced to nothing (pure
-    punctuation tokens) are dropped.
+    punctuation tokens) are dropped. A plain word (``segment.isalnum()``)
+    is only lowercased: no alphanumeric code point is punctuation or
+    whitespace, none lowercases to either, and a final sigma lowercases to
+    a letter too, so the split and the edge stripping would change nothing.
     """
+    if segment.isalnum():
+        return segment.lower()
     words = [_strip_edge_punctuation(w) for w in segment.lower().split()]
     return " ".join(w for w in words if w)
 
@@ -118,6 +123,25 @@ def _index_expansions(rows: tuple[SubstitutionRule, ...]) -> Expansions:
     return {key: tuple(e for e in flat if e[0][:1] in ("", key)) for key in {e[0][:1] for e in flat} | {""}}
 
 
+# the characters of a table's original-side patterns, and of its corrected-side ones
+Letters = tuple[frozenset[str], frozenset[str]]
+
+
+def _pattern_letters(rows: tuple[SubstitutionRule, ...]) -> Letters:
+    pairs = [p for r in rows for p in r.expansions()]
+    return frozenset("".join(o for o, _ in pairs)), frozenset("".join(c for _, c in pairs))
+
+
+def _letters_fit(original: str, corrected: str, letters: Letters) -> bool:
+    """False when :func:`_match_substitutions` must return None for the pair.
+
+    A character found on one side only cannot be matched literally, so only
+    a pattern holding it on that side can consume it.
+    """
+    o, c = set(original), set(corrected)
+    return o - c <= letters[0] and c - o <= letters[1]
+
+
 @dataclass(frozen=True)
 class RuleTable:
     """Parsed rules file: surface-form substitutions, enclitics, confusions.
@@ -133,6 +157,8 @@ class RuleTable:
     enclitic_pronouns: tuple[str, ...] = field(init=False, repr=False, compare=False)
     substitution_expansions: Expansions = field(init=False, repr=False, compare=False)
     confusion_expansions: Expansions = field(init=False, repr=False, compare=False)
+    substitution_letters: Letters = field(init=False, repr=False, compare=False)
+    confusion_letters: Letters = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         subs = tuple(
@@ -144,6 +170,8 @@ class RuleTable:
         object.__setattr__(self, "enclitic_pronouns", enclitics)
         object.__setattr__(self, "substitution_expansions", _index_expansions(subs))
         object.__setattr__(self, "confusion_expansions", _index_expansions(self.confusion_rows))
+        object.__setattr__(self, "substitution_letters", _pattern_letters(subs))
+        object.__setattr__(self, "confusion_letters", _pattern_letters(self.confusion_rows))
 
     @property
     def example_rows(self) -> tuple[SubstitutionRule, ...]:
@@ -313,13 +341,15 @@ def _cascade(
         return result(SURFACE_FORM, enclitic)
 
     if len(norm_o) <= _MAX_SUBSTITUTION_LEN and len(norm_c) <= _MAX_SUBSTITUTION_LEN:
-        used = _match_substitutions(stripped_o, stripped_c, rules.substitution_expansions)
-        if used is not None:
-            return result(SURFACE_FORM, "+".join(used))
+        if _letters_fit(stripped_o, stripped_c, rules.substitution_letters):
+            used = _match_substitutions(stripped_o, stripped_c, rules.substitution_expansions)
+            if used is not None:
+                return result(SURFACE_FORM, "+".join(used))
 
-        confused = _match_substitutions(norm_o, norm_c, rules.confusion_expansions)
-        if confused is not None:
-            return result(OCR_ERROR, "ocr_confusion_table")
+        if _letters_fit(norm_o, norm_c, rules.confusion_letters):
+            confused = _match_substitutions(norm_o, norm_c, rules.confusion_expansions)
+            if confused is not None:
+                return result(OCR_ERROR, "ocr_confusion_table")
 
     if " " not in norm_o and " " not in norm_c and len(norm_o) == len(norm_c):
         return result(OCR_ERROR, "equal_length")
@@ -340,10 +370,11 @@ def _groups_into(stripped: list[str], core: list[int]) -> list[list[tuple[int, s
     """``into[t][d - 1]`` is ``(t - d, key, len(key))`` for the group of the
     ``d`` (at most ``_MAX_GROUP``) content words ending before content index
     ``t``; ``key`` joins the words of ``core[t - d:t]``."""
+    words = [stripped[k] for k in core]
     into: list[list[tuple[int, str, int]]] = [[] for _ in range(len(core) + 1)]
     for t in range(1, len(core) + 1):
         for s in range(t - 1, max(0, t - _MAX_GROUP) - 1, -1):
-            key = " ".join(stripped[k] for k in core[s:t])
+            key = " ".join(words[s:t])
             into[t].append((s, key, len(key)))
     return into
 
@@ -411,6 +442,10 @@ def _align_normalized(
     that score still gets its ratio, because it may tie. The winner is the
     maximum ``(score, groups)``, ties going to the smallest source ``(i,
     j)``: the first maximum a row-major scan of the sources would meet.
+    Only the predecessors that can be scored are listed: the cut that stops
+    the scan starts at the floor less ``rest`` (below) and only rises, so a
+    predecessor whose bound is under that start would never get a ratio.
+    The listed ones are a prefix of the full sorted list, scanned alike.
 
     A floor skips whole cells, as Ukkonen's cutoff does in edit-distance
     tables. On tables of at least ``_FLOOR_MIN_CELLS`` cells,
@@ -460,10 +495,11 @@ def _align_normalized(
                 continue
             # (si, sj) is unique, so the sort never compares the stored ``here`` tuples
             preds = [
-                (here[0] + 2.0 * (o_len if o_len < c_len else c_len) / (o_len + c_len), si, sj, o_text, c_text, here)
+                (bound, si, sj, o_text, c_text, here)
                 for si, o_text, o_len in o_into[ti]
                 for sj, c_text, c_len in c_into[tj]
                 if (here := best[si][sj]) is not None
+                and (bound := here[0] + 2.0 * (o_len if o_len < c_len else c_len) / (o_len + c_len)) >= cut
             ]
             preds.sort(reverse=True)
             win = None

@@ -114,10 +114,14 @@ def similarity_ratio(a: str, b: str) -> float:
     Equals ``2*M / (len(a) + len(b))`` with M the character total of the
     recursively found longest common blocks, exactly (``==``) the float that
     ``difflib.SequenceMatcher(None, a, b, autojunk=False).ratio()`` returns.
+    A pair of sides of at most ``_SHORT_WINDOW`` sums the sizes of its
+    :func:`_short_blocks` list at once, with no dispatch or generator loop.
     """
     total = len(a) + len(b)
     if not total:
         return 1.0
+    if len(a) <= _SHORT_WINDOW and len(b) <= _SHORT_WINDOW:
+        return 2.0 * sum([size for _, _, size in _short_blocks(a, b, 0, len(a), 0, len(b))]) / total
     return 2.0 * _matches(a, b, total) / total
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from histocr.classify import (
     RuleTable,
     SubstitutionRule,
     _align_groups,
+    _letters_fit,
     _match_enclitic,
     _match_substitutions,
 )
@@ -74,6 +76,25 @@ class TestNormalize:
 
     def test_pure_punctuation_words_dropped(self):
         assert normalize_segment("cuarto ;") == "cuarto"
+
+    def test_every_alphanumeric_code_point_only_lowercases(self):
+        # the plain-word path returns ``lower()`` on this fact, checked
+        # against the running interpreter's Unicode tables
+        changed = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isalnum() and slow_normalize(c) != c.lower()]
+        assert changed == []
+
+    @given(st.text(st.one_of(st.sampled_from("ΣσςİıIi0٣²"), st.characters().filter(str.isalnum)), min_size=1))
+    @settings(max_examples=300, deadline=None)
+    def test_plain_words_keep_the_slow_form(self, word):
+        # a final sigma depends on its neighbours, so whole words are drawn too
+        assert word.isalnum()
+        assert normalize_segment(word) == slow_normalize(word) == word.lower()
+
+
+def slow_normalize(segment):
+    """``normalize_segment`` without its plain-word path: split, then strip each word's edges."""
+    words = [classify._strip_edge_punctuation(w) for w in segment.lower().split()]
+    return " ".join(w for w in words if w)
 
 
 CASCADE_CASES = [
@@ -646,6 +667,28 @@ class TestIndexedMatcher:
     def test_custom_examples(self, original, corrected, expected):
         got = _match_substitutions(original, corrected, CUSTOM_TABLE.substitution_expansions)
         assert got == expected == linear_match_substitutions(original, corrected, CUSTOM_ROWS)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_pair_the_letter_check_rejects_has_no_match(self, data):
+        for rows, letters in (
+            (SHIPPED_TABLE.substitutions, SHIPPED_TABLE.substitution_letters),
+            (SHIPPED_TABLE.confusion_rows, SHIPPED_TABLE.confusion_letters),
+            (CUSTOM_TABLE.substitutions, CUSTOM_TABLE.substitution_letters),
+            (CUSTOM_TABLE.confusion_rows, CUSTOM_TABLE.confusion_letters),
+        ):
+            alphabet = "".join(sorted(letters[0] | letters[1] | set("aeldfhm")))
+            original, corrected = data.draw(st.one_of(rule_pairs(rows), letter_pairs(alphabet)))
+            if not _letters_fit(original, corrected, letters):
+                assert linear_match_substitutions(original, corrected, rows) is None
+
+    def test_pattern_letters(self):
+        assert CUSTOM_TABLE.substitution_letters == (frozenset("rnimou"), frozenset("rñmnhu"))
+        assert not _letters_fit("abc", "abd", CUSTOM_TABLE.substitution_letters)  # "c" is in no original side
+        assert not _letters_fit("ab", "abñd", CUSTOM_TABLE.substitution_letters)  # nor "d" in a corrected one
+        assert _letters_fit("senior", "señor", CUSTOM_TABLE.substitution_letters)
+        # a character on both sides may match literally, so it needs no pattern
+        assert _letters_fit("xyz", "zyx", (frozenset(), frozenset()))
 
     def test_empty_original_side_sits_in_every_bucket(self):
         index = CUSTOM_TABLE.substitution_expansions

@@ -586,7 +586,8 @@ class TestScheduledAttempts:
 
     def test_a_base_exception_from_the_backend_reaches_the_caller(self, pipeline_fixture, tmp_path):
         corpus, fixtures = pipeline_fixture
-        halting = {MockBackend.hash_text(text) for text in [json.loads(line)["text"] for line in corpus.open()][2:4]}
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        halting = {MockBackend.hash_text(json.loads(line)["text"]) for line in lines[2:4]}
 
         class Halting(RecordingBackend):
             def complete(self, prompt: str, text: str) -> str:
@@ -602,7 +603,8 @@ class TestScheduledAttempts:
             except BaseException as exc:
                 raised.append(exc)
 
-        thread = threading.Thread(target=run)
+        # a daemon, so a run that never returns fails this test and does not hold the process open
+        thread = threading.Thread(target=run, daemon=True)
         thread.start()
         thread.join(60)
         assert not thread.is_alive(), "run_pipeline did not return"
