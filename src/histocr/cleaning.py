@@ -8,6 +8,7 @@ tracks per-filter removal counts and percentages against the original total.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Callable, Sequence
 
 from .records import CorpusRecord
@@ -35,6 +36,27 @@ TOKENIZERS: dict[str, Tokenizer] = {
     "unicode_words": word_tokens,
     "whitespace": str.split,
 }
+
+
+def count_tokens(text: str, tokenizer: Tokenizer, stop: int | None = None) -> int:
+    """``len(tokenizer(text))``, or ``min(len(tokenizer(text)), stop)`` for a ``stop`` of at least 1.
+
+    The two built-in tokenizers are counted without building their token
+    list: ``word_tokens`` by counting its pattern's matches (at most ``stop``
+    of them), ``str.split`` by a split into at most ``stop`` pieces, whose last
+    piece holds the rest of the text. Any other tokenizer is still called on
+    the whole text and its list measured.
+    """
+    if tokenizer is word_tokens:
+        if stop is None:
+            return _WORD_RE.subn("", text)[1]
+        return sum(1 for _ in islice(_WORD_RE.finditer(text), stop))
+    if tokenizer is str.split:
+        if stop is None:
+            return len(text.split())
+        return len(text.split(None, stop - 1))
+    count = len(tokenizer(text))
+    return count if stop is None else min(count, stop)
 
 
 def non_alpha_ratio(text: str, count_whitespace: bool = False) -> float:
@@ -66,8 +88,11 @@ def clean_corpus(
     Duplicate or empty: no text, or an earlier record's text (kept or not),
     once edge whitespace is trimmed. Non-alphabetic: strictly more than
     ``max_nonalpha`` of the characters are not letters. Short: ``min_tokens``
-    or fewer tokens. Removals are listed by reason, then in input order; the
-    report (``cleaning_report.json``) gives each count, removals also in percent.
+    or fewer tokens, counted by :func:`count_tokens` up to ``min_tokens + 1``,
+    so a built-in tokenizer stops there and builds no token list; a custom
+    ``tokenizer`` is still called on the whole text. Removals are listed by
+    reason, then in input order; the report (``cleaning_report.json``) gives
+    each count, removals also in percent.
     """
     if min_tokens < 0:
         raise ValueError("min_tokens must be >= 0")
@@ -83,7 +108,7 @@ def clean_corpus(
         seen.add(trimmed)
         if non_alpha_ratio(record.text, count_whitespace) > max_nonalpha:
             alpha.append(record)
-        elif len(tokenizer(record.text)) <= min_tokens:
+        elif count_tokens(record.text, tokenizer, min_tokens + 1) <= min_tokens:
             short.append(record)
         else:
             kept.append(record)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .applier import emit_lexicon
 from .classify import HALLUCINATION, OCR_ERROR, SURFACE_FORM
-from .cleaning import TOKENIZERS
+from .cleaning import TOKENIZERS, count_tokens
 from .records import (
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
@@ -36,7 +36,9 @@ def build_report(
     that entered the correction stage. Text measures use the final corrected
     text where available, the original otherwise. Records without a year are
     excluded from the decade histogram and counted separately; missing
-    countries bucket under "unknown". An unknown ``tokenizer_id`` is a
+    countries bucket under "unknown". ``tokens`` is counted by
+    :func:`~histocr.cleaning.count_tokens`, which builds no token list for
+    the built-in tokenizers. An unknown ``tokenizer_id`` is a
     ``ValueError``: the report would carry a label its counts do not match.
     """
     if tokenizer_id not in TOKENIZERS:
@@ -58,7 +60,7 @@ def build_report(
         record = item.record
         text = item.text_final if item.text_final is not None else record.text
         words += len(text.split())
-        tokens += len(tokenizer(text))
+        tokens += count_tokens(text, tokenizer)
         if record.newspaper:
             newspapers.add(record.newspaper)
         if record.year is not None:

@@ -112,6 +112,13 @@ def build_cleaning_fixture() -> tuple[list[CorpusRecord], dict[str, int]]:
     return records, expected
 
 
+# Every character kind on which the built-in tokenizers could disagree with a
+# count of their tokens: letters, a digit, "_" (no word character for
+# ``unicode_words``), combining marks, punctuation, a zero-width space (no
+# whitespace) and each whitespace kind that ``str.split`` splits on.
+TOKEN_ALPHABET = "aZñ7_\u0301\u0327.-\u200b \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000"
+
+
 # --- pipeline fixture: 20 records plus a deterministic mock response table ---
 
 _HALLUCINATED_REWRITE = (
@@ -260,6 +267,26 @@ def _package_log_level():
     level = logger.level
     yield
     logger.setLevel(level)
+
+
+def pytest_pycollect_makeitem(collector, name, obj):
+    """Fail the collection of a test-class method that is both ``@given`` and parametrized.
+
+    Hypothesis runs such a test with one class instance per parameter set, and
+    from Python 3.12 on that fails its ``differing_executors`` health check,
+    while under 3.11 the same test passes; so the mix is refused here, on every
+    interpreter. Loop over the cases inside one ``@given`` test instead.
+    """
+    if not isinstance(collector, pytest.Class) or not getattr(obj, "is_hypothesis_test", False):
+        return None
+    marks = [*getattr(obj, "pytestmark", []), *collector.iter_markers()]
+    if any(mark.name == "parametrize" for mark in marks):
+        raise collector.CollectError(
+            f"{collector.nodeid}::{name} is both @given and parametrized; on Python 3.12 and later "
+            "hypothesis fails it with FailedHealthCheck (differing_executors). "
+            "Loop over the cases inside the @given test instead."
+        )
+    return None
 
 
 def pytest_runtest_logreport(report):

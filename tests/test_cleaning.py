@@ -1,14 +1,17 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_cleaning_fixture
+from conftest import TOKEN_ALPHABET, build_cleaning_fixture
 from histocr.cleaning import (
     REASON_DUPLICATE_OR_EMPTY,
     REASON_NON_ALPHABETIC,
     REASON_TOO_SHORT,
     TOKENIZERS,
     clean_corpus,
+    count_tokens,
     non_alpha_ratio,
     word_tokens,
 )
@@ -136,6 +139,40 @@ class TestShortRows:
         for records in (recs("x"), []):
             with pytest.raises(ValueError):
                 clean_corpus(records, min_tokens=-1)
+
+
+class TestCountTokens:
+    @given(st.text(TOKEN_ALPHABET, max_size=40), st.integers(0, 6))
+    @settings(max_examples=400, deadline=None)
+    @example("a b c d e\u3000", 4)
+    @example("\x1ca\x1db\x1ec\x1fd\x85e\xa0", 4)
+    @example("a_b\u0301c\u2028d\u200be", 4)
+    @example("aZ ñ7", 0)
+    def test_the_short_verdict_is_the_token_list_length(self, text, min_tokens):
+        # one @given test over both tokenizers: see conftest.pytest_pycollect_makeitem
+        (record,) = recs(text)
+        for name, tokenizer in TOKENIZERS.items():
+            count = len(tokenizer(text))
+            assert count_tokens(text, tokenizer) == count, name
+            assert count_tokens(text, tokenizer, min_tokens + 1) == min(count, min_tokens + 1), name
+            kept, removed, _ = clean_corpus([record], min_tokens=min_tokens, tokenizer=tokenizer, **NO_ALPHA_LIMIT)
+            # a text with no token at all may go first as empty; any other is short exactly when counted so
+            assert (kept == []) == (count <= min_tokens), name
+            if text.strip():
+                assert [reason for _, reason in removed] == [REASON_TOO_SHORT] * (count <= min_tokens), name
+
+    def test_a_long_record_builds_no_token_list(self):
+        # 1,000,000 ASCII characters in 166,667 tokens: the token list alone would take several MB
+        (record,) = recs("abcde " * 166_666 + "abcd")
+        for name, tokenizer in TOKENIZERS.items():
+            tracemalloc.start()
+            try:
+                kept, _, _ = clean_corpus([record], tokenizer=tokenizer)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert kept == [record], name
+            assert peak < 2_000_000, (name, peak)
 
 
 class TestCleanCorpus:

@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import TOKEN_ALPHABET
 from histocr.classify import ClassifiedCorrection
+from histocr.cleaning import TOKENIZERS
 from histocr.records import (
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
@@ -129,6 +133,17 @@ class TestBuildReport:
         assert report["words"] == 4  # whitespace tokens
         assert report["tokens"] == 4  # letter/digit runs
         assert report["tokenizer_id"] == "unicode_words"
+
+    @given(st.lists(st.text(TOKEN_ALPHABET, max_size=40), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    @example(["a b\u3000c\x1c", "\x85a_b\u0301c\xa0"])
+    def test_tokens_are_the_sum_of_the_token_list_lengths(self, texts):
+        # one @given test over both tokenizers: see conftest.pytest_pycollect_makeitem
+        rows = [processed(f"r{i}", text=text) for i, text in enumerate(texts)]
+        for name, tokenizer in TOKENIZERS.items():
+            report = build_report(rows, tokenizer_id=name)
+            assert report["tokens"] == sum(len(tokenizer(text)) for text in texts), name
+            assert report["words"] == sum(len(text.split()) for text in texts), name
 
     def test_unknown_tokenizer_is_rejected(self):
         # counting with a fallback tokenizer would label the counts with a wrong id
