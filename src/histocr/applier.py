@@ -9,9 +9,8 @@ byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .classify import OCR_ERROR, SURFACE_FORM, ClassifiedCorrection
 from .records import write_artifact
@@ -23,17 +22,20 @@ class SpanIntegrityError(Exception):
     """A correction's span no longer matches the text it was derived from."""
 
 
-@dataclass(frozen=True)
-class SurfaceFormEntry:
-    """One lexicon row: historical form, modern form, rule, corpus frequency."""
-
+class _SurfaceFormEntryFields(NamedTuple):
     original: str
     modern: str
     rule: str
     frequency: int
     accent_only: bool
 
-    def __post_init__(self) -> None:
+
+class SurfaceFormEntry(_SurfaceFormEntryFields):
+    """One lexicon row: historical form, modern form, rule, corpus frequency."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.original == self.modern:
             raise ValueError("surface form entry with identical forms")
         if self.frequency < 1:

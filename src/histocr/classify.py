@@ -31,9 +31,10 @@ label. Punctuation-only tokens attach to the preceding content word.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .diffing import ChangeHunk, similarity_ratio
 
@@ -95,8 +96,7 @@ def normalize_segment(segment: str) -> str:
     return " ".join(w for w in words if w)
 
 
-@dataclass(frozen=True)
-class SubstitutionRule:
+class SubstitutionRule(NamedTuple):
     rule_id: str
     historical: str
     modern: str
@@ -142,36 +142,37 @@ def _letters_fit(original: str, corrected: str, letters: Letters) -> bool:
     return o - c <= letters[0] and c - o <= letters[1]
 
 
-@dataclass(frozen=True)
-class RuleTable:
+class _RuleTableFields(NamedTuple):
+    surface_rows: tuple[SubstitutionRule, ...]
+    confusion_rows: tuple[SubstitutionRule, ...]
+    # derived in __new__, first the letter-group rows usable by the substitution matcher (stage 5)
+    substitutions: tuple[SubstitutionRule, ...]
+    enclitic_pronouns: tuple[str, ...]
+    substitution_expansions: Expansions
+    confusion_expansions: Expansions
+    substitution_letters: Letters
+    confusion_letters: Letters
+
+
+class RuleTable(_RuleTableFields):
     """Parsed rules file: surface-form substitutions, enclitics, confusions.
 
     The tables the cascade reads are derived once, when the table is built,
     so an edit to the rules file takes effect on the next load.
     """
 
-    surface_rows: tuple[SubstitutionRule, ...]
-    confusion_rows: tuple[SubstitutionRule, ...]
-    # letter-group rows usable by the substitution matcher (stage 5)
-    substitutions: tuple[SubstitutionRule, ...] = field(init=False, repr=False, compare=False)
-    enclitic_pronouns: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    substitution_expansions: Expansions = field(init=False, repr=False, compare=False)
-    confusion_expansions: Expansions = field(init=False, repr=False, compare=False)
-    substitution_letters: Letters = field(init=False, repr=False, compare=False)
-    confusion_letters: Letters = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, surface_rows: tuple[SubstitutionRule, ...], confusion_rows: tuple[SubstitutionRule, ...]):
         subs = tuple(
-            r for r in self.surface_rows
+            r for r in surface_rows
             if r.direction != "enclitic" and strip_accents(r.historical) != strip_accents(r.modern)
         )
-        enclitics = tuple(r.historical for r in self.surface_rows if r.direction == "enclitic")
-        object.__setattr__(self, "substitutions", subs)
-        object.__setattr__(self, "enclitic_pronouns", enclitics)
-        object.__setattr__(self, "substitution_expansions", _index_expansions(subs))
-        object.__setattr__(self, "confusion_expansions", _index_expansions(self.confusion_rows))
-        object.__setattr__(self, "substitution_letters", _pattern_letters(subs))
-        object.__setattr__(self, "confusion_letters", _pattern_letters(self.confusion_rows))
+        enclitics = tuple(r.historical for r in surface_rows if r.direction == "enclitic")
+        return super().__new__(
+            cls, surface_rows, confusion_rows, subs, enclitics, _index_expansions(subs),
+            _index_expansions(confusion_rows), _pattern_letters(subs), _pattern_letters(confusion_rows),
+        )
 
     @property
     def example_rows(self) -> tuple[SubstitutionRule, ...]:
@@ -209,8 +210,13 @@ def default_rules() -> RuleTable:
         return load_rules(path)
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
+class _ClassifierConfigFields(NamedTuple):
+    ratio_threshold: float = 0.55
+    max_corrected_words: int = 3
+    promote_min_frequency: int | None = None  # None disables promotion
+
+
+class ClassifierConfig(_ClassifierConfigFields):
     """Thresholds for the ratio stage and the optional frequency promotion.
 
     ``ratio_threshold`` must sit between the known hallucination and OCR
@@ -218,11 +224,9 @@ class ClassifierConfig:
     margin below the lowest known genuine OCR correction.
     """
 
-    ratio_threshold: float = 0.55
-    max_corrected_words: int = 3
-    promote_min_frequency: int | None = None  # None disables promotion
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if errors := self.range_errors(self.ratio_threshold, self.max_corrected_words):
             raise ValueError("; ".join(errors))
 

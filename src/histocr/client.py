@@ -18,9 +18,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generator, Protocol
+from typing import TYPE_CHECKING, Callable, Generator, NamedTuple, Protocol
 
 from .records import (
     OUTCOME_CONTENT_POLICY,
@@ -68,13 +67,16 @@ class FatalTransportError(TransportError):
     """A failure that a retry cannot fix (bad request, bad key, no access, wrong URL)."""
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """A prompt with exactly one {text} placeholder."""
-
+class _PromptTemplateFields(NamedTuple):
     template_text: str
 
-    def __post_init__(self) -> None:
+
+class PromptTemplate(_PromptTemplateFields):
+    """A prompt with exactly one {text} placeholder."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.template_text.count("{text}") != 1:
             raise ValueError("template must contain exactly one {text} placeholder")
 
@@ -86,13 +88,16 @@ class PromptTemplate:
         return cls(SPANISH_PROMPT)
 
 
-@dataclass(frozen=True)
-class BackendResult:
+class _BackendResultFields(NamedTuple):
     outcome: str
     corrected_text: str | None = None
     detail: str = ""
 
-    def __post_init__(self) -> None:
+
+class BackendResult(_BackendResultFields):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if (self.corrected_text is not None) != (self.outcome == OUTCOME_OK):
             raise ValueError("corrected_text must be present exactly when outcome is ok")
 
@@ -217,8 +222,7 @@ def _delay_seconds(value: str | None) -> float | None:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(NamedTuple):
     """Capped exponential backoff for transient transport errors only."""
 
     max_attempts: int = 3

@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .classify import ClassifierConfig
 from .cleaning import TOKENIZERS
-from .client import RetryPolicy
 from .records import BOOL, INTEGER, NULL, NUMBER, STRING, Field
 
 BACKEND_KINDS = ("mock", "identity", "http")
@@ -30,10 +29,10 @@ class PipelineConfig:
     api_key_env: str = "HISTOCR_API_KEY"
     mock_fixtures: str | None = None
     temperature: float = 0.0
-    # request handling
+    # request handling; the retry defaults are RetryPolicy's
     concurrency: int = 4
-    retry_attempts: int = RetryPolicy.max_attempts
-    backoff_base: float = RetryPolicy.backoff_base
+    retry_attempts: int = 3
+    backoff_base: float = 0.5
     max_chars: int = 12000
     hallucination_threshold: float = 0.5
     # cleaning
@@ -41,11 +40,11 @@ class PipelineConfig:
     max_nonalpha: float = 0.5
     count_whitespace: bool = False
     tokenizer: str = "unicode_words"
-    # classification
+    # classification; the threshold defaults are ClassifierConfig's
     rules_path: str | None = None
-    ratio_threshold: float = ClassifierConfig.ratio_threshold
-    max_corrected_words: int = ClassifierConfig.max_corrected_words
-    promote_min_frequency: int | None = ClassifierConfig.promote_min_frequency
+    ratio_threshold: float = 0.55
+    max_corrected_words: int = 3
+    promote_min_frequency: int | None = None
     # behavior
     modernize: bool = False
     strict: bool = False

@@ -26,8 +26,7 @@ order, so the path taken never changes a result, only its cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 HunkKind = Literal["replace", "insert", "delete"]
 
@@ -35,8 +34,15 @@ HunkKind = Literal["replace", "insert", "delete"]
 _SHORT_WINDOW = 64
 
 
-@dataclass(frozen=True)
-class ChangeHunk:
+class _HunkFields(NamedTuple):
+    original_segment: str
+    corrected_segment: str
+    original_span: tuple[int, int]
+    corrected_span: tuple[int, int]
+    kind: HunkKind
+
+
+class ChangeHunk(_HunkFields):
     """One aligned difference between the original and corrected word streams.
 
     ``original_segment``/``corrected_segment`` are the affected words joined
@@ -45,13 +51,9 @@ class ChangeHunk:
     into the respective word sequences.
     """
 
-    original_segment: str
-    corrected_segment: str
-    original_span: tuple[int, int]
-    corrected_span: tuple[int, int]
-    kind: HunkKind
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if self.kind == "insert" and self.original_segment:
             raise ValueError("insert hunk with non-empty original segment")
         if self.kind == "delete" and self.corrected_segment:

@@ -240,8 +240,7 @@ class CorpusError(Exception):
     """Unrecoverable corpus problem (unreadable file, duplicate ids)."""
 
 
-@dataclass(frozen=True)
-class LineDiagnostic:
+class LineDiagnostic(NamedTuple):
     line: int
     message: str
     severity: str = "error"  # error = line skipped, warning = accepted but flagged
@@ -250,8 +249,7 @@ class LineDiagnostic:
         return f"line {self.line}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     """One newspaper text fragment with provenance metadata."""
 
     id: str
@@ -301,8 +299,7 @@ def ProcessedRecord(
     return CandidateRecord(record, None, "", text_llm, [] if corrections is None else corrections, status, text_final)
 
 
-@dataclass
-class LoadResult:
+class LoadResult(NamedTuple):
     records: list  # CorpusRecord or CandidateRecord
     diagnostics: list[LineDiagnostic]
 
@@ -316,10 +313,11 @@ def _read_rows(
 ) -> Iterator[tuple[int, object]]:
     """Yield ``(line number, row)`` for each line that ``parse`` accepts.
 
-    Other non-blank lines, undecodable ones too, go to ``diagnostics`` as errors in
-    line order. The file is read one line at a time. Lines end at ``\\n`` only:
-    JSON strings may hold U+2028 or NEL. A UTF-8 byte order mark opens line 1
-    only: anywhere else it stays in the line, and JSON refuses it.
+    Other non-blank lines, undecodable ones and ones nested past the JSON parser's
+    recursion limit too, go to ``diagnostics`` as errors in line order. The file is
+    read one line at a time. Lines end at ``\\n`` only: JSON strings may hold U+2028
+    or NEL. A UTF-8 byte order mark opens line 1 only: anywhere else it stays in the
+    line, and JSON refuses it.
     """
     try:
         with open(path, "rb") as fh:
@@ -337,7 +335,7 @@ def _read_rows(
                     row = parse(obj)
                 except KeyError as exc:
                     diagnostics.append(LineDiagnostic(lineno, f"missing field {exc}"))
-                except (ValueError, TypeError) as exc:
+                except (ValueError, TypeError, RecursionError) as exc:
                     diagnostics.append(LineDiagnostic(lineno, str(exc)))
                 else:
                     yield lineno, row

@@ -52,6 +52,12 @@ def write_config(path: Path, corpus: Path, fixtures: Path, **extra) -> Path:
     return path
 
 
+def nested(row: dict) -> str:
+    """``row`` as a JSON line with one more key, whose value nests 100,000 arrays: past the
+    recursion limit, the JSON parser raises ``RecursionError``, not ``ValueError``."""
+    return json.dumps(row, ensure_ascii=False)[:-1] + ', "extra": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
 class TestRunCommand:
     def test_full_run_produces_artifacts(self, pipeline_fixture, tmp_path):
         corpus, fixtures = pipeline_fixture
@@ -63,6 +69,21 @@ class TestRunCommand:
         # corrected corpus, lexicon files, cleaning report, run report
         for name in ("final.jsonl", "lexicon.tsv", "cleaning_report.json", "report.json"):
             assert (out / name).is_file()
+
+    def test_a_line_nested_too_deep_costs_one_line(self, pipeline_fixture, tmp_path, caplog):
+        corpus, fixtures = pipeline_fixture
+        config = write_config(tmp_path / "config.json", corpus, fixtures)
+        first, *rest = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text(first + nested({"id": "deep", "text": "x"}) + "\n" + "".join(rest), encoding="utf-8")
+        for path, out in ((corpus, "plain"), (deep, "deep")):
+            argv = ["--config", str(config), "run", "--input", str(path), "--output", str(tmp_path / out)]
+            assert main(argv) == 0
+        warnings = [message for message in caplog.messages if str(deep) in message]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"{deep}: line 2: error: maximum recursion depth exceeded")
+        for name in ARTIFACTS:
+            assert (tmp_path / "deep" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
     def test_missing_input_fails_without_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -651,12 +672,13 @@ MALFORMED_STAGE_ROWS = pytest.mark.parametrize(
         ("classify", CORRECTED_ROW, json.dumps({**CORRECTED_ROW, "llm_detail": ["x"]})),
         ("apply", {**CORRECTED_ROW, "corrections": []}, json.dumps({**CORRECTED_ROW, "llm_outcome": "bogus", "corrections": []})),
         ("classify", CORRECTED_ROW, json.dumps({**CORRECTED_ROW, "llm_outcome": "global_hallucination"})),
+        ("classify", CORRECTED_ROW, nested(CORRECTED_ROW)),
     ],
     ids=["classify-no-text", "apply-no-id", "apply-array", "report-array", "apply-string-position",
          "apply-three-int-position", "report-int-original", "report-unknown-label",
          "report-int-text_final", "report-bool-text_final", "report-float-text_final", "report-list-text_final",
          "report-object-text_final", "report-object-text_llm", "classify-int-outcome", "classify-list-detail",
-         "apply-unknown-outcome", "classify-rewrite-before-classify"],
+         "apply-unknown-outcome", "classify-rewrite-before-classify", "classify-nested-too-deep"],
 )
 
 
@@ -1021,8 +1043,9 @@ class TestMalformedFixtures:
             ('{"input_hash": "x", "output": "caf\xff"}', "can't decode byte 0xff"),
             ('{"input_hash": 5, "output": "x"}', "'input_hash' and 'output' must be strings"),
             ('{"input_hash": "x", "output": null}', "'input_hash' and 'output' must be strings"),
+            (nested({"input_hash": "x", "output": "x"}), "maximum recursion depth exceeded"),
         ],
-        ids=["missing-output", "array", "broken-json", "not-utf-8", "number-hash", "null-output"],
+        ids=["missing-output", "array", "broken-json", "not-utf-8", "number-hash", "null-output", "nested-too-deep"],
     )
     def test_bad_fixture_row_is_a_clean_failure(self, tmp_path, capsys, bad_line, message):
         corpus = tmp_path / "cleaned.jsonl"
@@ -1087,9 +1110,15 @@ class TestConfigOverrides:
             ), argv
 
     def test_defaults_are_the_stage_settings_defaults(self):
-        assert pipeline.classifier_config(PipelineConfig()) == ClassifierConfig()
-        config, policy = PipelineConfig(), RetryPolicy()
+        # PipelineConfig writes these defaults out: on the NamedTuples RetryPolicy and
+        # ClassifierConfig, a class attribute such as ClassifierConfig.ratio_threshold is the
+        # field's accessor, not its default
+        config, policy, thresholds = PipelineConfig(), RetryPolicy(), ClassifierConfig()
         assert (config.retry_attempts, config.backoff_base) == (policy.max_attempts, policy.backoff_base)
+        assert (config.ratio_threshold, config.max_corrected_words, config.promote_min_frequency) == (
+            thresholds.ratio_threshold, thresholds.max_corrected_words, thresholds.promote_min_frequency
+        )
+        assert pipeline.classifier_config(config) == thresholds
 
 
 COMMANDS = {

@@ -1,7 +1,6 @@
 import json
 import math
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -531,8 +530,8 @@ class TestWriterBytes:
 # the rows the stages build, drawn from the strategies above: a non-empty id, a year in
 # the target range (else load_corpus warns), a text without NUL, known outcomes, statuses
 # and labels, frequencies >= 1, and null in every key whose attribute may be None
-LOADABLE_CORPUS_ROWS = CORPUS_ROWS.map(lambda record: replace(
-    record, id=record.id or "x", year=None if record.year is None else 1800 + record.year % 100,
+LOADABLE_CORPUS_ROWS = CORPUS_ROWS.map(lambda record: record._replace(
+    id=record.id or "x", year=None if record.year is None else 1800 + record.year % 100,
     text=record.text.replace("\x00", ""),
 ))
 LOADABLE_CORRECTIONS = st.lists(st.builds(
