@@ -8,19 +8,21 @@ deterministic mock driven by a fixture table; ``--backend identity`` is the
 mock with no fixtures, which echoes every text. Per-record processing never
 raises; every outcome is encoded in the result. This module only fetches
 candidates: judging them, the whole-text rewrite check included, is the
-classify stage's job. ``requests`` is needed only by the HTTP
-backend and is imported only when one is built, so mock and identity runs
-never load it.
+classify stage's job. The HTTP backend uses the standard library's
+``http.client``, imported only when one is built, so mock and identity runs
+load no HTTP stack.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generator, NamedTuple, Protocol
+from typing import Callable, Generator, NamedTuple, Protocol
 
+from . import __version__
 from .records import (
     OUTCOME_CONTENT_POLICY,
     OUTCOME_OK,
@@ -30,9 +32,6 @@ from .records import (
     _read_rows,
     lone_surrogate,
 )
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -151,60 +150,113 @@ def _fixture_row(obj: dict) -> tuple[str, str]:
 
 
 class HttpChatBackend:
-    """Generic chat-completion endpoint (OpenAI-style JSON shape)."""
+    """Generic chat-completion endpoint (OpenAI-style JSON shape), over ``http.client``.
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None = None,
-        temperature: float = 0.0,
-        session: requests.Session | None = None,
-    ):
+    Each request thread keeps one connection alive, to the endpoint or to the
+    proxy that ``urllib.request.getproxies()`` names for its scheme unless
+    ``proxy_bypass`` exempts the host: an https endpoint is tunnelled through
+    it with ``CONNECT``, an http one is sent the absolute URL. HTTPS trusts
+    the system store (``ssl.create_default_context()``). A redirect is a
+    :class:`FatalTransportError`, not followed.
+    """
+
+    def __init__(self, endpoint: str, model: str, api_key: str | None = None, temperature: float = 0.0):
+        import threading
+        from base64 import b64encode
+        from functools import partial
+        from http.client import HTTPConnection, HTTPSConnection
+        from urllib.parse import unquote, urlsplit
+        from urllib.request import getproxies, proxy_bypass
+
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
         self.temperature = temperature
-        if session is None:
-            import requests
+        self._headers = {"Content-Type": "application/json", "User-Agent": f"histocr/{__version__}"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        url = urlsplit(endpoint)
+        https = url.scheme == "https"
+        self._address = (url.hostname, url.port or (443 if https else 80))
+        self._target = url._replace(scheme="", netloc="", fragment="").geturl() or "/"
+        self._open = HTTPConnection
+        if https:
+            import ssl
 
-            session = requests.Session()
-        self.session = session
+            self._open = partial(HTTPSConnection, context=ssl.create_default_context())
+        self._tunnel = self._tunnel_headers = None
+        proxy = getproxies().get(url.scheme)
+        if proxy and not proxy_bypass(url.netloc.rpartition("@")[2]):
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            proxy_headers = {}
+            if proxy_url.username is not None:
+                credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                proxy_headers["Proxy-Authorization"] = f"Basic {b64encode(credentials.encode()).decode()}"
+            if https:
+                self._tunnel, self._tunnel_headers = self._address, proxy_headers
+            else:
+                self._target = url._replace(fragment="").geturl()
+                self._headers.update(proxy_headers)
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+        self._local = threading.local()
+
+    def _connection(self):
+        """The calling thread's connection, which opens a new socket whenever its last one was closed."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._open(*self._address, timeout=HTTP_TIMEOUT_S)
+            if self._tunnel:
+                connection.set_tunnel(*self._tunnel, headers=self._tunnel_headers)
+        return connection
+
+    def _post(self, connection, body: bytes):
+        """Send the request and read the status line and headers. A kept-alive
+        socket that fails before the status line gets the request once more on
+        a fresh socket, as ``xmlrpc.client.Transport.request`` does: the server
+        may have closed it while it was idle."""
+        reused = connection.sock is not None
+        try:
+            connection.request("POST", self._target, body, self._headers)
+            return connection.getresponse()
+        except (ConnectionResetError, BrokenPipeError):  # http.client.RemoteDisconnected included
+            if not reused:
+                raise
+            connection.close()
+        connection.request("POST", self._target, body, self._headers)
+        return connection.getresponse()
 
     def complete(self, prompt: str, text: str) -> str:
-        import requests
+        from http.client import HTTPException
 
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {
             "model": self.model,
             "temperature": self.temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
+        connection = self._connection()
         try:
-            response = self.session.post(
-                self.endpoint, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S
-            )
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        refusal_markers = ("content_filter", "content_policy", "content policy",
-                           "responsibleaipolicy")
-        if response.status_code == 400 and any(
-            marker in response.text.lower() for marker in refusal_markers
-        ):
-            raise ContentPolicyRefusal(response.text[:500])
-        # a client error other than a timeout or a rate limit recurs on every retry
-        if 400 <= response.status_code < 500 and response.status_code not in (408, 429):
-            raise FatalTransportError(f"HTTP {response.status_code}: {response.text[:500]}")
-        if response.status_code >= 400:
+            response = self._post(connection, json.dumps(payload).encode())
+            status, data = response.status, response.read()
+        except (OSError, HTTPException) as exc:  # a timeout and an ssl.SSLError are OSErrors
+            connection.close()
+            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
+        if 300 <= status < 400:
+            raise FatalTransportError(f"HTTP {status}: redirect to {response.getheader('Location')} not followed")
+        if status >= 400:
+            reply = data.decode("utf-8", "replace")
+            refusal_markers = ("content_filter", "content_policy", "content policy",
+                               "responsibleaipolicy")
+            if status == 400 and any(marker in reply.lower() for marker in refusal_markers):
+                raise ContentPolicyRefusal(reply[:500])
+            # a client error other than a timeout or a rate limit recurs on every retry
+            if status < 500 and status not in (408, 429):
+                raise FatalTransportError(f"HTTP {status}: {reply[:500]}")
             raise TransportError(
-                f"HTTP {response.status_code}: {response.text[:500]}",
-                retry_after=_delay_seconds(response.headers.get("Retry-After")),
+                f"HTTP {status}: {reply[:500]}",
+                retry_after=_delay_seconds(response.getheader("Retry-After")),
             )
         try:
-            body = response.json()
-            choice = body["choices"][0]
+            choice = json.loads(data)["choices"][0]
             if choice.get("finish_reason") == "content_filter":
                 raise ContentPolicyRefusal("finish_reason=content_filter")
             content = choice["message"]["content"]

@@ -6,6 +6,7 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .classify import ClassifierConfig
 from .cleaning import TOKENIZERS
@@ -82,6 +83,8 @@ class PipelineConfig:
         if c.backend == "http":
             if not c.endpoint:
                 errors.append("http backend requires an endpoint")
+            elif not _web_url(c.endpoint):
+                errors.append(f"endpoint must be an http:// or https:// URL with a host, got {c.endpoint!r}")
             if not c.model:
                 errors.append("http backend requires a model name")
         if c.backend == "mock" and c.mock_fixtures and not Path(c.mock_fixtures).exists():
@@ -95,6 +98,14 @@ class PipelineConfig:
     @property
     def api_key(self) -> str | None:
         return os.environ.get(self.api_key_env) or None
+
+
+def _web_url(text: str) -> bool:
+    try:
+        url = urlsplit(text)
+        return url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+    except ValueError:  # a malformed IPv6 host, or a port that is not a number below 65536
+        return False
 
 
 def load_config(path: str | Path) -> PipelineConfig:

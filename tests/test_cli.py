@@ -167,6 +167,22 @@ class TestRunCommand:
         assert capsys.readouterr().err.splitlines() == [expected.replace("TMP", str(tmp_path))]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "endpoint", ["example.com/v1", "localhost:8000/v1", "ftp://example.com/v1", "http:///v1",
+                     "https://example.com:99999/v1", "http://[::1/v1"],
+    )
+    def test_endpoint_that_is_no_web_url_is_config_error(self, pipeline_fixture, tmp_path, capsys, endpoint):
+        # left to the backend, every record would fail all its attempts and the run would still exit 0
+        corpus, _ = pipeline_fixture
+        out = tmp_path / "out"
+        code = main(["run", "--input", str(corpus), "--output", str(out),
+                     "--backend", "http", "--endpoint", endpoint, "--model", "m"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: endpoint must be an http:// or https:// URL with a host, got {endpoint!r}"
+        ]
+        assert not out.exists()
+
     def test_int_accepted_where_float_expected(self, pipeline_fixture, tmp_path):
         corpus, fixtures = pipeline_fixture
         config = write_config(tmp_path / "config.json", corpus, fixtures,

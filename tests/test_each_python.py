@@ -10,8 +10,8 @@ _SPEC.loader.exec_module(each_python)
 PYTEST_OUTPUT = """\
 ........F.......E
 =========================== short test summary info ============================
-FAILED tests/test_pipeline.py::TestBackendConstruction::test_http_backend_wired_from_config - ModuleNotFoundError: No module named 'requests'
-ERROR tests/test_client.py - ModuleNotFoundError: No module named 'requests'
+FAILED tests/test_pipeline.py::TestBackendConstruction::test_http_backend_wired_from_config - ModuleNotFoundError: No module named 'hypothesis'
+ERROR tests/test_client.py - ModuleNotFoundError: No module named 'hypothesis'
 1 failed, 1196 passed, 1 error in 41.20s
 """
 

@@ -6,6 +6,7 @@ import math
 import pkgutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -15,6 +16,8 @@ from difflib import SequenceMatcher
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_CORRECTED, GOLDEN_ORIGINAL
 import histocr
@@ -312,6 +315,35 @@ class TestSchedules:
         assert set(corrected.values()) == {"ok", "content_policy_refusal", "transport_error", "over_length"}
         # the wholesale rewrite is written as returned, and judged only in classified.jsonl
         assert (corrected["p06"], classified["p06"]) == ("ok", "global_hallucination")
+
+
+def artifacts_of(lines: list[str], fixtures: Path) -> dict[str, object]:
+    """Run the pipeline in-process on a corpus of ``lines``: each ``.jsonl`` artifact's
+    rows sorted by id, and every other artifact's bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "out"
+        corpus.write_text("".join(lines), encoding="utf-8")
+        assert run_pipeline(make_config(corpus, fixtures, out)) == 0
+        return {
+            name: sorted((json.loads(line) for line in (out / name).open(encoding="utf-8")), key=lambda r: r["id"])
+            if name.endswith(".jsonl") else (out / name).read_bytes()
+            for name in ARTIFACTS
+        }
+
+
+class TestInputOrder:
+    # the duplicate filter keeps the first record of a text, so only a corpus of distinct
+    # texts is order-free; the fixture is only read, so every example may share it
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_a_permuted_corpus_gives_the_same_rows_and_bytes(self, pipeline_fixture, data):
+        corpus, fixtures = pipeline_fixture
+        first_of_text = {}
+        for line in corpus.read_text(encoding="utf-8").splitlines(keepends=True):
+            first_of_text.setdefault(json.loads(line)["text"], line)
+        lines = list(first_of_text.values())
+        assert len(lines) == 19
+        assert artifacts_of(data.draw(st.permutations(lines)), fixtures) == artifacts_of(lines, fixtures)
 
 
 class RecordingBackend(MockBackend):
@@ -898,13 +930,13 @@ import histocr, histocr.cli
 from histocr.config import PipelineConfig
 from histocr.pipeline import run_pipeline
 code = run_pipeline(PipelineConfig(**json.loads(sys.argv[2])))
-print(json.dumps({"code": code, "loaded": [m for m in ("requests", "urllib3", "difflib") if m in sys.modules]}))
+print(json.dumps({"code": code, "loaded": [m for m in ("http.client", "ssl", "difflib") if m in sys.modules]}))
 """
 
 
 class TestColdStart:
-    def test_mock_run_never_imports_requests(self, pipeline_fixture, tmp_path):
-        # this test process has imported requests already, so ask a fresh interpreter
+    def test_mock_run_loads_no_http_stack(self, pipeline_fixture, tmp_path):
+        # this test process has imported http.client already, so ask a fresh interpreter
         corpus, fixtures = pipeline_fixture
         config = make_config(corpus, fixtures, tmp_path / "out")
         src = Path(client.__file__).resolve().parents[1]
