@@ -22,24 +22,14 @@ class SpanIntegrityError(Exception):
     """A correction's span no longer matches the text it was derived from."""
 
 
-class _SurfaceFormEntryFields(NamedTuple):
+class SurfaceFormEntry(NamedTuple):
+    """One lexicon row: historical form, modern form, rule, corpus frequency."""
+
     original: str
     modern: str
     rule: str
     frequency: int
     accent_only: bool
-
-
-class SurfaceFormEntry(_SurfaceFormEntryFields):
-    """One lexicon row: historical form, modern form, rule, corpus frequency."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        if self.original == self.modern:
-            raise ValueError("surface form entry with identical forms")
-        if self.frequency < 1:
-            raise ValueError("frequency must be >= 1")
 
 
 def apply_corrections(

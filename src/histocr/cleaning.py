@@ -41,20 +41,14 @@ TOKENIZERS: dict[str, Tokenizer] = {
 def count_tokens(text: str, tokenizer: Tokenizer, stop: int | None = None) -> int:
     """``len(tokenizer(text))``, or ``min(len(tokenizer(text)), stop)`` for a ``stop`` of at least 1.
 
-    The two built-in tokenizers are counted without building their token
-    list: ``word_tokens`` by counting its pattern's matches (at most ``stop``
-    of them), ``str.split`` by a split into at most ``stop`` pieces, whose last
-    piece holds the rest of the text. Any other tokenizer is still called on
-    the whole text and its list measured.
+    ``word_tokens`` is counted without building its token list, by counting
+    its pattern's matches (at most ``stop`` of them). Any other tokenizer is
+    called on the whole text and its list measured.
     """
     if tokenizer is word_tokens:
         if stop is None:
             return _WORD_RE.subn("", text)[1]
         return sum(1 for _ in islice(_WORD_RE.finditer(text), stop))
-    if tokenizer is str.split:
-        if stop is None:
-            return len(text.split())
-        return len(text.split(None, stop - 1))
     count = len(tokenizer(text))
     return count if stop is None else min(count, stop)
 
@@ -89,8 +83,8 @@ def clean_corpus(
     once edge whitespace is trimmed. Non-alphabetic: strictly more than
     ``max_nonalpha`` of the characters are not letters. Short: ``min_tokens``
     or fewer tokens, counted by :func:`count_tokens` up to ``min_tokens + 1``,
-    so a built-in tokenizer stops there and builds no token list; a custom
-    ``tokenizer`` is still called on the whole text. Removals are listed by
+    so ``word_tokens`` stops there and builds no token list; another
+    ``tokenizer`` is called on the whole text. Removals are listed by
     reason, then in input order; the report (``cleaning_report.json``) gives
     each count, removals also in percent.
     """

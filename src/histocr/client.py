@@ -87,18 +87,12 @@ class PromptTemplate(_PromptTemplateFields):
         return cls(SPANISH_PROMPT)
 
 
-class _BackendResultFields(NamedTuple):
+class BackendResult(NamedTuple):
+    """One record's backend outcome; ``corrected_text`` is present exactly when the outcome is ``ok``."""
+
     outcome: str
     corrected_text: str | None = None
     detail: str = ""
-
-
-class BackendResult(_BackendResultFields):
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        if (self.corrected_text is not None) != (self.outcome == OUTCOME_OK):
-            raise ValueError("corrected_text must be present exactly when outcome is ok")
 
 
 class CorrectionBackend(Protocol):
@@ -152,12 +146,12 @@ def _fixture_row(obj: dict) -> tuple[str, str]:
 class HttpChatBackend:
     """Generic chat-completion endpoint (OpenAI-style JSON shape), over ``http.client``.
 
-    Each request thread keeps one connection alive, to the endpoint or to the
-    proxy that ``urllib.request.getproxies()`` names for its scheme unless
-    ``proxy_bypass`` exempts the host: an https endpoint is tunnelled through
-    it with ``CONNECT``, an http one is sent the absolute URL. HTTPS trusts
-    the system store (``ssl.create_default_context()``). A redirect is a
-    :class:`FatalTransportError`, not followed.
+    Each request thread keeps one connection alive until :meth:`close`, to the
+    endpoint or to the proxy that ``urllib.request.getproxies()`` names for
+    its scheme unless ``proxy_bypass`` exempts the host: an https endpoint is
+    tunnelled through it with ``CONNECT``, an http one is sent the absolute
+    URL. HTTPS trusts the system store (``ssl.create_default_context()``). A
+    redirect is a :class:`FatalTransportError`, not followed.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None, temperature: float = 0.0):
@@ -199,6 +193,7 @@ class HttpChatBackend:
                 self._headers.update(proxy_headers)
             self._address = (proxy_url.hostname, proxy_url.port or 80)
         self._local = threading.local()
+        self._connections = []  # every thread's, for close()
 
     def _connection(self):
         """The calling thread's connection, which opens a new socket whenever its last one was closed."""
@@ -207,7 +202,13 @@ class HttpChatBackend:
             connection = self._local.connection = self._open(*self._address, timeout=HTTP_TIMEOUT_S)
             if self._tunnel:
                 connection.set_tunnel(*self._tunnel, headers=self._tunnel_headers)
+            self._connections.append(connection)
         return connection
+
+    def close(self) -> None:
+        """Close the connection of every thread that made a request. A later request opens a new socket."""
+        for connection in self._connections:
+            connection.close()
 
     def _post(self, connection, body: bytes):
         """Send the request and read the status line and headers. A kept-alive

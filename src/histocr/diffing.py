@@ -34,15 +34,7 @@ HunkKind = Literal["replace", "insert", "delete"]
 _SHORT_WINDOW = 64
 
 
-class _HunkFields(NamedTuple):
-    original_segment: str
-    corrected_segment: str
-    original_span: tuple[int, int]
-    corrected_span: tuple[int, int]
-    kind: HunkKind
-
-
-class ChangeHunk(_HunkFields):
+class ChangeHunk(NamedTuple):
     """One aligned difference between the original and corrected word streams.
 
     ``original_segment``/``corrected_segment`` are the affected words joined
@@ -51,13 +43,11 @@ class ChangeHunk(_HunkFields):
     into the respective word sequences.
     """
 
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        if self.kind == "insert" and self.original_segment:
-            raise ValueError("insert hunk with non-empty original segment")
-        if self.kind == "delete" and self.corrected_segment:
-            raise ValueError("delete hunk with non-empty corrected segment")
+    original_segment: str
+    corrected_segment: str
+    original_span: tuple[int, int]
+    corrected_span: tuple[int, int]
+    kind: HunkKind
 
 
 def tokenize_words(text: str) -> list[str]:

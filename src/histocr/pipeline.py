@@ -45,10 +45,10 @@ import logging
 import threading
 import time
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, nullcontext
 from functools import partial
 from pathlib import Path
-from typing import Callable, Generator, Iterable, Iterator
+from typing import Callable, ContextManager, Generator, Iterable, Iterator
 
 from .applier import SpanIntegrityError, apply_corrections, emit_lexicon, write_lexicon
 from .classify import (
@@ -105,6 +105,13 @@ def make_backend(config: PipelineConfig) -> CorrectionBackend:
             temperature=config.temperature,
         )
     return MockBackend(config.mock_fixtures if config.backend == "mock" else None)
+
+
+def _opened(config: PipelineConfig, backend: CorrectionBackend | None) -> ContextManager[CorrectionBackend]:
+    """The caller's ``backend``, left open, or one :func:`make_backend` builds, closed (if it has
+    ``close``) when the block ends."""
+    built = make_backend(config) if backend is None else None
+    return closing(built) if hasattr(built, "close") else nullcontext(built or backend)
 
 
 def classifier_config(config: PipelineConfig) -> ClassifierConfig:
@@ -276,11 +283,11 @@ def correct_records(
     ``classify``, if given, is then mapped over the candidates
     (:func:`_each`) while later responses are still awaited. If it raises,
     every remaining response is still taken and the file written before the
-    error propagates, so no paid response is lost. Returns the candidates
-    and the number of records that ended in anything but ``ok`` or a
-    content-policy refusal.
+    error propagates, so no paid response is lost. With no ``backend``
+    given, it builds one and closes it. Returns the candidates and the
+    number of records that ended in anything but ``ok`` or a content-policy
+    refusal.
     """
-    backend = backend or make_backend(config)
     policy = RetryPolicy(max_attempts=config.retry_attempts, backoff_base=config.backoff_base)
     outcomes = Counter()
 
@@ -297,8 +304,9 @@ def correct_records(
 
     # an unvalidated config's concurrency below 1 still gets one thread, so no record waits forever
     responses = _scheduled_attempts(attempts, records, min(max(config.concurrency, 1), len(records)))
+    # ``attempts`` calls the backend bound here, which, if built here, closes after the last call;
     # an interrupt closes the arrivals before their file is complete, which removes it
-    with closing(responses), closing(arrivals(responses)) as arrived:
+    with _opened(config, backend) as backend, closing(responses), closing(arrivals(responses)) as arrived:
         candidates = list(arrived if classify is None else _each("classify", classify, arrived))
     logger.info("correction outcomes: %s", dict(sorted(outcomes.items())))
     failed = len(records) - outcomes[OUTCOME_OK] - outcomes[OUTCOME_CONTENT_POLICY]
@@ -452,13 +460,14 @@ def run_pipeline(config: PipelineConfig, backend: CorrectionBackend | None = Non
     """Run all stages; returns the process exit code (0, or 2 in strict mode on any problem).
 
     The rules table is loaded and the backend built first, so a bad rules
-    table or fixture file raises before any model call or artifact.
+    table or fixture file raises before any model call or artifact. A
+    backend built here is closed when the run ends; the caller's stays open.
     """
     classify = _classifier(config)
-    backend = backend or make_backend(config)
-    records, problems = _stage(load_corpus, clean_records, config, config.input, *_paths("clean", config))
-    for name, (_load, core, _artifacts) in list(_STAGES.items())[1:]:
-        extra = {"backend": backend, "classify": classify} if name == "correct" else {}
-        records, failed = core(config, records, *_paths(name, config), **extra)
-        problems += failed
+    with _opened(config, backend) as backend:
+        records, problems = _stage(load_corpus, clean_records, config, config.input, *_paths("clean", config))
+        for name, (_load, core, _artifacts) in list(_STAGES.items())[1:]:
+            extra = {"backend": backend, "classify": classify} if name == "correct" else {}
+            records, failed = core(config, records, *_paths(name, config), **extra)
+            problems += failed
     return 2 if config.strict and problems else 0

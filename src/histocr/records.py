@@ -67,6 +67,8 @@ YEAR_RANGE = (1800, 1899)
 
 # a code point UTF-8 cannot encode; JSON's "\ud800" escape reads as one
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+# a tab, or a line break as str.splitlines breaks at
+_TAB_OR_LINE_BREAK = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
 
 
 def lone_surrogate(text: str) -> re.Match | None:
@@ -165,9 +167,21 @@ def _reader(keys: tuple[str, ...], prefix: str = "", build: Callable[..., object
 
 
 def _correction(item: object) -> ClassifiedCorrection:
+    """One correction; a surface form must also fit a lexicon row (:func:`applier.write_lexicon`):
+    two distinct forms, each its words joined by single spaces, and a rule with no tab or line break."""
     if type(item) is not dict:
         raise ValueError(f"'corrections' items must be objects, got {_shown(item)}")
-    return _reader(CORRECTION, "correction ", ClassifiedCorrection)(item)
+    correction = _reader(CORRECTION, "correction ", ClassifiedCorrection)(item)
+    if correction.label == SURFACE_FORM:
+        original, corrected, rule = correction.original, correction.corrected, correction.rule
+        if original == corrected:
+            raise ValueError(f"correction 'original' of a surface form must differ from 'corrected', got {_shown(original)}")
+        for name, form in (("'original'", original), ("'corrected'", corrected)):
+            if " ".join(form.split()) != form:
+                raise ValueError(f"correction {name} of a surface form must be single-spaced words, got {_shown(form)}")
+        if _TAB_OR_LINE_BREAK.search(rule):
+            raise ValueError(f"correction 'rule' of a surface form must hold no tab or line break, got {_shown(rule)}")
+    return correction
 
 
 _SPAN = Where("two integers", lambda span: len(span) == 2 and type(span[0]) is type(span[1]) is int)

@@ -38,7 +38,7 @@ def build_report(
     excluded from the decade histogram and counted separately; missing
     countries bucket under "unknown". ``tokens`` is counted by
     :func:`~histocr.cleaning.count_tokens`, which builds no token list for
-    the built-in tokenizers. An unknown ``tokenizer_id`` is a
+    ``unicode_words``. An unknown ``tokenizer_id`` is a
     ``ValueError``: the report would carry a label its counts do not match.
     """
     if tokenizer_id not in TOKENIZERS:

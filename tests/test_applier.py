@@ -15,7 +15,10 @@ from histocr.classify import (
     classify_hunks,
     default_rules,
 )
+from histocr.config import PipelineConfig
 from histocr.diffing import diff_words, tokenize_words
+from histocr.pipeline import run_pipeline
+from histocr.records import load_processed
 
 RULES = default_rules()
 CONFIG = ClassifierConfig()
@@ -160,11 +163,14 @@ class TestEmitLexicon:
         full, _ = emit_lexicon(corrections)
         assert full == []
 
-    def test_entry_invariants(self):
-        with pytest.raises(ValueError):
-            SurfaceFormEntry("x", "x", "accent_only", 1, True)
-        with pytest.raises(ValueError):
-            SurfaceFormEntry("x", "y", "accent_only", 0, True)
+    def test_the_fixture_run_gives_two_distinct_forms_seen_at_least_once(self, pipeline_fixture, tmp_path):
+        corpus, fixtures = pipeline_fixture
+        config = PipelineConfig(input=str(corpus), output_dir=str(tmp_path), backend="mock", mock_fixtures=str(fixtures))
+        assert run_pipeline(config) == 0
+        rows = load_processed(tmp_path / "final.jsonl").records
+        full, non_accent = emit_lexicon(c for row in rows for c in row.corrections)
+        assert full and non_accent
+        assert all(type(e) is SurfaceFormEntry and e.original != e.modern and e.frequency >= 1 for e in full)
 
 
 class TestLexiconFile:

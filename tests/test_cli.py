@@ -670,6 +670,15 @@ def processed_line(*corrections: dict) -> str:
     return json.dumps({**PROCESSED_ROW, "corrections": list(corrections)}, ensure_ascii=False)
 
 
+# MUI edited by hand into a surface form the reader refuses
+SURFACE_FORM_EDITS = {
+    "equal-forms": {**MUI, "corrected": "mui"},
+    "tab-and-line-break-in-original": {**MUI, "original": "publi\ncacion\tx"},
+    "double-space-in-corrected": {**MUI, "corrected": "muy  bien"},
+    "tab-in-rule": {**MUI, "rule": "table\ti_y"},
+}
+
+
 MALFORMED_STAGE_ROWS = pytest.mark.parametrize(
     "command, good_row, bad_line",
     [
@@ -689,12 +698,17 @@ MALFORMED_STAGE_ROWS = pytest.mark.parametrize(
         ("apply", {**CORRECTED_ROW, "corrections": []}, json.dumps({**CORRECTED_ROW, "llm_outcome": "bogus", "corrections": []})),
         ("classify", CORRECTED_ROW, json.dumps({**CORRECTED_ROW, "llm_outcome": "global_hallucination"})),
         ("classify", CORRECTED_ROW, nested(CORRECTED_ROW)),
+        # a surface form that no lexicon row can hold, read by the two stages that write one
+        *((command, good, line(bad)) for command, good, line in (
+            ("apply", {**CORRECTED_ROW, "corrections": []}, classified_line), ("report", PROCESSED_ROW, processed_line),
+        ) for bad in SURFACE_FORM_EDITS.values()),
     ],
     ids=["classify-no-text", "apply-no-id", "apply-array", "report-array", "apply-string-position",
          "apply-three-int-position", "report-int-original", "report-unknown-label",
          "report-int-text_final", "report-bool-text_final", "report-float-text_final", "report-list-text_final",
          "report-object-text_final", "report-object-text_llm", "classify-int-outcome", "classify-list-detail",
-         "apply-unknown-outcome", "classify-rewrite-before-classify", "classify-nested-too-deep"],
+         "apply-unknown-outcome", "classify-rewrite-before-classify", "classify-nested-too-deep",
+         *(f"{command}-surface-form-{edit}" for command in ("apply", "report") for edit in SURFACE_FORM_EDITS)],
 )
 
 
@@ -723,6 +737,38 @@ class TestMalformedStageRows:
     @MALFORMED_STAGE_ROWS
     def test_bad_line_exits_2_in_strict_mode(self, tmp_path, command, good_row, bad_line):
         assert main(["--strict"] + stage_argv(tmp_path, command, good_row, bad_line)) == 2
+
+
+class TestHandEditedSurfaceForm:
+    """One surface form edited to equal forms in a run's artifact costs its row in apply and report."""
+
+    @pytest.mark.parametrize("command", ["apply", "report"])
+    def test_costs_its_row(self, pipeline_fixture, tmp_path, caplog, command):
+        corpus, fixtures = pipeline_fixture
+        config, run = write_config(tmp_path / "config.json", corpus, fixtures), tmp_path / "run"
+        assert main(["--config", str(config), "run", "--input", str(corpus), "--output", str(run)]) == 0
+        lines = (run / STAGE_INPUTS[command]).read_text(encoding="utf-8").splitlines(keepends=True)
+        n = next(n for n, line in enumerate(lines) if '"label": "surface_form"' in line)
+        row = json.loads(lines[n])
+        edit = next(c for c in row["corrections"] if c["label"] == "surface_form")
+        edit["corrected"] = edit["original"]
+        edited, without = tmp_path / "edited.jsonl", tmp_path / "without.jsonl"
+        edited.write_text("".join(lines[:n] + [json.dumps(row, ensure_ascii=False) + "\n"] + lines[n + 1:]), encoding="utf-8")
+        without.write_text("".join(lines[:n] + lines[n + 1:]), encoding="utf-8")
+        caplog.clear()
+        assert main([command, "--input", str(edited), "--output", str(tmp_path / "edited")]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+            f"{edited}: line {n + 1}: error: correction 'original' of a surface form must differ from 'corrected', "
+            f"got {edit['original']!r}"
+        ]
+        assert main([command, "--input", str(without), "--output", str(tmp_path / "without")]) == 0
+        for name in STAGE_LAYOUT[command]:
+            assert (tmp_path / "edited" / name).read_bytes() == (tmp_path / "without" / name).read_bytes(), name
+        if command == "apply":
+            final = [line for line in (run / "final.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+                     if json.loads(line)["id"] != row["id"]]
+            assert (tmp_path / "edited" / "final.jsonl").read_text(encoding="utf-8") == "".join(final)
+        assert main(["--strict", command, "--input", str(edited), "--output", str(tmp_path / "strict")]) == 2
 
 
 # one value of each JSON type, then the two that JSON text cannot hold: a

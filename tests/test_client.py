@@ -85,14 +85,6 @@ class TestPromptTemplate:
             PromptTemplate.for_language("english")
 
 
-class TestBackendResult:
-    def test_corrected_text_iff_ok(self):
-        with pytest.raises(ValueError):
-            BackendResult(OUTCOME_OK)
-        with pytest.raises(ValueError):
-            BackendResult(OUTCOME_TRANSPORT_ERROR, corrected_text="x")
-
-
 class TestStripFences:
     def test_plain_text_untouched(self):
         assert strip_fences("hola mundo") == "hola mundo"
@@ -353,6 +345,27 @@ class TestCorrectionAttempts:
             next(steps)
         assert (done.value.value, backend.calls) == (BackendResult(OUTCOME_OK, corrected_text="hola"), 3)
 
+    @pytest.mark.parametrize(
+        "text, script, outcome",
+        [
+            ("hola", ["```\n```"], OUTCOME_OK),  # an empty candidate is still a candidate
+            ("hola", [ContentPolicyRefusal("flagged")], OUTCOME_CONTENT_POLICY),
+            ("hola", [TransportError("boom")] * 2, OUTCOME_TRANSPORT_ERROR),
+            ("hola", [FatalTransportError("HTTP 401: no")], OUTCOME_TRANSPORT_ERROR),
+            ("hola", [RuntimeError("bug")], OUTCOME_TRANSPORT_ERROR),
+            ("hola", [None], OUTCOME_TRANSPORT_ERROR),
+            ("hola", ["\ud800"], OUTCOME_TRANSPORT_ERROR),
+            ("", [], OUTCOME_TRANSPORT_ERROR),
+            ("x" * 100, [], OUTCOME_OVER_LENGTH),
+        ],
+        ids=["ok", "refusal", "exhausted", "fatal", "backend-bug", "non-str", "lone-surrogate", "empty", "over-length"],
+    )
+    def test_corrected_text_is_present_exactly_when_ok(self, text, script, outcome):
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.0)
+        _, result = drive(correction_attempts(text, ScriptedBackend(script), policy, max_chars=50))
+        assert result.outcome == outcome
+        assert (result.corrected_text is not None) == (outcome == OUTCOME_OK)
+
     @pytest.mark.parametrize("text, max_chars", [("", None), ("x" * 100, 50)], ids=["empty", "over-length"])
     def test_no_call_no_step(self, text, max_chars):
         backend = ScriptedBackend([])
@@ -491,9 +504,13 @@ def stub(monkeypatch):
 class TestHttpChatBackend:
     @pytest.fixture(autouse=True)
     def _stub(self, stub):
-        self.stub = stub
+        self.stub, self.backends = stub, []
+        yield
+        for backend in self.backends:
+            backend.close()
 
     def make(self, responses, endpoint=None, **kwargs):
+        """A backend on the stub, closed when the test ends, and the stub with ``responses`` queued."""
         self.stub.replies.extend(responses)
         backend = HttpChatBackend(
             endpoint=endpoint or self.stub.url,
@@ -501,6 +518,7 @@ class TestHttpChatBackend:
             api_key="secret",
             **kwargs,
         )
+        self.backends.append(backend)
         return backend, self.stub
 
     def test_ok_response(self):
@@ -664,6 +682,19 @@ class TestHttpChatBackend:
             assert not thread.is_alive()
         assert answers == ["hola"] * 20
         assert (len(stub.received), stub.connections) == (20, 2)
+
+    def test_close_closes_every_threads_connection(self):
+        backend, stub = self.make([Reply(200, OK_BODY)] * 3)
+        thread = threading.Thread(target=backend.complete, args=("prompt", "text"))
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert backend.complete("prompt", "text") == "hola"
+        assert [c.sock is not None for c in backend._connections] == [True, True]
+        backend.close()
+        assert [c.sock for c in backend._connections] == [None, None]
+        assert backend.complete("prompt", "text") == "hola"  # on a new socket
+        assert (len(stub.received), stub.connections) == (3, 3)
 
     def test_http_endpoint_sends_its_absolute_url_to_the_proxy(self, monkeypatch):
         port = self.stub.server.server_port

@@ -217,11 +217,14 @@ class TestDiffWords:
         hunks = diff_words(["a", "b", "a"], ["a"])
         assert hunks == [ChangeHunk("b a", "", (1, 3), (1, 1), "delete")]
 
-    def test_hunk_kind_must_fit_its_segments(self):
-        with pytest.raises(ValueError, match="insert hunk with non-empty original segment"):
-            ChangeHunk("a", "b", (0, 1), (0, 1), "insert")
-        with pytest.raises(ValueError, match="delete hunk with non-empty corrected segment"):
-            ChangeHunk("a", "b", (0, 1), (0, 1), "delete")
+    @given(WORDS, WORDS)
+    def test_a_side_is_empty_exactly_where_the_kind_says(self, a, b):
+        # (original side empty, corrected side empty), in span and in segment alike
+        empty = {"insert": (True, False), "delete": (False, True), "replace": (False, False)}
+        for hunk in diff_words(a, b):
+            (i, bi), (j, bj) = hunk.original_span, hunk.corrected_span
+            assert (i == bi, j == bj) == empty[hunk.kind], hunk
+            assert (hunk.original_segment == "", hunk.corrected_segment == "") == empty[hunk.kind], hunk
 
     def test_reconstruct_rejects_overlapping_hunks(self):
         hunks = [ChangeHunk("a b", "x", (0, 2), (0, 1), "replace"), ChangeHunk("b", "y", (1, 2), (1, 2), "replace")]

@@ -317,33 +317,59 @@ class TestSchedules:
         assert (corrected["p06"], classified["p06"]) == ("ok", "global_hallucination")
 
 
-def artifacts_of(lines: list[str], fixtures: Path) -> dict[str, object]:
+def artifacts_of(lines: list[str], fixtures: Path, **overrides) -> dict[str, object]:
     """Run the pipeline in-process on a corpus of ``lines``: each ``.jsonl`` artifact's
     rows sorted by id, and every other artifact's bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         corpus, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "out"
         corpus.write_text("".join(lines), encoding="utf-8")
-        assert run_pipeline(make_config(corpus, fixtures, out)) == 0
+        assert run_pipeline(make_config(corpus, fixtures, out, **overrides)) == 0
         return {
-            name: sorted((json.loads(line) for line in (out / name).open(encoding="utf-8")), key=lambda r: r["id"])
+            name: sorted(map(json.loads, (out / name).read_text(encoding="utf-8").splitlines()), key=lambda r: r["id"])
             if name.endswith(".jsonl") else (out / name).read_bytes()
             for name in ARTIFACTS
         }
 
 
+def distinct_texts(corpus: Path) -> list[str]:
+    """The corpus lines, each text's first only: the duplicate filter keeps the first record
+    of a text, so only a corpus of distinct texts is order-free."""
+    first_of_text = {}
+    for line in corpus.read_text(encoding="utf-8").splitlines(keepends=True):
+        first_of_text.setdefault(json.loads(line)["text"], line)
+    return list(first_of_text.values())
+
+
+@pytest.fixture(scope="module")
+def garbled_runs(tmp_path_factory) -> dict[str, Path]:
+    """The benchmark's seed-1 ``garbled_runs`` files (40 records), written by its generator."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)  # the generator imports its sibling modules by name
+    try:
+        corpus = importlib.import_module("corpus")
+    finally:
+        sys.path.remove(perfbench)
+    return corpus.write_corpus(corpus.WORKLOADS["garbled_runs"], 1, tmp_path_factory.mktemp("garbled_runs"))
+
+
 class TestInputOrder:
-    # the duplicate filter keeps the first record of a text, so only a corpus of distinct
-    # texts is order-free; the fixture is only read, so every example may share it
+    # the corpus files are only read, so every example may share them
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_a_permuted_corpus_gives_the_same_rows_and_bytes(self, pipeline_fixture, data):
         corpus, fixtures = pipeline_fixture
-        first_of_text = {}
-        for line in corpus.read_text(encoding="utf-8").splitlines(keepends=True):
-            first_of_text.setdefault(json.loads(line)["text"], line)
-        lines = list(first_of_text.values())
+        lines = distinct_texts(corpus)
         assert len(lines) == 19
         assert artifacts_of(data.draw(st.permutations(lines)), fixtures) == artifacts_of(lines, fixtures)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_a_permuted_seed_1_garbled_runs_gives_the_same_rows_and_bytes(self, garbled_runs, data):
+        lines = distinct_texts(garbled_runs["corpus"])
+        assert len(lines) == 40
+        # every record fits the default character budget; a retry waits no time
+        expected = artifacts_of(lines, garbled_runs["fixtures"], max_chars=12_000)
+        assert artifacts_of(data.draw(st.permutations(lines)), garbled_runs["fixtures"], max_chars=12_000) == expected
 
 
 class RecordingBackend(MockBackend):
@@ -835,6 +861,53 @@ class TestBackendConstruction:
         errors = config.validate()
         assert any("endpoint" in e for e in errors)
         assert any("model" in e for e in errors)
+
+
+class ClosableBackend(RecordingBackend):
+    def __init__(self, fixture_path):
+        super().__init__(fixture_path)
+        self.closed = 0
+
+    def close(self) -> None:
+        self.closed += 1
+
+
+def broken(*args, **kwargs):
+    raise ValueError("classify failed")
+
+
+class TestBackendLifetime:
+    """run_pipeline and correct_records close a backend they build, on an error too; a caller's stays open."""
+
+    def start(self, entry, config, **kwargs):
+        if entry == "run_pipeline":
+            return run_pipeline(config, **kwargs)
+        return pipeline.correct_records(config, records.load_corpus(config.input).records, Path(config.output_dir), **kwargs)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("entry", ["run_pipeline", "correct_records"])
+    def test_a_backend_built_here_is_closed(self, pipeline_fixture, tmp_path, monkeypatch, entry, fails):
+        corpus, fixtures = pipeline_fixture
+        built = []
+        monkeypatch.setattr(pipeline, "make_backend", lambda config: built.append(ClosableBackend(fixtures)) or built[-1])
+        config = make_config(corpus, fixtures, tmp_path / "out")
+        if not fails:
+            self.start(entry, config)
+        elif entry == "run_pipeline":
+            monkeypatch.setattr(pipeline, "classify_candidate", broken)
+            with pytest.raises(pipeline.RecordError):
+                self.start(entry, config)
+        else:
+            with pytest.raises(pipeline.RecordError):
+                self.start(entry, config, classify=broken)
+        assert [(backend.closed, bool(backend.texts)) for backend in built] == [(1, True)]
+
+    @pytest.mark.parametrize("entry", ["run_pipeline", "correct_records"])
+    def test_a_callers_backend_stays_open(self, pipeline_fixture, tmp_path, entry):
+        corpus, fixtures = pipeline_fixture
+        backend = ClosableBackend(fixtures)
+        self.start(entry, make_config(corpus, fixtures, tmp_path / "out"), backend=backend)
+        assert (backend.closed, bool(backend.texts)) == (0, True)
 
 
 # one word pair at the same word position in two records: "sesion" -> "sesión", "mui" -> "muy"

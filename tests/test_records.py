@@ -534,8 +534,16 @@ LOADABLE_CORPUS_ROWS = CORPUS_ROWS.map(lambda record: record._replace(
     id=record.id or "x", year=None if record.year is None else 1800 + record.year % 100,
     text=record.text.replace("\x00", ""),
 ))
-LOADABLE_CORRECTIONS = st.lists(st.builds(
-    ClassifiedCorrection, TEXT, TEXT, st.sampled_from((SURFACE_FORM, OCR_ERROR, HALLUCINATION)), TEXT, RATIO,
+# a surface form is a lexicon row: two distinct forms of single-spaced words, a rule on one line
+# with no tab (str.splitlines breaks at every line break)
+SINGLE_SPACED = TEXT.map(lambda text: " ".join(text.split()))
+ONE_FIELD = TEXT.filter(lambda rule: "\t" not in rule and len((rule + ".").splitlines()) == 1)
+SURFACE_FORMS = st.builds(
+    ClassifiedCorrection, SINGLE_SPACED, SINGLE_SPACED, st.just(SURFACE_FORM), ONE_FIELD, RATIO,
+    st.booleans(), SPAN, SPAN, TEXT, TEXT, st.integers(min_value=1),
+).filter(lambda correction: correction.original != correction.corrected)
+LOADABLE_CORRECTIONS = st.lists(SURFACE_FORMS | st.builds(
+    ClassifiedCorrection, TEXT, TEXT, st.sampled_from((OCR_ERROR, HALLUCINATION)), TEXT, RATIO,
     st.booleans(), SPAN, SPAN, TEXT, TEXT, st.integers(min_value=1),
 ), max_size=3)
 
