@@ -9,6 +9,7 @@ byte.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -42,39 +43,51 @@ def apply_corrections(
     Surface-form and hallucination corrections leave the text untouched
     unless ``modernize`` also applies the surface forms (non-default: the
     standard output keeps historical spelling). Casing outside the applied
-    spans is the original's; inside them, the model's. Application proceeds
-    right to left over word spans so earlier replacements never shift later
-    ones.
+    spans is the original's; inside them, the model's. Corrections are
+    checked right to left over word spans; only the words they name are
+    fetched, in one pass, and the result is joined once.
     """
     labels = {OCR_ERROR, SURFACE_FORM} if modernize else {OCR_ERROR}
     applicable = [c for c in corrections if c.label in labels]
     if not applicable:
         return original
 
-    spans = [m.span() for m in _WORD_SPAN_RE.finditer(original)]
-    result = original
-    last_start = len(spans) + 1
-    for corr in sorted(applicable, key=lambda c: c.original_span, reverse=True):
+    ordered = sorted(applicable, key=lambda c: c.original_span, reverse=True)
+    # word index -> match, for the words of each span: ascending spans skip the words
+    # between them in islice, and no text has more words than characters
+    words: dict[int, re.Match] = {}
+    matches = _WORD_SPAN_RE.finditer(original)
+    taken = 0
+    for corr in reversed(ordered):
+        start, end = corr.original_span
+        start, end = max(start, taken), min(end, len(original))
+        if start < end:
+            words.update(enumerate(islice(matches, start - taken, end - taken), start))
+            taken = end
+    pieces = []
+    cut = last_start = len(original)
+    for corr in ordered:
         start, end = corr.original_span
         if not corr.original_raw or not corr.corrected_raw:
             raise SpanIntegrityError(
                 f"cannot apply insertion/deletion at words [{start},{end})"
             )
-        if not 0 <= start < end <= len(spans):
+        # word end - 1 was fetched if the text has it
+        if not (0 <= start < end and end - 1 in words):
             raise SpanIntegrityError(f"word span [{start},{end}) outside text")
         if end > last_start:
             raise SpanIntegrityError(f"overlapping correction at words [{start},{end})")
-        found = " ".join(original[s:e] for s, e in spans[start:end])
+        found = " ".join([words[i][0] for i in range(start, end)])
         if found != corr.original_raw:
             raise SpanIntegrityError(
                 f"stale correction at words [{start},{end}): "
                 f"expected {corr.original_raw!r}, found {found!r}"
             )
-        char_start = spans[start][0]
-        char_end = spans[end - 1][1]
-        result = result[:char_start] + corr.corrected_raw + result[char_end:]
+        pieces += original[words[end - 1].end():cut], corr.corrected_raw
+        cut = words[start].start()
         last_start = start
-    return result
+    pieces.append(original[:cut])
+    return "".join(reversed(pieces))
 
 
 def emit_lexicon(

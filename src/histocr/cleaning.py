@@ -46,11 +46,24 @@ def count_tokens(text: str, tokenizer: Tokenizer, stop: int | None = None) -> in
     called on the whole text and its list measured.
     """
     if tokenizer is word_tokens:
-        if stop is None:
-            return _WORD_RE.subn("", text)[1]
         return sum(1 for _ in islice(_WORD_RE.finditer(text), stop))
     count = len(tokenizer(text))
     return count if stop is None else min(count, stop)
+
+
+def count_split_tokens(text: str, words: list[str], tokenizer: Tokenizer) -> int:
+    """``count_tokens(text, tokenizer)``, given ``words``, which is ``text.split()``.
+
+    ``word_tokens`` reads only the words: ``str.split`` splits at exactly the
+    ``str.isspace()`` characters, none of which is alphanumeric, and
+    ``str.isalnum()`` is exactly ``[^\\W_]``. So no token spans two words, an
+    alphanumeric word is one token, and the other words hold the tokens of
+    their text joined by spaces. ``str.split`` is ``len(words)``.
+    """
+    if tokenizer is word_tokens:
+        rest = [word for word in words if not word.isalnum()]
+        return len(words) - len(rest) + _WORD_RE.subn("", " ".join(rest))[1]
+    return len(words) if tokenizer is str.split else count_tokens(text, tokenizer)
 
 
 def non_alpha_ratio(text: str, count_whitespace: bool = False) -> float:

@@ -348,8 +348,8 @@ def correction_attempts(
             if not isinstance(raw, str):
                 detail = f"not retried: backend returned {type(raw).__name__}, not str"
                 return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=detail)
-            if surrogate := lone_surrogate(raw):
-                detail = f"not retried: response holds a lone surrogate at index {surrogate.start()}"
+            if (at := lone_surrogate(raw)) is not None:
+                detail = f"not retried: response holds a lone surrogate at index {at}"
                 return BackendResult(OUTCOME_TRANSPORT_ERROR, detail=f"{detail}, which UTF-8 cannot encode")
             return BackendResult(OUTCOME_OK, corrected_text=strip_fences(raw))
         # yielded outside the handler, so a suspended attempt holds no exception

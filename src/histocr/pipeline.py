@@ -422,7 +422,7 @@ def report_records(
 _STAGES = {
     "clean": (load_corpus, clean_records, ("cleaned.jsonl", "removed.jsonl", "cleaning_report.json")),
     "correct": (load_corpus, correct_records, ("corrected.jsonl",)),
-    "classify": (load_candidates, classify_records, ("classified.jsonl",)),
+    "classify": (partial(load_candidates, check_corrections=False), classify_records, ("classified.jsonl",)),
     "apply": (_load_classified, apply_records, ("final.jsonl", "lexicon.tsv", "lexicon_nonaccent.tsv")),
     "report": (load_processed, report_records, ("report.json", "report.txt")),
 }

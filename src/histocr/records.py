@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -65,19 +64,14 @@ OUTCOMES = (
 
 YEAR_RANGE = (1800, 1899)
 
-# a code point UTF-8 cannot encode; JSON's "\ud800" escape reads as one
-LONE_SURROGATE = re.compile("[\ud800-\udfff]")
-# a tab, or a line break as str.splitlines breaks at
-_TAB_OR_LINE_BREAK = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
 
-
-def lone_surrogate(text: str) -> re.Match | None:
-    """The first lone surrogate in ``text``, if any. ``str.encode`` refuses
-    exactly these and is four times as fast as the search, so it goes first."""
+def lone_surrogate(text: str) -> int | None:
+    """The index of the first lone surrogate in ``text``, if any: the code points UTF-8 cannot
+    encode (JSON's ``"\\ud800"`` escape reads as one), so ``str.encode`` stops at the first."""
     try:
         text.encode()
-    except UnicodeEncodeError:
-        return LONE_SURROGATE.search(text)
+    except UnicodeEncodeError as exc:
+        return exc.start
     return None
 
 
@@ -124,8 +118,8 @@ class Field(NamedTuple):
         if kind not in self.types or kind is float and not isfinite(value) or allowed and not allowed.test(value):
             wording = allowed.wording if allowed else _TYPE_WORDS[self.types[0]]
             raise ValueError(f"{name} must be {wording}, got {_shown(value)}")
-        if kind is str and not value.isascii() and (surrogate := lone_surrogate(value)):
-            raise ValueError(f"{name} holds a lone surrogate at index {surrogate.start()}, which UTF-8 cannot encode")
+        if kind is str and not value.isascii() and (at := lone_surrogate(value)) is not None:
+            raise ValueError(f"{name} holds a lone surrogate at index {at}, which UTF-8 cannot encode")
 
 
 # each artifact's keys, in the order its rows hold them
@@ -140,10 +134,13 @@ CORRECTION = (
 
 
 @cache
-def _reader(keys: tuple[str, ...], prefix: str = "", build: Callable[..., object] = dict) -> Callable[[dict], object]:
+def _reader(
+    keys: tuple[str, ...], prefix: str = "", build: Callable[..., object] = dict, items: bool = True
+) -> Callable[[dict], object]:
     """Reads ``keys`` off one JSON object into ``build``'s keyword arguments: an absent key takes
     its default (a required one is a ``KeyError``), a present value goes through ``Field.check``,
-    null reads as the default (``None`` for a required key), a list as a tuple or its items."""
+    null reads as the default (``None`` for a required key), a list as a tuple or, if ``items``,
+    its items read."""
     plan = [(key, FIELDS[key], FIELDS[key].attr or key, prefix + repr(key)) for key in keys]
 
     def read(obj: dict) -> object:
@@ -155,7 +152,7 @@ def _reader(keys: tuple[str, ...], prefix: str = "", build: Callable[..., object
                 if value is None:
                     value = None if f.default is REQUIRED else f.default
                 elif type(value) is list:
-                    value = [f.items(item) for item in value] if f.items else tuple(value)
+                    value = [f.items(item) for item in value] if f.items and items else tuple(value)
             elif f.default is REQUIRED:
                 raise KeyError(key)
             else:
@@ -179,7 +176,7 @@ def _correction(item: object) -> ClassifiedCorrection:
         for name, form in (("'original'", original), ("'corrected'", corrected)):
             if " ".join(form.split()) != form:
                 raise ValueError(f"correction {name} of a surface form must be single-spaced words, got {_shown(form)}")
-        if _TAB_OR_LINE_BREAK.search(rule):
+        if "\t" in rule or "".join(rule.splitlines()) != rule:  # a tab, or a line break
             raise ValueError(f"correction 'rule' of a surface form must hold no tab or line break, got {_shown(rule)}")
     return correction
 
@@ -357,10 +354,12 @@ def _read_rows(
         raise CorpusError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
-def _load(path: str | Path, kind: str, build: Callable[..., CandidateRecord], keys: tuple[str, ...]) -> LoadResult:
+def _load(
+    path: str | Path, kind: str, build: Callable[..., CandidateRecord], keys: tuple[str, ...], items: bool = True
+) -> LoadResult:
     """The rows of ``keys`` in a file: each its corpus record, then the rest of ``keys``, for ``build``."""
     diagnostics: list[LineDiagnostic] = []
-    corpus, read = _reader(CORPUS, "", CorpusRecord), _reader(keys[len(CORPUS):])
+    corpus, read = _reader(CORPUS, "", CorpusRecord), _reader(keys[len(CORPUS):], "", dict, items)
     rows = _read_rows(path, kind, lambda obj: build(corpus(obj), **read(obj)), diagnostics)
     return LoadResult([row for _, row in rows], diagnostics)
 
@@ -393,12 +392,14 @@ def _candidate(record: CorpusRecord, outcome: str, **rest) -> CandidateRecord:
     return CandidateRecord(record, outcome, **rest)
 
 
-def load_candidates(path: str | Path) -> LoadResult:
+def load_candidates(path: str | Path, check_corrections: bool = True) -> LoadResult:
     """Load candidate rows (``corrected.jsonl`` or ``classified.jsonl``).
 
     Only a classified row, one with ``corrections``, may read ``global_hallucination``.
+    Without ``check_corrections`` (classify, which derives them again), ``corrections``
+    must still be a list or null, but its items are neither checked nor read.
     """
-    return _load(path, "candidate", _candidate, CLASSIFIED)
+    return _load(path, "candidate", _candidate, CLASSIFIED, check_corrections)
 
 
 def load_processed(path: str | Path) -> LoadResult:

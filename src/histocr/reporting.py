@@ -1,9 +1,9 @@
 """Corpus- and run-level statistics over the processed output.
 
 The report is a pure function of the pipeline outputs: identical inputs
-produce byte-identical report files. Word counts come from whitespace
-tokenization; token counts use the configured tokenizer and are labeled with
-its id, since they are not comparable across tokenizers.
+produce byte-identical report files. Word and token counts come from one
+whitespace split per text; token counts use the configured tokenizer and are
+labeled with its id, since they are not comparable across tokenizers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .applier import emit_lexicon
 from .classify import HALLUCINATION, OCR_ERROR, SURFACE_FORM
-from .cleaning import TOKENIZERS, count_tokens
+from .cleaning import TOKENIZERS, count_split_tokens
 from .records import (
     STATUS_CLEANED_OUT,
     STATUS_CORRECTED,
@@ -36,9 +36,9 @@ def build_report(
     that entered the correction stage. Text measures use the final corrected
     text where available, the original otherwise. Records without a year are
     excluded from the decade histogram and counted separately; missing
-    countries bucket under "unknown". ``tokens`` is counted by
-    :func:`~histocr.cleaning.count_tokens`, which builds no token list for
-    ``unicode_words``. An unknown ``tokenizer_id`` is a
+    countries bucket under "unknown". ``words`` is the length of each text's
+    whitespace split, and :func:`~histocr.cleaning.count_split_tokens` counts
+    ``tokens`` from that split, with no token list. An unknown ``tokenizer_id`` is a
     ``ValueError``: the report would carry a label its counts do not match.
     """
     if tokenizer_id not in TOKENIZERS:
@@ -59,8 +59,9 @@ def build_report(
     for item in rows:
         record = item.record
         text = item.text_final if item.text_final is not None else record.text
-        words += len(text.split())
-        tokens += count_tokens(text, tokenizer)
+        split = text.split()
+        words += len(split)
+        tokens += count_split_tokens(text, split, tokenizer)
         if record.newspaper:
             newspapers.add(record.newspaper)
         if record.year is not None:

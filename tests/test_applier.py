@@ -1,5 +1,10 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from histocr import applier
 from histocr.applier import (
     SpanIntegrityError,
     SurfaceFormEntry,
@@ -8,7 +13,9 @@ from histocr.applier import (
     write_lexicon,
 )
 from histocr.classify import (
+    HALLUCINATION,
     OCR_ERROR,
+    SURFACE_FORM,
     ClassifiedCorrection,
     ClassifierConfig,
     aggregate_frequencies,
@@ -114,6 +121,117 @@ class TestApplyCorrections:
         first = apply_corrections(original, corrections_for(original, llm))
         again = apply_corrections(first, corrections_for(first, llm))
         assert again == first
+
+
+def splice_each_correction(original, corrections, modernize=False):
+    """The oracle: every word's span listed, then one whole-text copy per correction."""
+    labels = {OCR_ERROR, SURFACE_FORM} if modernize else {OCR_ERROR}
+    applicable = [c for c in corrections if c.label in labels]
+    if not applicable:
+        return original
+
+    spans = [m.span() for m in re.finditer(r"\S+", original)]
+    result = original
+    last_start = len(spans) + 1
+    for corr in sorted(applicable, key=lambda c: c.original_span, reverse=True):
+        start, end = corr.original_span
+        if not corr.original_raw or not corr.corrected_raw:
+            raise SpanIntegrityError(
+                f"cannot apply insertion/deletion at words [{start},{end})"
+            )
+        if not 0 <= start < end <= len(spans):
+            raise SpanIntegrityError(f"word span [{start},{end}) outside text")
+        if end > last_start:
+            raise SpanIntegrityError(f"overlapping correction at words [{start},{end})")
+        found = " ".join(original[s:e] for s, e in spans[start:end])
+        if found != corr.original_raw:
+            raise SpanIntegrityError(
+                f"stale correction at words [{start},{end}): "
+                f"expected {corr.original_raw!r}, found {found!r}"
+            )
+        char_start = spans[start][0]
+        char_end = spans[end - 1][1]
+        result = result[:char_start] + corr.corrected_raw + result[char_end:]
+        last_start = start
+    return result
+
+
+def outcome(splice, original, corrections, modernize):
+    """The text ``splice`` returns, or the type and message of what it raises."""
+    try:
+        return splice(original, corrections, modernize)
+    except Exception as exc:  # noqa: BLE001 - any exception must be the oracle's too
+        return type(exc), str(exc)
+
+
+# words, the separators around them and the bounds of a span: small, past the end, negative
+SPLICE_WORDS = st.lists(st.text("ab\u00f1\u0301.,_", min_size=1, max_size=4), min_size=1, max_size=8)
+SEPARATORS = st.text(" \t\n\u3000\u2028", max_size=2)
+BOUNDS = st.one_of(st.integers(-2, 9), st.sampled_from([10**9 - 1, 10**9]))
+
+
+@st.composite
+def spliced_corrections(draw):
+    """A text and corrections on it: spans on cut points of its words (fitting, unless
+    a bound or a form is redrawn) and spans drawn at random (overlapping, empty,
+    reversed, negative or past the end), each with a true, stale or empty form."""
+    words = draw(SPLICE_WORDS)
+    text = "".join(draw(SEPARATORS) + word for word in words) + draw(SEPARATORS)
+    text = text if text.split() == words else " ".join(words)  # no separator was drawn between two words
+    cuts = sorted(draw(st.sets(st.integers(0, len(words)), min_size=2, max_size=6)))
+    spans = list(zip(cuts, cuts[1:]))
+    if draw(st.booleans()):  # the first fitting span widened by one word, so the two overlap
+        spans.append((spans[0][0], spans[0][1] + 1))
+    bounds = st.one_of(st.integers(0, len(words)), BOUNDS)
+    spans += draw(st.one_of(st.just([]), st.lists(st.tuples(bounds, bounds), min_size=1, max_size=2)))
+    corrections = []
+    for start, end in draw(st.permutations(spans)):
+        true_form = " ".join(words[max(start, 0):max(end, 0)]) or "a"
+        original_raw = draw(st.sampled_from([true_form] * 9 + ["", "a", true_form + " b"]))
+        corrected_raw = draw(st.sampled_from(["X", "Y z"] * 4 + [""]))
+        label = draw(st.sampled_from([OCR_ERROR, OCR_ERROR, SURFACE_FORM, HALLUCINATION]))
+        corrections.append(ClassifiedCorrection(
+            original=original_raw, corrected=corrected_raw, label=label, rule="ratio_threshold",
+            ratio=0.6, accent_only=False, original_span=(start, end), corrected_span=(start, end),
+            original_raw=original_raw, corrected_raw=corrected_raw,
+        ))
+    return text, corrections
+
+
+class TestApplyCorrectionsAgainstTheOracle:
+    @given(spliced_corrections(), st.booleans())
+    @settings(max_examples=600, deadline=None)
+    @example(("", [TestApplyCorrections.ocr_error((0, 1), "a", "X")]), False)
+    @example(("a b", [TestApplyCorrections.ocr_error((1, 10**9), "b", "X")]), False)
+    @example(("a b", [TestApplyCorrections.ocr_error((-1, 1), "a", "X")]), False)
+    @example(("a  b", [TestApplyCorrections.ocr_error((0, 2), "a b", "X"),
+                       TestApplyCorrections.ocr_error((1, 2), "b", "Y")]), True)
+    def test_same_text_or_same_exception(self, case, modernize):
+        text, corrections = case
+        expected = outcome(splice_each_correction, text, corrections, modernize)
+        assert outcome(apply_corrections, text, corrections, modernize) == expected
+
+    def test_a_span_past_the_end_costs_at_most_one_pass(self, monkeypatch):
+        text = " ".join(["palabra"] * 50)
+        drawn = []
+
+        class CountingPattern:
+            def finditer(self, string):
+                drawn.append(0)
+                for match in re.finditer(r"\S+", string):
+                    drawn[-1] += 1
+                    yield match
+
+        monkeypatch.setattr(applier, "_WORD_SPAN_RE", CountingPattern())
+        corrections = [
+            TestApplyCorrections.ocr_error(span, "palabra", "voz")
+            for span in [(3, 4), (10**9 - 1, 10**9), (40, 10**9), (7, 8)]
+        ]
+        with pytest.raises(SpanIntegrityError, match=r"word span \[999999999,1000000000\) outside text"):
+            apply_corrections(text, corrections)
+        assert drawn == [50]
+        assert apply_corrections(text, corrections[:1] + corrections[3:]).split().count("voz") == 2
+        assert drawn[1] == 8
 
 
 class TestEmitLexicon:

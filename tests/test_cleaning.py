@@ -1,3 +1,5 @@
+import re
+import sys
 import tracemalloc
 
 import pytest
@@ -11,6 +13,7 @@ from histocr.cleaning import (
     REASON_TOO_SHORT,
     TOKENIZERS,
     clean_corpus,
+    count_split_tokens,
     count_tokens,
     non_alpha_ratio,
     word_tokens,
@@ -174,6 +177,35 @@ class TestCountTokens:
         assert kept == [record]
         assert peak < 2_000_000, peak
 
+
+
+class TestCountSplitTokens:
+    """The three facts that let a token count read only the whitespace words, over every code point."""
+
+    CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
+
+    def test_isalnum_is_exactly_the_token_class(self):
+        assert re.findall(r"[^\W_]", self.CODE_POINTS) == [c for c in self.CODE_POINTS if c.isalnum()]
+
+    def test_no_whitespace_character_is_alphanumeric(self):
+        assert not [c for c in self.CODE_POINTS if c.isspace() and c.isalnum()]
+
+    def test_split_splits_at_exactly_the_whitespace_characters(self):
+        # each code point stands alone between two letters, so each whitespace one is a cut of its own
+        text = "a".join(self.CODE_POINTS)
+        spaces = sum(map(str.isspace, self.CODE_POINTS))
+        words = text.split()
+        assert len(words) == spaces + 1
+        assert "".join(words) == "".join(c for c in text if not c.isspace())
+
+    @given(st.text(TOKEN_ALPHABET, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    @example("a,b c_d \u0301e")
+    def test_equals_count_tokens(self, text):
+        for name, tokenizer in TOKENIZERS.items():
+            assert count_split_tokens(text, text.split(), tokenizer) == count_tokens(text, tokenizer), name
+        # any other tokenizer reads the text itself
+        assert count_split_tokens(text, [], list) == len(text)
 
 class TestCleanCorpus:
     def test_fixture_composition(self):

@@ -740,7 +740,27 @@ class TestMalformedStageRows:
 
 
 class TestHandEditedSurfaceForm:
-    """One surface form edited to equal forms in a run's artifact costs its row in apply and report."""
+    """One surface form edited to equal forms in a run's artifact costs its row in apply and report, and nothing in
+    classify, which derives the corrections again."""
+
+    def test_classify_writes_the_bytes_of_the_unedited_file(self, pipeline_fixture, tmp_path, caplog):
+        corpus, fixtures = pipeline_fixture
+        config, run = write_config(tmp_path / "config.json", corpus, fixtures), tmp_path / "run"
+        assert main(["--config", str(config), "run", "--input", str(corpus), "--output", str(run)]) == 0
+        lines = (run / "classified.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        n = next(n for n, line in enumerate(lines) if '"label": "surface_form"' in line)
+        row = json.loads(lines[n])
+        edit = next(c for c in row["corrections"] if c["label"] == "surface_form")
+        edit["corrected"] = edit["original"]
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("".join(lines[:n] + [json.dumps(row, ensure_ascii=False) + "\n"] + lines[n + 1:]), encoding="utf-8")
+        caplog.clear()
+        argv = ["--config", str(config), "classify"]
+        assert main(argv + ["--input", str(edited), "--output", str(tmp_path / "edited")]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert main(argv + ["--input", str(run / "classified.jsonl"), "--output", str(tmp_path / "plain")]) == 0
+        classified = (tmp_path / "edited" / "classified.jsonl").read_bytes()
+        assert classified == (tmp_path / "plain" / "classified.jsonl").read_bytes()
 
     @pytest.mark.parametrize("command", ["apply", "report"])
     def test_costs_its_row(self, pipeline_fixture, tmp_path, caplog, command):

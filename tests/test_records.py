@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from histocr.records import (
     load_candidates,
     load_corpus,
     load_processed,
+    lone_surrogate,
     write_corpus,
     write_processed,
     write_records,
@@ -657,3 +659,34 @@ class TestWrongValueDiagnostics:
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")
         result = load(path)
         assert (result.records, result.diagnostics) == ([], [LineDiagnostic(1, message)])
+
+
+# the patterns the two checks below replace, kept as their oracles
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+TAB_OR_LINE_BREAK = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
+# ASCII, non-ASCII, astral, a tab, every line break str.splitlines knows, and near misses; then surrogates
+RULE_TEXT = st.text(st.sampled_from(
+    list("ab \x1f\xa0\xf1\u2027\u202a\U0001f600\U00100000\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")
+), max_size=12)
+SURROGATE_TEXT = st.text(st.sampled_from(list("a\xf1\U0001f600\ud800\udbff\udc00\udfff")), max_size=12)
+
+
+class TestChecksWithoutPatterns:
+    @given(SURROGATE_TEXT)
+    @example("a\U00010000")
+    @example("\udfff")
+    def test_lone_surrogate_is_the_first_surrogate_index(self, text):
+        found = LONE_SURROGATE.search(text)
+        assert lone_surrogate(text) == (found.start() if found else None)
+
+    @given(RULE_TEXT)
+    @example("a\r\nb")
+    @example("\x1f")
+    def test_a_surface_form_rule_is_refused_exactly_for_a_tab_or_line_break(self, rule):
+        item = {"original": "har\xe0", "corrected": "har\xe1", "label": SURFACE_FORM, "rule": rule, "ratio": None,
+                "position": [1, 2], "original_raw": "har\xe0", "corrected_raw": "har\xe1", "accent_only": True}
+        if TAB_OR_LINE_BREAK.search(rule):
+            with pytest.raises(ValueError, match="must hold no tab or line break"):
+                FIELDS["corrections"].items(item)
+        else:
+            assert FIELDS["corrections"].items(item).rule == rule

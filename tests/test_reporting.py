@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,14 @@ from histocr.records import (
     ProcessedRecord,
 )
 from histocr.reporting import build_report, render_text, write_report
+
+
+# letters, digits, "_", combining marks, punctuation, astral letters, digits and symbols,
+# and every str.isspace() character
+REPORT_ALPHABET = st.sampled_from(
+    list("aZ\xf1\u03a97\u0663_\u0301\u0327.,;-\"\u00bf\u200b\U0001d400\U0001d7ce\U0001f600\U00010140")
+    + [chr(c) for c in range(0x3001) if chr(c).isspace()]  # the last is U+3000
+)
 
 
 def correction(label, original="x", corrected="y", accent_only=False):
@@ -144,6 +153,14 @@ class TestBuildReport:
             report = build_report(rows, tokenizer_id=name)
             assert report["tokens"] == sum(len(tokenizer(text)) for text in texts), name
             assert report["words"] == sum(len(text.split()) for text in texts), name
+
+    @given(st.lists(st.text(REPORT_ALPHABET, max_size=60), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    @example(["\U0001d400b,c\U0001f600 d_\u0301e\u3000", "9.5\x1f\xa0\u2029-"])
+    def test_words_and_tokens_are_the_whitespace_split_and_the_pattern_count(self, texts):
+        report = build_report([processed(f"r{i}", text=text) for i, text in enumerate(texts)])
+        assert report["words"] == sum(len(text.split()) for text in texts)
+        assert report["tokens"] == sum(re.subn(r"[^\W_]+", "", text)[1] for text in texts)
 
     def test_unknown_tokenizer_is_rejected(self):
         # counting with a fallback tokenizer would label the counts with a wrong id
